@@ -7,10 +7,13 @@ The embedding Gram of a primitive SRG has unit diagonal, s/k on edges and
 (-1-s)/(v-k-1) on non-edges; it always satisfies G^2 = (v/g) G. The frame
 is a real ETF exactly when the two off-diagonal values have one absolute
 value and G^2 = (M/N) G with N = rank G; certification checks both
-identities in exact arithmetic and, on success, asserts Welch equality
-alpha^2 = (M-N)/(N(M-1)).  Both conditions are decidable from parameters
-alone (criteria): equiangularity is s/k = -(-1-s)/(v-k-1), and membership
-of the graph in a regular two-graph is v = 2(2k - lambda - mu).
+identities in exact arithmetic and, on success, checks Welch equality
+alpha^2 = (M-N)/(N(M-1)).  N = tr G / lambda from G^2 = lambda G with
+lambda = (G^2)_00 != 0: G / lambda is then idempotent, so its rank is its
+trace.  Elimination runs only when that identity fails.  Both conditions
+are decidable from parameters alone (criteria): equiangularity is
+s/k = -(-1-s)/(v-k-1), and membership of the graph in a regular two-graph
+is v = 2(2k - lambda - mu).
 
 The Naimark complement (M/(M-N)) (I - (N/M) G) swaps N for M - N and is an
 involution.  For graphs with k = 2 mu, bordering the switched adjacency
@@ -24,6 +27,8 @@ reproduces the embedding Gram entrywise.
 from dataclasses import dataclass
 from fractions import Fraction
 import json
+
+import numpy as np
 
 from .graphs import Graph, spectrum, srg_params
 from .matrices import ExactMatrix, mat_mul, mat_rank
@@ -83,48 +88,46 @@ def embedding_gram(g):
     k, kbar = p.k, p.v - p.k - 1
     on_edge = sp.s / k
     off_edge = (QuadExt(-1) - sp.s) / kbar
-    one = QuadExt(1)
-    rows = []
-    for i in range(g.n):
-        ri = g.rows[i]
-        rows.append(
-            [one if i == j else (on_edge if (ri >> j) & 1 else off_edge) for j in range(g.n)]
-        )
-    return GramMatrix(ExactMatrix.from_rows(rows), g.label)
+    codes = g.adjacency_bits() + 2 * np.eye(g.n, dtype=np.uint8)
+    return GramMatrix(ExactMatrix.from_codes(codes, (off_edge, on_edge, 1)), g.label)
 
 
 def verify_etf(gm):
-    "certify equiangularity and tightness exactly; N is the computed rank"
+    """certify equiangularity and tightness exactly.
+
+    N = tr G / lambda from G^2 = lambda G, lambda = (G^2)_00; elimination
+    only when that fails.
+    """
     m = gm.entries
     M = gm.M
-    N = mat_rank(m)
-    assert 1 <= N <= M
-    c = Fraction(M, N)
-    alpha_sq = None
-    ref = None
-    sq_memo = {}
-    for i in range(M):
-        for j in range(i + 1, M):
-            e = m[i, j]
-            s = sq_memo.get(e)
-            if s is None:
-                s = sq_memo[e] = e.sq()
-            if ref is None:
-                ref = s
-                ref_pos = (i, j)
-            elif s != ref:
-                return EtfCertificate(M, N, None, c, "NotEquiangular", (ref_pos, (i, j)))
     sq = mat_mul(m, m)
+    lam = sq[0, 0] if M else QuadExt(0)
+    if lam and sq == m.scale(lam):
+        n = sum((m[i, i] for i in range(M)), QuadExt(0)) / lam
+        if not n.is_rational() or n.as_fraction().denominator != 1:
+            raise ValueError("tr G / lambda = %s is not an integer" % n)
+        N = int(n.as_fraction())
+    else:
+        N = mat_rank(m)
+    if not 1 <= N <= M:
+        raise ValueError("rank %d outside 1..%d" % (N, M))
+    c = Fraction(M, N)
+    if M > 1:
+        squares = m.hadamard(m)
+        ref = squares[0, 1]
+        flat = ExactMatrix.from_codes(np.zeros((M, M), dtype=np.intp), (ref,))
+        bad = next(((i, j) for i, j in (squares - flat).support() if i < j), None)
+        if bad:
+            return EtfCertificate(M, N, None, c, "NotEquiangular", ((0, 1), bad))
     want = m.scale(c)
     if sq != want:
-        pos = next(
-            (i, j) for i in range(M) for j in range(M) if sq[i, j] != want[i, j]
-        )
-        return EtfCertificate(M, N, None, c, "NotTight", pos)
+        return EtfCertificate(M, N, None, c, "NotTight", next((sq - want).support()))
     if M > 1:
-        assert ref.is_rational(), "squared inner products must be rational"
+        if not ref.is_rational():
+            raise ValueError("squared inner products must be rational")
         alpha_sq = ref.as_fraction()
-        assert alpha_sq == Fraction(M - N, N * (M - 1)), "Welch equality fails"
+        if alpha_sq != Fraction(M - N, N * (M - 1)):
+            raise ValueError("Welch equality fails")
     else:
         alpha_sq = Fraction(0)
     return EtfCertificate(M, N, alpha_sq, c, "ETF")
@@ -148,32 +151,24 @@ def descendant_gram(g):
     assert p.k == 2 * p.mu, "descendant Gram needs k = 2 mu"
     sp = spectrum(p)
     c = (QuadExt(1) + sp.r * 2).inverse()
-    neg_c = -c
-    one = QuadExt(1)
-    v = p.v
-    rows = [[one] + [c] * v]
-    for i in range(v):
-        ri = g.rows[i]
-        rows.append(
-            [c] + [one if i == j else (neg_c if (ri >> j) & 1 else c) for j in range(v)]
-        )
-    return GramMatrix(ExactMatrix.from_rows(rows), g.label)
+    codes = np.zeros((p.v + 1, p.v + 1), dtype=np.uint8)
+    codes[1:, 1:] = g.adjacency_bits()
+    np.fill_diagonal(codes, 2)
+    return GramMatrix(ExactMatrix.from_codes(codes, (c, -c, 1)), g.label)
 
 
 def vo_vectors(n, kind):
     "character columns: entry (z, x) = (-1)^{B(x,z)} / sqrt(N), z nonsingular"
     assert kind in ("plus", "minus_comp")
     sp = standard_space(2, 2 * n, "plus" if kind == "plus" else "minus")
-    qt = sp.q_table()
-    points = [z for z in range(1, 4**n) if qt[z]]
-    N, M = len(points), 4**n
+    qt = np.array(sp.q_table(), dtype=np.uint8)
+    points = np.flatnonzero(qt)  # q(0) = 0, so z = 0 is never among them
+    xs = np.arange(4**n)
+    N = len(points)
     assert N == 2 ** (n - 1) * (2**n + (-1 if kind == "plus" else 1))
+    codes = qt[points[:, None] ^ xs] ^ qt[xs] ^ qt[points][:, None]  # B(x, z)
     plus = sqrt_int(N).inverse()
-    minus = -plus
-    rows = [
-        [minus if qt[x ^ z] ^ qt[x] ^ qt[z] else plus for x in range(M)] for z in points
-    ]
-    return ExactMatrix.from_rows(rows)
+    return ExactMatrix.from_codes(codes, (plus, -plus))
 
 
 def gram_of_columns(mat):

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 import json
 
+import numpy as np
+
 from .matrices import ExactMatrix, mat_mul
 from .qext import QuadExt, sqrt_int
 
@@ -123,10 +125,15 @@ class Graph:
             rows[perm[i]] = nr
         return Graph.from_rows(rows, self.label)
 
+    def adjacency_bits(self):
+        "the 0/1 adjacency matrix as a numpy uint8 array, unpacked from the rows"
+        nbytes = (self.n + 7) // 8
+        buf = b"".join(r.to_bytes(nbytes, "little") for r in self.rows)
+        packed = np.frombuffer(buf, dtype=np.uint8).reshape(self.n, nbytes)
+        return np.unpackbits(packed, axis=1, count=self.n, bitorder="little")
+
     def adjacency_matrix(self):
-        return ExactMatrix.from_rows(
-            [[(r >> j) & 1 for j in range(self.n)] for r in self.rows]
-        )
+        return ExactMatrix.from_codes(self.adjacency_bits(), (0, 1))
 
     def to_json(self):
         return json.dumps(

@@ -1,21 +1,28 @@
 """
 Dense exact matrices over Q(sqrt(D)).
 
-Entries are QuadExt scalars sharing one radical D per matrix (rational
-entries, D = 0, mix freely).  Multiplication clears denominators and runs on
-integer matrices: a numpy int64 product is used whenever the a-priori bound
-inner_dim * max|A| * max|B| < 2^62 proves it exact, otherwise plain bigint
-loops take over.  A matrix with irrational entries splits as A + B*sqrt(D)
-and costs four integer products.
+A matrix is stored once, as (A + B*sqrt(D)) / den: A and B are numpy arrays
+of Python ints (dtype=object), den > 0 with gcd(den, A, B) = 1, and D = 0
+exactly when B is zero.  Equal matrices are therefore
+stored identically and equality is array equality.  Entries are handed out
+as QuadExt scalars.
 
-Rank is computed by fraction-free (Bareiss) elimination after clearing
-denominators; the intermediate entries are minors of the integer matrix, so
-every division is exact, over Z as well as over Z[sqrt(D)].  Pivoting is
-deterministic: first nonzero entry, lowest row index.
+A product costs one integer product A*A' (four when sqrt(D) is present).
+Each runs in numpy int64 whenever the a-priori bound
+inner_dim * max|X| * max|Y| < 2^62 proves it exact, and otherwise in
+numpy's object-dtype matmul on Python ints.
+
+Rank is computed by fraction-free (Bareiss) elimination over Z; the
+intermediate entries are minors of the integer matrix, so every division is
+exact.  Over Q(sqrt(D)) the matrix A + B*sqrt(D) acts on Q(sqrt(D))^n =
+Q^(2n) as the rational block matrix [[A, D*B], [B, A]], whose rank is twice
+the rank over Q(sqrt(D)).  Pivoting is deterministic: first nonzero entry,
+lowest row index.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+import operator
 
 import numpy as np
 
@@ -24,96 +31,150 @@ from .qext import QuadExt
 _NP_BOUND = 2**62
 
 
+def _join(d1, d2):
+    "common radical of two operands, or raise"
+    if d1 and d2 and d1 != d2:
+        raise ValueError("incompatible radicals sqrt(%d) vs sqrt(%d)" % (d1, d2))
+    return d1 or d2
+
+
+def _same_shape(x, y):
+    if x.A.shape != y.A.shape:
+        raise ValueError("shape mismatch %dx%d vs %dx%d" % (x.rows, x.cols, y.rows, y.cols))
+
+
 class ExactMatrix:
-    "immutable dense matrix of QuadExt entries sharing one radical"
+    "immutable dense matrix (A + B*sqrt(D)) / den over Q(sqrt(D))"
 
-    __slots__ = ("rows", "cols", "entries", "D")
+    __slots__ = ("A", "B", "den", "D")
 
-    def __init__(self, rows, cols, entries):
-        assert rows >= 0 and cols >= 0 and len(entries) == rows * cols
-        D = 0
-        for e in entries:
-            assert isinstance(e, QuadExt)
-            if e.D:
-                assert D in (0, e.D), "mixed radicals %d vs %d" % (D, e.D)
-                D = e.D
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", tuple(entries))
-        object.__setattr__(self, "D", D)
+    def __init__(self, A, B, den, D):
+        "A, B: 2-d integer object arrays of one shape; den > 0; put in lowest terms"
+        if A.ndim != 2 or A.shape != B.shape or den <= 0:
+            raise ValueError("need two equal-shape 2-d arrays and den > 0")
+        if not B.any():
+            D = 0
+        g = gcd(den, *A.flat, *B.flat)
+        if g > 1:
+            A, B, den = A // g, B // g, den // g
+        A.flags.writeable = B.flags.writeable = False
+        for name, val in (("A", A), ("B", B), ("den", den), ("D", D)):
+            object.__setattr__(self, name, val)
 
     def __setattr__(self, *_):
         raise AttributeError("ExactMatrix is immutable")
+
+    @property
+    def rows(self):
+        return self.A.shape[0]
+
+    @property
+    def cols(self):
+        return self.A.shape[1]
+
+    @staticmethod
+    def from_codes(codes, values):
+        "the matrix with entry (i, j) = values[codes[i, j]]; codes is an int array"
+        values = [QuadExt.coerce(v) for v in values]
+        D = 0
+        for v in values:
+            D = _join(D, v.D)
+        den = lcm(*(x.denominator for v in values for x in (v.a, v.b)))
+        a = np.array([int(v.a * den) for v in values], dtype=object)
+        b = np.array([int(v.b * den) for v in values], dtype=object)
+        return ExactMatrix(a[codes], b[codes], den, D)
 
     @staticmethod
     def from_rows(rows):
         r = len(rows)
         c = len(rows[0]) if r else 0
-        flat = []
-        for row in rows:
-            assert len(row) == c
-            flat.extend(QuadExt.coerce(x) for x in row)
-        return ExactMatrix(r, c, flat)
+        if any(len(row) != c for row in rows):
+            raise ValueError("rows of unequal length")
+        index = {}
+        codes = [index.setdefault(QuadExt.coerce(x), len(index)) for row in rows for x in row]
+        return ExactMatrix.from_codes(np.array(codes, dtype=np.intp).reshape(r, c), list(index))
 
     @staticmethod
     def identity(n):
-        one, zero = QuadExt(1), QuadExt(0)
-        return ExactMatrix(n, n, [one if i == j else zero for i in range(n) for j in range(n)])
+        return ExactMatrix.from_codes(np.eye(n, dtype=np.intp), (0, 1))
 
     @staticmethod
     def zero(r, c):
-        z = QuadExt(0)
-        return ExactMatrix(r, c, [z] * (r * c))
+        return ExactMatrix.from_codes(np.zeros((r, c), dtype=np.intp), (0,))
+
+    def _scalars(self, As, Bs):
+        "entries for parallel numerator sequences; each distinct one is built once"
+        made = {}
+        out = []
+        for key in zip(As, Bs):
+            q = made.get(key)
+            if q is None:
+                a, b = key
+                q = made[key] = QuadExt(Fraction(a, self.den), Fraction(b, self.den), self.D)
+            out.append(q)
+        return tuple(out)
 
     def __getitem__(self, ij):
         i, j = ij
-        assert 0 <= i < self.rows and 0 <= j < self.cols
-        return self.entries[i * self.cols + j]
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError("entry (%r, %r) outside %dx%d" % (i, j, self.rows, self.cols))
+        return self._scalars((self.A[i, j],), (self.B[i, j],))[0]
 
     def row(self, i):
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return self._scalars(self.A[i], self.B[i])
+
+    @property
+    def entries(self):
+        "all entries in row-major order"
+        return self._scalars(self.A.flat, self.B.flat)
+
+    def support(self):
+        "(i, j) of the nonzero entries, in row-major order"
+        for i, j in np.argwhere((self.A != 0) | (self.B != 0)):
+            yield int(i), int(j)
 
     def transpose(self):
-        return ExactMatrix(
-            self.cols, self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
+        return ExactMatrix(self.A.T, self.B.T, self.den, self.D)
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        for x, y in zip(self.entries, other.entries):
-            if x is not y and x != y:
-                return False
-        return True
+        return (
+            (self.den, self.D) == (other.den, other.D)
+            and self.A.shape == other.A.shape
+            and np.array_equal(self.A, other.A)
+            and np.array_equal(self.B, other.B)
+        )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.den, self.D, self.A.shape, tuple(self.A.flat), tuple(self.B.flat)))
+
+    def _add(self, other, sign):
+        _same_shape(self, other)
+        D = _join(self.D, other.D)
+        den = lcm(self.den, other.den)
+        x, y = den // self.den, sign * (den // other.den)
+        return ExactMatrix(self.A * x + other.A * y, self.B * x + other.B * y, den, D)
 
     def __add__(self, other):
-        assert (self.rows, self.cols) == (other.rows, other.cols)
-        return ExactMatrix(
-            self.rows, self.cols, [x + y for x, y in zip(self.entries, other.entries)]
-        )
+        return self._add(other, 1)
 
     def __sub__(self, other):
-        assert (self.rows, self.cols) == (other.rows, other.cols)
-        return ExactMatrix(
-            self.rows, self.cols, [x - y for x, y in zip(self.entries, other.entries)]
-        )
+        return self._add(other, -1)
 
     def scale(self, c):
         c = QuadExt.coerce(c)
-        memo = {}
-        out = []
-        for e in self.entries:
-            v = memo.get(e)
-            if v is None:
-                v = memo[e] = e * c
-            out.append(v)
-        return ExactMatrix(self.rows, self.cols, out)
+        D = _join(self.D, c.D)
+        cd = lcm(c.a.denominator, c.b.denominator)
+        ca, cb = int(c.a * cd), int(c.b * cd)
+        return ExactMatrix(
+            self.A * ca + self.B * (cb * D), self.A * cb + self.B * ca, self.den * cd, D
+        )
+
+    def hadamard(self, other):
+        "entrywise product"
+        _same_shape(self, other)
+        return _product(self, other, operator.mul)
 
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
@@ -124,75 +185,32 @@ class ExactMatrix:
         return "ExactMatrix(%dx%d, D=%d)" % (self.rows, self.cols, self.D)
 
 
-def _int_split(m):
-    """(A, B, den) with entry = (A[i] + B[i]*sqrt(D)) / den, all integers.
-
-    A and B are flat lists; den is the lcm of all entry denominators.
-    """
-    memo = {}
-    den = 1
-    for e in m.entries:
-        if e not in memo:
-            memo[e] = None
-            den = lcm(den, e.a.denominator, e.b.denominator)
-    for e in memo:
-        memo[e] = (int(e.a * den), int(e.b * den))
-    pairs = [memo[e] for e in m.entries]
-    return [p[0] for p in pairs], [p[1] for p in pairs], den
+def _imatmul(X, Y):
+    "exact product of integer object arrays, in int64 when the bound allows"
+    xmax = np.abs(X).max(initial=0)
+    ymax = np.abs(Y).max(initial=0)
+    if X.shape[1] * xmax * ymax < _NP_BOUND:
+        return (X.astype(np.int64) @ Y.astype(np.int64)).astype(object)
+    return X @ Y
 
 
-def _imatmul(A, B, m, k, n):
-    "exact product of integer matrices given as flat lists; returns flat list"
-    if m == 0 or n == 0 or k == 0:
-        return [0] * (m * n)
-    amax = max(map(abs, A), default=0)
-    bmax = max(map(abs, B), default=0)
-    if amax and bmax and k * amax * bmax < _NP_BOUND:
-        a = np.array(A, dtype=np.int64).reshape(m, k)
-        b = np.array(B, dtype=np.int64).reshape(k, n)
-        return [int(x) for x in (a @ b).ravel()]
-    if amax == 0 or bmax == 0:
-        return [0] * (m * n)
-    # bigint fallback
-    bcols = [[B[r * n + c] for r in range(k)] for c in range(n)]
-    out = [0] * (m * n)
-    for i in range(m):
-        arow = A[i * k : (i + 1) * k]
-        base = i * n
-        for j in range(n):
-            out[base + j] = sum(x * y for x, y in zip(arow, bcols[j]))
-    return out
+def _product(x, y, mul):
+    "(XA + XB r)(YA + YB r) with r = sqrt(D), each part multiplied by mul"
+    D = _join(x.D, y.D)
+    A = mul(x.A, y.A)
+    if not D:
+        return ExactMatrix(A, np.zeros_like(A), x.den * y.den, 0)
+    A = A + D * mul(x.B, y.B)
+    B = mul(x.A, y.B) + mul(x.B, y.A)
+    return ExactMatrix(A, B, x.den * y.den, D)
 
 
 def mat_mul(x, y):
     "exact matrix product"
-    assert x.cols == y.rows, "dimension mismatch %dx%d * %dx%d" % (
-        x.rows, x.cols, y.rows, y.cols)
-    if x.D and y.D and x.D != y.D:
-        raise ValueError("incompatible radicals sqrt(%d) vs sqrt(%d)" % (x.D, y.D))
-    D = x.D or y.D
-    m, k, n = x.rows, x.cols, y.cols
-    XA, XB, xd = _int_split(x)
-    YA, YB, yd = _int_split(y)
-    den = xd * yd
-    PA = _imatmul(XA, YA, m, k, n)
-    if any(XB) or any(YB):
-        PBB = _imatmul(XB, YB, m, k, n)
-        PAB = _imatmul(XA, YB, m, k, n)
-        PBA = _imatmul(XB, YA, m, k, n)
-        ents = [
-            QuadExt(Fraction(pa + D * pbb, den), Fraction(pab + pba, den), D)
-            for pa, pbb, pab, pba in zip(PA, PBB, PAB, PBA)
-        ]
-    else:
-        memo = {}
-        ents = []
-        for pa in PA:
-            v = memo.get(pa)
-            if v is None:
-                v = memo[pa] = QuadExt(Fraction(pa, den))
-            ents.append(v)
-    return ExactMatrix(m, n, ents)
+    if x.cols != y.rows:
+        raise ValueError("dimension mismatch %dx%d * %dx%d" % (
+            x.rows, x.cols, y.rows, y.cols))
+    return _product(x, y, _imatmul)
 
 
 def _int_rank(rows, ncols):
@@ -228,59 +246,9 @@ def _int_rank(rows, ncols):
     return rank
 
 
-def _quad_rank(rows, ncols, D):
-    "Bareiss elimination over Z[sqrt(D)]; entries are (a, b) integer pairs"
-
-    def qmul(x, y):
-        return (x[0] * y[0] + x[1] * y[1] * D, x[0] * y[1] + x[1] * y[0])
-
-    def qdiv(x, y):
-        nrm = y[0] * y[0] - y[1] * y[1] * D
-        na = x[0] * y[0] - x[1] * y[1] * D
-        nb = x[1] * y[0] - x[0] * y[1]
-        qa, ra = divmod(na, nrm)
-        qb, rb = divmod(nb, nrm)
-        assert ra == 0 and rb == 0, "inexact division in Bareiss step"
-        return (qa, qb)
-
-    m = len(rows)
-    rank, prev, col = 0, (1, 0), 0
-    while rank < m and col < ncols:
-        piv = None
-        for i in range(rank, m):
-            if rows[i][col] != (0, 0):
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        if piv != rank:
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        p = prow[col]
-        for i in range(rank + 1, m):
-            ri = rows[i]
-            ric = ri[col]
-            for j in range(col + 1, ncols):
-                num = qmul(p, ri[j])
-                sub = qmul(ric, prow[j])
-                ri[j] = qdiv((num[0] - sub[0], num[1] - sub[1]), prev)
-            ri[col] = (0, 0)
-        prev = p
-        rank += 1
-        col += 1
-    return rank
-
-
 def mat_rank(m):
     "rank over Q(sqrt(D)), by fraction-free elimination; exact"
-    A, B, _ = _int_split(m)  # denominator does not affect rank
-    nc = m.cols
-    if not any(B):
-        rows = [A[i * nc : (i + 1) * nc] for i in range(m.rows)]
-        return _int_rank(rows, nc)
-    rows = [
-        [(A[i * nc + j], B[i * nc + j]) for j in range(nc)]
-        for i in range(m.rows)
-    ]
-    return _quad_rank(rows, nc, m.D)
+    if not m.D:
+        return _int_rank(m.A.tolist(), m.cols)  # den does not affect rank
+    block = np.block([[m.A, m.D * m.B], [m.B, m.A]])
+    return _int_rank(block.tolist(), 2 * m.cols) // 2

@@ -160,10 +160,10 @@ def two_graph_of(g):
 
 def sign_graph(gm):
     "edge iff the Gram entry is negative (an obtuse angle)"
-    m = gm.entries
     n = gm.M
+    rows = [gm.entries.row(i) for i in range(n)]
     edges = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if m[i, j].sign() < 0
+        (i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j].sign() < 0
     ]
     return Graph(n, edges, gm.label)
 

@@ -15,7 +15,9 @@ computations rather than read back from the library:
   5. the registry isomorphism coincidences hold with explicit bijections;
   6. every certified Gram satisfies G^2 = (M/N) G exactly, has rank N,
      Naimark-complements to a certified ETF and back byte-exactly, and
-     carries a regular two-graph invariant under random switching;
+     carries a regular two-graph invariant under random switching; up to
+     176 points, the N that verify_etf reads off G^2 = lambda G equals the
+     fraction-free elimination rank, for every Gram and its complement;
   7. vertex descendants have the predicted parameters and descendant Grams
      restrict back to their source graphs;
   8. the explicit character frames reproduce their embedding Grams;
@@ -314,6 +316,21 @@ def test_criterion_6_corpus_invariants(capsys, corpus3, corpus4):
             for _ in range(20):
                 subset = [v for v in range(base.n) if rng.random() < 0.5]
                 assert two_graph_of(base.switch(subset)) == t
+
+
+def test_criterion_6_identity_rank_is_elimination_rank(capsys, corpus3, corpus4):
+    items = corpus3[0] + corpus4
+    with report(capsys, "criterion 6: N = tr G / lambda equals the Bareiss rank"):
+        checked = 0
+        for fam, s, g, gm, cert in items:
+            if gm.M > 176:
+                continue
+            nc = naimark(gm, cert)
+            for x, xcert in ((gm, cert), (nc, verify_etf(nc))):
+                assert xcert.status == "ETF"
+                assert xcert.N == mat_rank(x.entries)
+                checked += 1
+        assert checked == 2 * 27
 
 
 def test_criterion_7_descendants(capsys, corpus4):

@@ -6,9 +6,14 @@ and explicit character frames matching their Grams entrywise.
 """
 
 from fractions import Fraction
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
+import rank3etf
 from rank3etf.families import build
 from rank3etf.frames import (
     GramMatrix,
@@ -92,6 +97,29 @@ def test_not_tight_branch():
     cert = verify_etf(GramMatrix(m))
     assert cert.status == "NotTight"
     assert cert.witness is not None
+
+
+def test_certificate_checks_survive_optimize():
+    # python -O strips every assert; the verdicts must rest on explicit checks
+    script = """
+from fractions import Fraction
+from rank3etf.families import build
+from rank3etf.frames import GramMatrix, embedding_gram, verify_etf
+from rank3etf.matrices import ExactMatrix
+print(__debug__)
+c = verify_etf(embedding_gram(build("VOplus", 2)))
+print(c.status, c.M, c.N, c.alpha_sq)
+third = Fraction(1, 3)
+m = ExactMatrix.from_rows([[1 if i == j else third for j in range(4)] for i in range(4)])
+print(verify_etf(GramMatrix(m)).status)
+"""
+    paths = (str(Path(rank3etf.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["False", "ETF 16 6 1/9", "NotTight"]
 
 
 def test_welch_bound_is_strict_off_etf():

@@ -6,6 +6,7 @@ against numpy's numerical rank on full-precision-safe inputs.
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ def test_constructors_and_indexing():
     assert m.row(0) == (QuadExt(1), QuadExt(2))
     assert ExactMatrix.identity(3)[2, 2] == QuadExt(1)
     assert ExactMatrix.zero(2, 3)[1, 2] == QuadExt(0)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ExactMatrix.from_rows([[QuadExt(0, 1, 2), QuadExt(0, 1, 3)]])  # mixed radicals
 
 
@@ -66,8 +67,15 @@ def test_mat_mul_matches_numpy():
         got = mat_mul(a, b)
         want = _as_numpy(a) @ _as_numpy(b)
         assert np.array_equal(_as_numpy(got), want)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         mat_mul(ExactMatrix.identity(2), ExactMatrix.identity(3))
+
+
+def _naive_product(a, b):
+    return [
+        [sum((a[i, t] * b[t, j] for t in range(a.cols)), QuadExt(0)) for j in range(b.cols)]
+        for i in range(a.rows)
+    ]
 
 
 def test_mat_mul_bigint_path():
@@ -77,6 +85,20 @@ def test_mat_mul_bigint_path():
     p = mat_mul(a, a)
     assert p[0, 0] == QuadExt(big * big)
     assert p[0, 1] == QuadExt(2 * big)
+    # border of the guard: k * max|A| * max|B| = 2 t^2 with k = 2, just below
+    # 2^62 for t = below (int64 product) and just above it for t = below + 1
+    # (object-dtype product); both must match scalar arithmetic entrywise
+    below = isqrt(2**61 - 1)
+    assert 2 * below * below < 2**62 <= 2 * (below + 1) ** 2
+    for t in (below, below + 1):
+        for D in (0, 13):
+            q = lambda a, b: QuadExt(a, b if D else 0, D)
+            x = ExactMatrix.from_rows([[q(t, 1), q(-1, -t)], [q(3, 0), q(-t, 2)]])
+            y = ExactMatrix.from_rows([[-t, 5], [t - 1, t]])
+            for left, right in ((x, y), (y, x), (y, y)):
+                got = mat_mul(left, right)
+                want = _naive_product(left, right)
+                assert all(got[i, j] == want[i][j] for i in range(2) for j in range(2))
 
 
 def test_mat_mul_irrational_split():
@@ -92,12 +114,10 @@ def test_mat_mul_irrational_split():
         )
         a, b = mk(), mk()
         got = mat_mul(a, b)
+        want = _naive_product(a, b)
         for i in range(3):
             for j in range(3):
-                want = QuadExt(0)
-                for t in range(3):
-                    want = want + a[i, t] * b[t, j]
-                assert got[i, j] == want
+                assert got[i, j] == want[i][j]
     with pytest.raises(ValueError):
         mat_mul(
             ExactMatrix.from_rows([[QuadExt(0, 1, 2)]]),
@@ -134,3 +154,22 @@ def test_mat_rank_quadratic_field():
     assert mat_rank(m2) == 1  # determinant 5 - 5 = 0
     m3 = ExactMatrix.from_rows([[QuadExt(1), s5], [s5, QuadExt(4)]])
     assert mat_rank(m3) == 2
+    # U V has rank exactly r: U = [I_r; X] and V = [I_r, Y] over Q(sqrt D)
+    rng = random.Random(55)
+    for D in (2, 13):
+        rand = lambda: QuadExt(
+            Fraction(rng.randint(-6, 6), rng.randint(1, 3)), rng.randint(-6, 6), D
+        )
+        for r in (1, 2, 3):
+            u = ExactMatrix.from_rows(
+                [[QuadExt(int(i == t)) for t in range(r)] for i in range(r)]
+                + [[rand() for _ in range(r)] for _ in range(5 - r)]
+            )
+            v = ExactMatrix.from_rows(
+                [[QuadExt(int(i == t)) for t in range(r)] + [rand() for _ in range(6 - r)]
+                 for i in range(r)]
+            )
+            uv = mat_mul(u, v)
+            assert uv.D == D and (uv.rows, uv.cols) == (5, 6)
+            assert mat_rank(uv) == r
+            assert mat_rank(uv.transpose()) == r
