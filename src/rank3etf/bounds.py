@@ -13,6 +13,10 @@ def effective_bound(default):
     raw = os.environ.get(ENV_VAR)
     if raw is None or raw == "":
         return default
-    n = int(raw)
-    assert n > 0
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n <= 0:
+        raise ValueError("%s must be a positive integer, got %r" % (ENV_VAR, raw))
     return n

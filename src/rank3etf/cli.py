@@ -3,9 +3,10 @@ Command-line interface: build graphs, certify embeddings, reproduce the
 report tables, and run the equivalence experiments.
 
 Exit codes: 0 success, 1 certification failure (non-SRG input, non-ETF
-embedding, or a failed table row), 2 usage error.  Output format is
-selected with --format (text, json, csv); graph and Gram exports are
-always JSON documents.  The environment variable ETF_RANK3_MAX_VERTICES
+embedding, or a failed table row), 2 usage error, including a size outside
+a family's range, a build over the vertex bound, or an unreadable --input
+graph.  Output format is selected with --format (text, json, csv); graph
+and Gram exports are always JSON documents.  The environment variable ETF_RANK3_MAX_VERTICES
 overrides the built-in vertex-count guards.
 """
 
@@ -86,8 +87,11 @@ def _render_rows(rows, fmt):
 
 def _load_graph(args):
     if args.input:
-        with open(args.input) as fh:
-            return Graph.from_json(fh.read())
+        try:
+            with open(args.input) as fh:
+                return Graph.from_json(fh.read())
+        except (OSError, ValueError) as e:
+            raise SystemExit2("cannot read graph %s: %s" % (args.input, e))
     if not args.family:
         raise SystemExit2("either a family or --input is required")
     return build(args.family, args.size)
@@ -347,6 +351,9 @@ def main(argv=None):
     except NotStronglyRegular as e:
         print("not strongly regular: %s" % e, file=sys.stderr)
         return 1
+    except ValueError as e:
+        print("error: %s" % e, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

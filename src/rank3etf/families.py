@@ -2,19 +2,20 @@
 Builders for the graph families, each self-validating against closed-form
 parameters.
 
-Vertex sets come from quadratic-space enumerations (nonsingular points,
-singular points, hyperplanes of a given restriction type, or whole vector
-spaces), from finite fields (difference graphs on square classes or on the
-exponent classes j = 0, 1 mod 4 of a fixed primitive element), from small
-combinatorics (2-subsets, grids, Fano flags), or from the weight-7 words
-of the binary quadratic-residue code of length 23.  Every builder finishes
-by certifying strong regularity and comparing against expected_params;
-a mismatch raises, it is never a warning.
+Vertex sets come from the packed tables of char-2 quadratic spaces
+(nonsingular vectors, singular vectors, hyperplanes of a given type, or
+whole vector spaces), from finite fields (difference graphs on square
+classes or on the exponent classes j = 0, 1 mod 4 of a fixed primitive
+element), from small combinatorics (2-subsets, grids, Fano flags), or from
+the weight-7 words of the binary quadratic-residue code of length 23.
+Every builder finishes by certifying strong regularity and comparing
+against expected_params; a mismatch raises, it is never a warning.
 
 Adjacency conventions: orthogonality families join distinct vectors with
 B(x, y) = 0 (their "_comp" variants join on B != 0); hyperplane families
-over GF(4) join hyperplanes whose intersection carries a degenerate
-restriction ("_comp": nondegenerate); affine families join x, y with
+over GF(4) join hyperplanes whose intersection is degenerate ("_comp":
+nondegenerate), read off the popcount of the AND of their singular-vector
+masks by the count rule proved in _no_gf4; affine families join x, y with
 q(x + y) = 0 ("_comp": nonzero).  Vertex order is the enumeration order of
 the underlying object, so builds are deterministic.
 """
@@ -25,7 +26,7 @@ from itertools import combinations
 from .bounds import effective_bound
 from .fields import field, is_prime
 from .graphs import Graph, SrgParams, srg_params
-from .quadspaces import standard_space
+from .quadspaces import standard_singular_count, standard_space
 
 BUILD_VERTEX_BOUND = 1000
 
@@ -49,10 +50,11 @@ def expected_params(family, size=None):
     if info is None:
         raise ValueError("unknown family: %r" % (family,))
     if info["needs_size"]:
-        assert size is not None, "%s needs a size parameter" % family
+        if size is None:
+            raise ValueError("%s needs a size parameter" % family)
         info["check_size"](size)
-    else:
-        assert size is None or size == 0, "%s takes no size parameter" % family
+    elif size is not None and size != 0:
+        raise ValueError("%s takes no size parameter" % family)
     n = size
     if family == "NOplus2n_2":
         return SrgParams(
@@ -144,18 +146,36 @@ def _no_gf2(n, kind, complemented, label):
 
 
 def _no_gf4(n, keep, complemented, label):
-    sp = standard_space(4, 2 * n + 1, "parabolic")
-    hps = [
-        a
-        for a in sp.enumerate("hyperplanes")
-        if sp.classify_restriction(sp.hyperplane_basis(a)) == keep
-    ]
+    # Counts below include the zero vector.  Let nu be the nucleus of the
+    # parabolic form on GF(q)^(2n+1), q even (the radical of its polar form).
+    # A hyperplane through nu has q^(2n-1) singular vectors; one missing nu
+    # carries a nondegenerate polar form, so it is hyperbolic or elliptic and
+    # its count tells which.  Two hyperplanes missing nu meet in W, a
+    # hyperplane of a nondegenerate alternating 2n-space, so W has a
+    # 1-dimensional polar radical <r>.  If q(r) != 0, W is parabolic with
+    # q^(2n-2) singular vectors.  If q(r) = 0, then W = <r> + U with U
+    # nondegenerate of dimension 2n-2 and q(tr + u) = q(u), so W has q times
+    # the count of U: q^(2n-2) +- (q^n - q^(n-1)), never q^(2n-2).  So the
+    # popcount of a & b decides degeneracy exactly.
+    q = 4
+    sp = standard_space(q, 2 * n + 1, "parabolic")
+    masks = sp.hyperplane_singular_masks()
+    kinds = {standard_singular_count(q, 2 * n, k) + 1: k for k in ("plus", "minus")}
+    tangent = q ** (2 * n - 1)
+    for m in masks:
+        c = m.bit_count()
+        if c not in kinds and c != tangent:
+            raise ValueError("hyperplane with %d singular vectors fits no class" % c)
+    hps = [m for m in masks if kinds.get(m.bit_count()) == keep]
+    parabolic = standard_singular_count(q, 2 * n - 1, "parabolic") + 1
+    gap = q**n - q ** (n - 1)
+    allowed = {parabolic, parabolic + gap, parabolic - gap}
 
-    def adj(a1, a2):
-        inter = sp.kernel_basis([a1, a2])
-        assert len(inter) == sp.dim - 2
-        deg = sp.classify_restriction(inter) == "degenerate"
-        return deg != complemented
+    def adj(a, b):
+        c = (a & b).bit_count()
+        if c not in allowed:
+            raise ValueError("intersection with %d singular vectors fits no class" % c)
+        return (c == parabolic) == complemented
 
     return _graph_from_rule(hps, adj, label)
 
@@ -313,18 +333,21 @@ def _check_prime_power(q):
 
 
 def _check_paley_size(q):
-    assert q % 4 == 1, "Paley needs q = 1 mod 4"
+    if q % 4 != 1:
+        raise ValueError("Paley needs q = 1 mod 4")
     _check_prime_power(q)
 
 
 def _check_peisert_size(q):
     f = _check_prime_power(q)
-    assert f.p % 4 == 3 and f.e % 2 == 0, "Peisert needs q = p^(2t) with p = 3 mod 4"
+    if f.p % 4 != 3 or f.e % 2:
+        raise ValueError("Peisert needs q = p^(2t) with p = 3 mod 4")
 
 
 def _mins(lo):
     def check(n):
-        assert n >= lo, "size must be at least %d" % lo
+        if n < lo:
+            raise ValueError("size must be at least %d" % lo)
 
     return check
 
@@ -356,7 +379,8 @@ def build(spec, size=None):
         spec = FamilySpec(spec, size)
     want = expected_params(spec.family, spec.size)
     cap = effective_bound(BUILD_VERTEX_BOUND)
-    assert want.v <= cap, "%d vertices exceeds the build bound %d" % (want.v, cap)
+    if want.v > cap:
+        raise ValueError("%d vertices exceeds the build bound %d" % (want.v, cap))
     label = spec.family if spec.size is None else "%s:%d" % (spec.family, spec.size)
     n = spec.size
     if spec.family == "NOplus2n_2":
@@ -364,9 +388,9 @@ def build(spec, size=None):
     elif spec.family == "NOminus2n_2_comp":
         g = _no_gf2(n, "minus", True, label)
     elif spec.family == "NOplusOdd_4":
-        g = _no_gf4(n, "hyperbolic", False, label)
+        g = _no_gf4(n, "plus", False, label)
     elif spec.family == "NOminusOdd_4_comp":
-        g = _no_gf4(n, "elliptic", True, label)
+        g = _no_gf4(n, "minus", True, label)
     elif spec.family == "VOplus":
         g = _vo(n, "plus", False, label)
     elif spec.family == "VOminus_comp":

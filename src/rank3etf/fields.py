@@ -217,8 +217,9 @@ def field(q):
         p = q  # no small factor, q itself is prime
     e = 0
     n = q
-    while n > 1:
-        assert n % p == 0, "%d is not a prime power" % q
+    while n > 1 and n % p == 0:
         n //= p
         e += 1
+    if n != 1 or e == 0:
+        raise ValueError("%d is not a prime power" % q)
     return Field(p, e)

@@ -38,7 +38,8 @@ class Graph:
     def __init__(self, n, edges, label=""):
         rows = [0] * n
         for i, j in edges:
-            assert 0 <= i < n and 0 <= j < n and i != j, "bad edge (%r, %r)" % (i, j)
+            if not (0 <= i < n and 0 <= j < n) or i == j:
+                raise ValueError("bad edge (%r, %r)" % (i, j))
             rows[i] |= 1 << j
             rows[j] |= 1 << i
         self.n = n
@@ -144,7 +145,15 @@ class Graph:
     @staticmethod
     def from_json(text):
         obj = json.loads(text)
-        return Graph(obj["v"], [tuple(e) for e in obj["edges"]], obj.get("label", ""))
+        if not isinstance(obj, dict) or not isinstance(obj.get("v"), int) or obj["v"] < 0:
+            raise ValueError('graph JSON needs a non-negative integer "v"')
+        edges = obj.get("edges")
+        if not isinstance(edges, list):
+            raise ValueError('graph JSON needs an "edges" list')
+        for e in edges:
+            if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
+                raise ValueError("bad edge %r" % (e,))
+        return Graph(obj["v"], [tuple(e) for e in edges], obj.get("label", ""))
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows

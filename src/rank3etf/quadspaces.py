@@ -1,5 +1,6 @@
 """
-Quadratic forms on GF(q)^d and classification of restricted forms.
+Quadratic forms on GF(q)^d for even q, packed form tables and hyperplane
+masks.
 
 A form is a sparse upper-triangular coefficient dict {(i, j): c}, i <= j,
 with q(x) = sum c_ij x_i x_j and polar form B(x, y) = q(x+y) - q(x) - q(y).
@@ -10,20 +11,17 @@ Each standard space self-checks at construction: its count of nonzero
 singular vectors must equal the classical one, so a wrong layout cannot
 survive.
 
-Restrictions of a form to a subspace are classified by the same counting:
-the number of nonzero singular vectors in coordinates of the given basis
-determines hyperbolic / elliptic / parabolic among nondegenerate forms of
-that rank.  A count matching no nondegenerate class must be certified
-degenerate by exhibiting a nonzero radical vector of the restricted polar
-form on which the form vanishes; anything else is an internal error.
+Only characteristic 2 is supported, which is all the graph builders use;
+an odd q raises ValueError.  The whole space packs into integers (e bits
+per coordinate, coordinate 0 lowest): vector addition is XOR, and
+B(x, y) = qt[x^y] ^ qt[x] ^ qt[y] with a precomputed table qt of form
+values, which is what the graph builders iterate over.
 
-Vectors are tuples of field element indices.  Over characteristic 2 the
-whole space packs into integers (e bits per coordinate): vector addition is
-XOR, and B(x, y) = qt[x^y] ^ qt[x] ^ qt[y] with a precomputed table qt of
-form values, which is what the graph builders iterate over.
+hyperplane_singular_masks gives one bitmask over the packed vectors per
+hyperplane functional, marking the singular vectors of its kernel.  The
+kernels come from per-coordinate bit-planes, so the singular count of a
+hyperplane, or of the intersection of two, is a single popcount.
 """
-
-from functools import lru_cache
 
 from .fields import Field, field
 
@@ -67,10 +65,12 @@ def standard_singular_count(q, dim, kind):
 
 
 class QuadraticSpace:
-    "a quadratic form of declared type on GF(q)^dim, self-checked by counting"
+    "a quadratic form of declared type on GF(q)^dim, q even, self-checked by counting"
 
     def __init__(self, fld, dim, kind, coeffs):
         assert isinstance(fld, Field)
+        if fld.p != 2:
+            raise ValueError("quadratic spaces need characteristic 2, got %r" % (fld,))
         assert kind in _KINDS
         assert dim >= 1
         self.field = fld
@@ -88,21 +88,12 @@ class QuadraticSpace:
             want,
         )
 
-    # -- form evaluation -----------------------------------------------------
-
     def q_of(self, vec):
         f = self.field
         acc = 0
         for (i, j), c in self.coeffs.items():
             acc = f.add(acc, f.mul(c, f.mul(vec[i], vec[j])))
         return acc
-
-    def polar(self, x, y):
-        f = self.field
-        s = tuple(f.add(a, b) for a, b in zip(x, y))
-        return f.sub(f.sub(self.q_of(s), self.q_of(x)), self.q_of(y))
-
-    # -- packed char-2 fast path ----------------------------------------------
 
     def pack(self, vec):
         e = self.field.e
@@ -116,111 +107,49 @@ class QuadraticSpace:
         return tuple((idx >> (e * j)) & mask for j in range(self.dim))
 
     def q_table(self):
-        "q values indexed by packed vector; valid only in characteristic 2"
-        assert self.field.p == 2, "packed XOR arithmetic needs characteristic 2"
+        "q values indexed by packed vector"
         if self._qt is None:
             n = self.field.q**self.dim
             assert n <= AMBIENT_BOUND
             self._qt = [self.q_of(self.unpack(i)) for i in range(n)]
         return self._qt
 
-    # -- enumeration ----------------------------------------------------------
-
-    def vectors(self):
-        "all vectors, coordinate 0 varying fastest"
-        n = self.field.q**self.dim
-        assert n <= AMBIENT_BOUND
-        q, d = self.field.q, self.dim
-        vec = [0] * d
-        for _ in range(n):
-            yield tuple(vec)
-            for j in range(d):
-                vec[j] += 1
-                if vec[j] < q:
-                    break
-                vec[j] = 0
-
     def count_singular(self):
-        if self.field.p == 2:
-            return sum(1 for v in self.q_table() if v == 0) - 1
-        return sum(1 for v in self.vectors() if any(v) and self.q_of(v) == 0)
+        return self.q_table().count(0) - 1
 
-    def _projective_reps(self):
-        "one vector per projective point: first nonzero coordinate is 1"
-        for v in self.vectors():
-            for c in v:
-                if c:
-                    if c == 1:
-                        yield v
-                    break
-
-    def enumerate(self, what):
+    def hyperplane_singular_masks(self):
         """
-        "singular_points" / "nonsingular_points": projective representatives,
-        first nonzero coordinate 1; "hyperplanes": functionals a (same
-        normalization) with kernel {x : sum a_j x_j = 0}.
+        One mask per functional a, taken in packed-index order of a with
+        first nonzero coordinate 1: bit x is set iff sum a_j x_j = 0 and
+        q(x) = 0, the zero vector included.
         """
-        if what == "singular_points":
-            return [v for v in self._projective_reps() if self.q_of(v) == 0]
-        if what == "nonsingular_points":
-            return [v for v in self._projective_reps() if self.q_of(v) != 0]
-        if what == "hyperplanes":
-            return list(self._projective_reps())
-        raise ValueError("unknown selector: %r" % (what,))
-
-    def hyperplane_basis(self, a):
-        "kernel basis of the functional a, first nonzero coordinate of a is 1"
-        f = self.field
-        t = next(i for i, c in enumerate(a) if c)
-        assert a[t] == 1
-        basis = []
-        for j in range(self.dim):
-            if j == t:
+        f, e, dim = self.field, self.field.e, self.dim
+        qt = self.q_table()
+        n = len(qt)
+        singular = sum(1 << x for x, v in enumerate(qt) if v == 0)
+        # planes[j][t]: the vectors whose coordinate j has bit t set
+        planes = [
+            [sum(1 << x for x in range(n) if (x >> (e * j + t)) & 1) for t in range(e)]
+            for j in range(dim)
+        ]
+        masks = []
+        for a in range(1, n):
+            coords = self.unpack(a)
+            if next(c for c in coords if c) != 1:
                 continue
-            vec = [0] * self.dim
-            vec[j] = 1
-            vec[t] = f.neg(a[j])
-            basis.append(tuple(vec))
-        return basis
-
-    def kernel_basis(self, functionals):
-        "basis of the common kernel of several functionals"
-        return _null_space(self.field, [list(a) for a in functionals], self.dim)
-
-    # -- classification of restrictions ---------------------------------------
-
-    def classify_restriction(self, basis):
-        """
-        Type of the form restricted to the span of an independent basis:
-        "hyperbolic", "elliptic", "parabolic", or "degenerate".
-        """
-        f = self.field
-        m = len(basis)
-        assert m >= 1
-        assert _rank(f, [list(b) for b in basis]) == m, "basis is dependent"
-        coeffs = {}
-        for i in range(m):
-            c = self.q_of(basis[i])
-            if c:
-                coeffs[(i, i)] = c
-        for i in range(m):
-            for j in range(i + 1, m):
-                c = self.polar(basis[i], basis[j])
-                if c:
-                    coeffs[(i, j)] = c
-        count = _count_singular_coeffs(f, m, coeffs)
-        for kind in _KINDS:
-            if (m % 2 == 0) != (kind == "parabolic") and count == _checked_count(
-                f, m, kind
-            ):
-                witness = _radical_singular_vector(f, m, coeffs)
-                assert witness is None, "count collision: degenerate form matched %s" % kind
-                return "hyperbolic" if kind == "plus" else (
-                    "elliptic" if kind == "minus" else "parabolic"
-                )
-        witness = _radical_singular_vector(f, m, coeffs)
-        assert witness is not None, "restriction matches no class and is not degenerate"
-        return "degenerate"
+            # multiplication by a_j is GF(2)-linear on the bits of x_j, so
+            # bit b of sum a_j x_j is the XOR of the planes of those bits t
+            # with bit b set in a_j * 2^t
+            value_bits = 0
+            for b in range(e):
+                plane = 0
+                for j, c in enumerate(coords):
+                    for t in range(e):
+                        if (f.mul(c, 1 << t) >> b) & 1:
+                            plane ^= planes[j][t]
+                value_bits |= plane
+            masks.append(singular & ~value_bits)
+        return masks
 
     def __repr__(self):
         return "QuadraticSpace(%r, dim=%d, %s)" % (self.field, self.dim, self.kind)
@@ -249,131 +178,3 @@ def standard_space(fld, dim, kind):
     if kind == "parabolic":
         coeffs[(dim - 1, dim - 1)] = 1
     return QuadraticSpace(fld, dim, kind, coeffs)
-
-
-# -- helpers on raw coefficient dicts -----------------------------------------
-
-
-def _count_singular_coeffs(f, m, coeffs):
-    "nonzero singular vectors of an arbitrary form given by coeffs on GF(q)^m"
-    assert f.q**m <= AMBIENT_BOUND
-    count = 0
-    vec = [0] * m
-    for _ in range(f.q**m):
-        if any(vec):
-            acc = 0
-            for (i, j), c in coeffs.items():
-                acc = f.add(acc, f.mul(c, f.mul(vec[i], vec[j])))
-            if acc == 0:
-                count += 1
-        for j in range(m):
-            vec[j] += 1
-            if vec[j] < f.q:
-                break
-            vec[j] = 0
-    return count
-
-
-@lru_cache(maxsize=None)
-def _checked_count(f, m, kind):
-    "classical singular count, verified once per (field, dim) by enumeration"
-    if kind == "parabolic":
-        if m % 2 == 0:
-            return -1
-    else:
-        if m % 2 == 1 or m < 2:
-            return -1
-    want = standard_singular_count(f.q, m, kind)
-    got = standard_space(f, m, kind).count_singular()
-    assert got == want
-    return want
-
-
-def _radical_singular_vector(f, m, coeffs):
-    "a nonzero vector of the polar radical on which the form vanishes, or None"
-    polar = [[0] * m for _ in range(m)]
-    for (i, j), c in coeffs.items():
-        if i == j:
-            polar[i][i] = f.add(c, c)  # B(x, x) = 2 q(x)
-        else:
-            polar[i][j] = c
-            polar[j][i] = c
-    rad = _null_space(f, polar, m)
-    r = len(rad)
-    if r == 0:
-        return None
-    assert f.q**r <= AMBIENT_BOUND
-    vec = [0] * r
-    for _ in range(f.q**r):
-        for j in range(r):
-            vec[j] += 1
-            if vec[j] < f.q:
-                break
-            vec[j] = 0
-        if not any(vec):
-            continue
-        cand = [0] * m
-        for j, c in enumerate(vec):
-            if c:
-                for t in range(m):
-                    cand[t] = f.add(cand[t], f.mul(c, rad[j][t]))
-        acc = 0
-        for (i, j), c in coeffs.items():
-            acc = f.add(acc, f.mul(c, f.mul(cand[i], cand[j])))
-        if acc == 0:
-            return tuple(cand)
-    return None
-
-
-# -- generic linear algebra over a small field ---------------------------------
-
-
-def _rank(f, rows):
-    "row rank; mutates its copy of rows"
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = f.inv(rows[rank][col])
-        rows[rank] = [f.mul(inv, c) for c in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [f.sub(a, f.mul(c, b)) for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
-def _null_space(f, rows, ncols):
-    "basis of {x : rows . x = 0}, one vector per free column"
-    rows = [list(r) for r in rows if any(r)]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = f.inv(rows[rank][col])
-        rows[rank] = [f.mul(inv, c) for c in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [f.sub(a, f.mul(c, b)) for a, b in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    basis = []
-    piv_set = set(pivots)
-    for free in range(ncols):
-        if free in piv_set:
-            continue
-        vec = [0] * ncols
-        vec[free] = 1
-        for r, col in enumerate(pivots):
-            vec[col] = f.neg(rows[r][free])
-        basis.append(tuple(vec))
-    return basis

@@ -50,6 +50,11 @@ def test_build_usage_errors(capsys):
     assert run(capsys, "build", "G2_2_comp", "2")[0] == 2  # takes none
     rc, _, err = run(capsys, "verify-etf")
     assert rc == 2 and "either a family or --input" in err
+    # sizes outside a family's range, and builds over the vertex bound
+    for argv in (("Paley", "15"), ("NOplusOdd_4", "0"), ("NOplusOdd_4", "3")):
+        rc, out, err = run(capsys, "build", *argv)
+        assert rc == 2 and out == "" and err.startswith("error: ")
+    assert "build bound" in err
 
 
 def test_verify_srg_rejects(capsys, tmp_path):
@@ -63,6 +68,25 @@ def test_verify_srg_rejects(capsys, tmp_path):
     assert (payload["v"], payload["k"], payload["lambda"], payload["mu"]) == (
         13, 6, 2, 3,
     )
+
+
+def test_bad_graph_input_exits_2(capsys, tmp_path):
+    cases = {
+        "missing.json": None,
+        "bad.json": "{not json",
+        "nov.json": '{"edges": []}',
+        "range.json": '{"v": 3, "edges": [[0, 3]]}',
+        "loop.json": '{"v": 3, "edges": [[1, 1]]}',
+        "short.json": '{"v": 3, "edges": [[1]]}',
+    }
+    for name, text in cases.items():
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        for cmd in ("verify-srg", "verify-etf"):
+            rc, out, err = run(capsys, cmd, "--input", str(path))
+            assert rc == 2 and out == "", (cmd, name)
+            assert err.startswith("error: cannot read graph"), (cmd, name, err)
 
 
 def test_verify_etf_exit_codes(capsys):

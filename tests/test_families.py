@@ -5,6 +5,7 @@ pin the closed forms, the size validation, the combinatorial substrates
 and the vertex-count guard.
 """
 
+import hashlib
 import random
 from itertools import combinations
 
@@ -78,21 +79,21 @@ def test_spec_object_entry_point():
 
 
 def test_size_validation():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         build("Paley", 7)  # 7 = 3 mod 4
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         build("Paley", 21)  # not a prime power
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         build("Peisert", 25)  # p = 1 mod 4
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         build("Peisert", 27)  # odd power
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         build("Triangular", 4)  # below the primitive range
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         build("NOplus2n_2", 2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         expected_params("Paley")  # size required
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         expected_params("G2_2_comp", 3)  # size forbidden
     with pytest.raises(ValueError):
         build("Petersen", 10)
@@ -100,10 +101,29 @@ def test_size_validation():
 
 def test_build_bound_env_override(monkeypatch):
     monkeypatch.setenv("ETF_RANK3_MAX_VERTICES", "8")
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         build("Paley", 9)
     monkeypatch.setenv("ETF_RANK3_MAX_VERTICES", "9")
     assert build("Paley", 9).n == 9
+    for raw in ("abc", "0", "-5", "2.5"):
+        monkeypatch.setenv("ETF_RANK3_MAX_VERTICES", raw)
+        with pytest.raises(ValueError, match="ETF_RANK3_MAX_VERTICES"):
+            build("Paley", 9)
+
+
+# row digests of the GF(4) hyperplane graphs, frozen from the builder that
+# classified every hyperplane and every pair by explicit restriction
+GF4_ROW_DIGESTS = {
+    ("NOplusOdd_4", 1): "cb492b2f5212250c5c99ce913f7e56e38e1da78ce497a82f3c8a1c524b4b2bda",
+    ("NOplusOdd_4", 2): "d9fe24fcf07582379b320c376925df4ae53dda9af51f7406a117b1e941f77b4f",
+    ("NOminusOdd_4_comp", 2): "4bf6560decb939b1825bd98b5648bd7ba0a13dec0895438d545043abaf895502",
+}
+
+
+def test_gf4_hyperplane_graphs_match_frozen_rows():
+    for (fam, size), digest in GF4_ROW_DIGESTS.items():
+        rows = build(fam, size).rows
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
 def test_fano_flags():

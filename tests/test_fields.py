@@ -24,10 +24,13 @@ def test_factory_prime_and_prime_power():
     assert field(9).p == 3 and field(9).e == 2
     assert field(64).p == 2 and field(64).e == 6
     assert field(4) is field(4)  # cached
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         field(12)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         field(100)  # 2^2 * 5^2 is not a prime power
+    for q in (0, 1):
+        with pytest.raises(ValueError):
+            field(q)
 
 
 def test_canonical_moduli():

@@ -100,11 +100,15 @@ def test_not_tight_branch():
 
 
 def test_certificate_checks_survive_optimize():
-    # python -O strips every assert; the verdicts must rest on explicit checks
+    # python -O strips every assert; the verdicts, the GF(4) count checks and
+    # the input guards must rest on explicit checks
     script = """
+import hashlib
 from fractions import Fraction
 from rank3etf.families import build
+from rank3etf.fields import field
 from rank3etf.frames import GramMatrix, embedding_gram, verify_etf
+from rank3etf.graphs import Graph
 from rank3etf.matrices import ExactMatrix
 print(__debug__)
 c = verify_etf(embedding_gram(build("VOplus", 2)))
@@ -112,6 +116,13 @@ print(c.status, c.M, c.N, c.alpha_sq)
 third = Fraction(1, 3)
 m = ExactMatrix.from_rows([[1 if i == j else third for j in range(4)] for i in range(4)])
 print(verify_etf(GramMatrix(m)).status)
+print(hashlib.sha256(repr(build("NOplusOdd_4", 2).rows).encode()).hexdigest())
+for bad in (lambda: build("NOplusOdd_4", 0), lambda: field(12), lambda: Graph(3, [(1, 1)])):
+    try:
+        bad()
+        print("accepted")
+    except ValueError:
+        print("ValueError")
 """
     paths = (str(Path(rank3etf.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH"))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
@@ -119,7 +130,16 @@ print(verify_etf(GramMatrix(m)).status)
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["False", "ETF 16 6 1/9", "NotTight"]
+    assert done.stdout.splitlines() == [
+        "False",
+        "ETF 16 6 1/9",
+        "NotTight",
+        # frozen NOplusOdd_4 2 rows, as in test_families.GF4_ROW_DIGESTS
+        "d9fe24fcf07582379b320c376925df4ae53dda9af51f7406a117b1e941f77b4f",
+        "ValueError",
+        "ValueError",
+        "ValueError",
+    ]
 
 
 def test_welch_bound_is_strict_off_etf():

@@ -39,8 +39,10 @@ def test_graph_basics():
     assert sorted(g.edges()) == [(0, 1), (1, 2), (2, 3)]
     assert g.neighbors(1) == [0, 2] or list(g.neighbors(1)) == [0, 2]
     assert g.adj(0, 1) and not g.adj(0, 2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Graph(3, [(0, 0)])  # loop
+    with pytest.raises(ValueError):
+        Graph(3, [(0, 3)])  # endpoint out of range
     with pytest.raises(AssertionError):
         Graph.from_rows([0b010, 0b000, 0b000])  # asymmetric
 

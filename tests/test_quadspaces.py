@@ -1,10 +1,11 @@
 """
-Quadratic spaces over small fields: singular-vector counts against the
-classical formulas, polar-form bilinearity, packed char-2 tables, projective
-enumeration sizes, and restriction classification checked by brute force.
+Quadratic spaces over small fields of characteristic 2: singular-vector
+counts against the classical formulas, the packed polar form, packed
+tables, and hyperplane singular masks checked by direct field computation.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,7 +18,7 @@ from rank3etf.quadspaces import (
 
 
 def test_standard_counts_by_enumeration():
-    for q in (2, 3, 4):
+    for q in (2, 4, 8):
         for dim in (2, 4):
             for kind in ("plus", "minus"):
                 sp = standard_space(q, dim, kind)
@@ -39,98 +40,65 @@ def test_wrong_kind_rejected():
 
 
 def test_polar_is_bilinear_and_symmetric():
+    # packed polar form B(x, y) = qt[x^y] ^ qt[x] ^ qt[y]
     rng = random.Random(77)
-    for q, dim, kind in ((2, 4, "minus"), (3, 3, "parabolic"), (4, 2, "plus")):
+    for q, dim, kind in ((2, 4, "minus"), (4, 3, "parabolic"), (4, 2, "plus")):
         sp = standard_space(q, dim, kind)
-        f = sp.field
-        vecs = list(sp.vectors())
+        f, qt = sp.field, sp.q_table()
+
+        def polar(x, y):
+            return qt[x ^ y] ^ qt[x] ^ qt[y]
+
         for _ in range(40):
-            x, y, z = (rng.choice(vecs) for _ in range(3))
-            assert sp.polar(x, y) == sp.polar(y, x)
-            xz = tuple(f.add(a, b) for a, b in zip(x, z))
-            assert sp.polar(xz, y) == f.add(sp.polar(x, y), sp.polar(z, y))
+            x, y, z = (rng.randrange(len(qt)) for _ in range(3))
+            assert polar(x, y) == polar(y, x)
+            assert polar(x ^ z, y) == f.add(polar(x, y), polar(z, y))
             c = rng.randrange(q)
-            cx = tuple(f.mul(c, a) for a in x)
-            assert sp.polar(cx, y) == f.mul(c, sp.polar(x, y))
+            cx = sp.pack([f.mul(c, a) for a in sp.unpack(x)])
+            assert polar(cx, y) == f.mul(c, polar(x, y))
 
 
 def test_pack_unpack_and_q_table():
     sp = standard_space(4, 3, "parabolic")
-    for v in sp.vectors():
-        assert sp.unpack(sp.pack(v)) == v
     qt = sp.q_table()
-    for v in sp.vectors():
-        assert qt[sp.pack(v)] == sp.q_of(v)
-    # char-2 identity B(x, y) = q(x+y) - q(x) - q(y) via XOR of packed indices
-    rng = random.Random(88)
-    vecs = list(sp.vectors())
-    f = sp.field
-    for _ in range(50):
-        x, y = rng.choice(vecs), rng.choice(vecs)
-        xor = sp.pack(x) ^ sp.pack(y)
-        assert sp.polar(x, y) == f.add(f.add(qt[xor], qt[sp.pack(x)]), qt[sp.pack(y)])
+    for idx in range(4**3):
+        v = sp.unpack(idx)
+        assert sp.pack(v) == idx
+        assert qt[idx] == sp.q_of(v)
 
 
 def test_q_table_needs_char_2():
-    with pytest.raises(AssertionError):
-        standard_space(3, 3, "parabolic").q_table()
-
-
-def test_projective_enumeration_sizes():
-    # GF(4)^3 parabolic: 21 projective points and functionals in all
-    sp = standard_space(4, 3, "parabolic")
-    sing = sp.enumerate("singular_points")
-    nonsing = sp.enumerate("nonsingular_points")
-    hyps = sp.enumerate("hyperplanes")
-    assert len(hyps) == (4**3 - 1) // 3 == 21
-    assert len(sing) + len(nonsing) == 21
-    assert len(sing) == (4**2 - 1) // 3  # q + 1 = 5 points of a conic
-    for v in sing + nonsing + hyps:
-        lead = next(c for c in v if c)
-        assert lead == 1
     with pytest.raises(ValueError):
-        sp.enumerate("everything")
+        standard_space(3, 3, "parabolic")
 
 
-def test_hyperplane_and_kernel_bases():
+def test_hyperplane_singular_masks_gf4():
+    # hyperplanes of the 3-dim parabolic space over GF(4): 10 hyperbolic
+    # (6 nonzero singular vectors), 6 elliptic (none) and 5 through the
+    # nucleus (q^(2n-1) - 1 = 3); counts below include the zero vector
     sp = standard_space(4, 3, "parabolic")
     f = sp.field
-    for a in sp.enumerate("hyperplanes"):
-        basis = sp.hyperplane_basis(a)
-        assert len(basis) == 2
-        for b in basis:
-            acc = 0
-            for c, x in zip(a, b):
-                acc = f.add(acc, f.mul(c, x))
-            assert acc == 0
-    two = sp.kernel_basis([(1, 0, 0), (0, 1, 0)])
-    assert len(two) == 1 and two[0][2] != 0
-
-
-def test_classify_restriction_hyperplanes_gf4():
-    # hyperplane types in the 3-dim parabolic space over GF(4):
-    # 10 hyperbolic, 6 elliptic, 5 degenerate (tangent) out of 21
-    sp = standard_space(4, 3, "parabolic")
-    kinds = {"hyperbolic": 0, "elliptic": 0, "parabolic": 0, "degenerate": 0}
-    for a in sp.enumerate("hyperplanes"):
-        kinds[sp.classify_restriction(sp.hyperplane_basis(a))] += 1
-    assert kinds == {"hyperbolic": 10, "elliptic": 6, "parabolic": 0, "degenerate": 5}
-
-
-def test_classify_restriction_known_planes():
-    sp = standard_space(2, 4, "plus")  # x0 x1 + x2 x3
-    assert sp.classify_restriction([(1, 0, 0, 0), (0, 1, 0, 0)]) == "hyperbolic"
-    assert sp.classify_restriction([(1, 0, 0, 0), (0, 0, 1, 0)]) == "degenerate"
-    assert sp.classify_restriction([(1, 0, 0, 0)]) == "degenerate"  # singular line
-    one = sp.classify_restriction([(1, 1, 0, 0)])  # q = 1 on the line: no radical zero
-    assert one == "parabolic"
-    with pytest.raises(AssertionError):
-        sp.classify_restriction([(1, 0, 0, 0), (1, 0, 0, 0)])  # dependent basis
+    masks = sp.hyperplane_singular_masks()
+    assert Counter(m.bit_count() for m in masks) == {7: 10, 1: 6, 4: 5}
+    functionals = [
+        a for a in range(1, 4**3) if next(c for c in sp.unpack(a) if c) == 1
+    ]
+    assert len(functionals) == len(masks) == 21
+    for a, mask in zip(functionals, masks):
+        coords = sp.unpack(a)
+        want = 0
+        for x in range(4**3):
+            dot = 0
+            for c, xj in zip(coords, sp.unpack(x)):
+                dot = f.add(dot, f.mul(c, xj))
+            if dot == 0 and sp.q_of(sp.unpack(x)) == 0:
+                want |= 1 << x
+        assert mask == want
 
 
 def test_minus_type_anisotropic_plane():
     # the minus form in dimension 2 has no nonzero singular vectors at all
-    for q in (2, 3, 4, 5):
+    for q in (2, 4, 8):
         sp = standard_space(q, 2, "minus")
         assert sp.count_singular() == 0
-        assert sp.enumerate("singular_points") == []
+        assert all(sp.q_of(sp.unpack(x)) for x in range(1, q**2))
