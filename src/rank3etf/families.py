@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .bounds import effective_bound
-from .fields import field, is_prime
+from .fields import field
 from .graphs import Graph, SrgParams, srg_params
 from .quadspaces import standard_singular_count, standard_space
 

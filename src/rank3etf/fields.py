@@ -85,8 +85,12 @@ class Field:
     "GF(p^e); immutable, elements are indices 0..q-1"
 
     def __init__(self, p, e=1, modulus=None):
-        assert is_prime(p), "%d is not prime" % p
-        assert 1 <= e <= _MAX_EXT_DEGREE
+        if not is_prime(p):
+            raise ValueError("%d is not prime" % p)
+        if not 1 <= e <= _MAX_EXT_DEGREE:
+            raise ValueError(
+                "GF(%d^%d): the exponent must be between 1 and %d" % (p, e, _MAX_EXT_DEGREE)
+            )
         self.p = p
         self.e = e
         self.q = p**e
@@ -96,8 +100,10 @@ class Field:
             if modulus is None:
                 modulus = self._find_modulus()
             modulus = tuple(modulus)
-            assert len(modulus) == e + 1 and modulus[-1] == 1
-            assert _is_irreducible(modulus, p), "modulus is reducible"
+            if len(modulus) != e + 1 or modulus[-1] != 1:
+                raise ValueError("the modulus must be monic of degree %d" % e)
+            if not _is_irreducible(modulus, p):
+                raise ValueError("modulus is reducible")
             self.modulus = modulus
         self._mul_cache = {}
         self.g = self._find_primitive()

@@ -54,10 +54,12 @@ class Graph:
         g.label = label
         mask = (1 << g.n) - 1
         for i, r in enumerate(g.rows):
-            assert 0 <= r <= mask and not (r >> i) & 1, "loop or stray bit at %d" % i
+            if not 0 <= r <= mask or (r >> i) & 1:
+                raise ValueError("loop or stray bit at %d" % i)
         for i in range(g.n):
             for j in range(i + 1, g.n):
-                assert (g.rows[i] >> j) & 1 == (g.rows[j] >> i) & 1, "asymmetric pair"
+                if (g.rows[i] >> j) & 1 != (g.rows[j] >> i) & 1:
+                    raise ValueError("asymmetric pair (%d, %d)" % (i, j))
         return g
 
     def adj(self, i, j):

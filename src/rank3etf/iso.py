@@ -109,7 +109,8 @@ def find_isomorphism(g, h, bound=ISO_VERTEX_BOUND):
     "a vertex bijection perm with i ~ j iff perm[i] ~ perm[j], or None"
     if g.n != h.n:
         return None
-    assert g.n <= effective_bound(bound), "graph too large for isomorphism search"
+    if g.n > effective_bound(bound):
+        raise ValueError("graph too large for isomorphism search")
     if sorted(r.bit_count() for r in g.rows) != sorted(r.bit_count() for r in h.rows):
         return None
     if _pair_count_multiset(g) != _pair_count_multiset(h):

@@ -6,9 +6,19 @@ z making {i, j, z} a block.  From a graph, a triple is a block iff it spans
 an odd number of edges, so masks[i][j] = rows[i] XOR rows[j], complemented
 when i ~ j, with bits i and j cleared; from a Gram matrix the sign graph
 (edge iff negative inner product) is taken first, which matches the
-obtuse-angle reading.  Every constructor output is checked against the
-defining axiom (each 4-set of vertices contains an even number of blocks):
-exhaustively for n <= 60, on 2000 seeded samples above.
+obtuse-angle reading.
+
+Every TwoGraph is checked exactly, for every n, in O(n^2) mask operations.
+A triple system T is a two-graph (each 4-set of vertices contains an even
+number of blocks) iff T is the two-graph of the graph G0 read from
+masks[0]: vertex 0 isolated, and i ~ j (i < j) iff {0, i, j} is a block.
+Proof: applied to the 4-set {0, i, j, k}, the axiom puts {i, j, k} in T iff
+an odd number of {0,i,j}, {0,i,k}, {0,j,k} are blocks, which is the
+two-graph of G0 on {i, j, k}; triples through 0 span one G0 edge or none.
+Conversely every graph's two-graph satisfies the axiom, since each edge
+inside a 4-set lies in exactly two of its triples.  The masks must equal
+those of G0 exactly, so the check also rejects asymmetric masks, repeated
+vertices and disagreeing tables.
 
 Switching a graph on any vertex subset leaves its two-graph unchanged, and
 two graphs are switching equivalent iff their two-graphs are isomorphic.
@@ -16,24 +26,35 @@ The decision procedure canonicalizes by vertex isolation: switching G on
 the neighbourhood of vertex x isolates x, and deleting x then yields the
 descendant at x.  G and H are equivalent iff the descendant of G at 0 is
 isomorphic to a descendant of H at some w; the witness (w, bijection) is
-returned.  Mismatched block counts or pair-degree multisets decide
-NotEquivalent without any search.
+returned.  Mismatched pair-degree multisets decide NotEquivalent without
+any search (they also cover block counts, as the degrees sum to 3 blocks).
 """
-
-import random
 
 from .bounds import effective_bound
 from .graphs import Graph, srg_params
 from .iso import find_isomorphism
 
 SWITCHING_VERTEX_BOUND = 140
-_AXIOM_EXHAUSTIVE_LIMIT = 60
-_AXIOM_SAMPLES = 2000
-_AXIOM_SEED = 20230423
 
 
 class NotRegular(ValueError):
     "carries a witness vertex pair"
+
+
+def _pair_masks(rows):
+    "two-graph masks of the graph with these adjacency rows"
+    n = len(rows)
+    full = (1 << n) - 1
+    masks = [[0] * n for _ in range(n)]
+    for i in range(n):
+        ri = rows[i]
+        for j in range(i + 1, n):
+            m = ri ^ rows[j]
+            if (ri >> j) & 1:
+                m ^= full
+            m &= ~((1 << i) | (1 << j))
+            masks[i][j] = masks[j][i] = m
+    return masks
 
 
 class TwoGraph:
@@ -41,54 +62,18 @@ class TwoGraph:
 
     __slots__ = ("n", "masks")
 
-    def __init__(self, n, masks, check=True):
+    def __init__(self, n, masks):
+        # G0 from the blocks through vertex 0; see the module docstring
+        rows = [0] * n
+        for i in range(1, n):
+            for j in range(i + 1, n):
+                if (masks[0][i] >> j) & 1:
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+        if masks != _pair_masks(rows):
+            raise ValueError("not a two-graph: the masks fail the two-graph axiom")
         self.n = n
         self.masks = masks
-        if check:
-            self._check_consistency()
-            self._check_axiom()
-
-    def _check_consistency(self):
-        n = self.n
-        if n <= _AXIOM_EXHAUSTIVE_LIMIT:
-            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        else:
-            rng = random.Random(_AXIOM_SEED + 1)
-            pairs = [tuple(sorted(rng.sample(range(n), 2))) for _ in range(_AXIOM_SAMPLES)]
-        for i, j in pairs:
-            m = self.masks[i][j]
-            assert m == self.masks[j][i]
-            assert not (m >> i) & 1 and not (m >> j) & 1, "triple with repeats"
-            while m:
-                low = m & -m
-                z = low.bit_length() - 1
-                assert (self.masks[i][z] >> j) & 1, "mask tables disagree"
-                m ^= low
-
-    def _quad_even(self, a, b, c, d):
-        cnt = (
-            ((self.masks[a][b] >> c) & 1)
-            + ((self.masks[a][b] >> d) & 1)
-            + ((self.masks[a][c] >> d) & 1)
-            + ((self.masks[b][c] >> d) & 1)
-        )
-        return cnt % 2 == 0
-
-    def _check_axiom(self):
-        n = self.n
-        if n < 4:
-            return
-        if n <= _AXIOM_EXHAUSTIVE_LIMIT:
-            for a in range(n):
-                for b in range(a + 1, n):
-                    for c in range(b + 1, n):
-                        for d in range(c + 1, n):
-                            assert self._quad_even(a, b, c, d), "two-graph axiom fails"
-        else:
-            rng = random.Random(_AXIOM_SEED)
-            for _ in range(_AXIOM_SAMPLES):
-                a, b, c, d = rng.sample(range(n), 4)
-                assert self._quad_even(*sorted((a, b, c, d))), "two-graph axiom fails"
 
     def contains(self, i, j, k):
         return (self.masks[i][j] >> k) & 1 == 1
@@ -144,18 +129,7 @@ class TwoGraph:
 
 def two_graph_of(g):
     "blocks are the vertex triples spanning an odd number of edges of g"
-    n = g.n
-    full = (1 << n) - 1
-    masks = [[0] * n for _ in range(n)]
-    for i in range(n):
-        ri = g.rows[i]
-        for j in range(i + 1, n):
-            m = ri ^ g.rows[j]
-            if (ri >> j) & 1:
-                m ^= full
-            m &= ~((1 << i) | (1 << j))
-            masks[i][j] = masks[j][i] = m
-    return TwoGraph(n, masks)
+    return TwoGraph(g.n, _pair_masks(g.rows))
 
 
 def sign_graph(gm):
@@ -187,20 +161,15 @@ def descendant_at(g, x):
     from .frames import criteria
 
     p = srg_params(g)
-    assert criteria(p)["equiangular"], "descendant needs an equiangular embedding"
+    if not criteria(p)["equiangular"]:
+        raise ValueError("descendant needs an equiangular embedding")
     out = g.switch(list(g.neighbors(x))).delete_vertex(x)
     got = srg_params(out)
     v, k, lam, mu = p.as_tuple()
     want = (v - 1, 2 * (k - mu), k + lam - 2 * mu, k - mu)
-    assert got.as_tuple() == want, "descendant parameters %r, expected %r" % (
-        got.as_tuple(),
-        want,
-    )
+    if got.as_tuple() != want:
+        raise ValueError("descendant parameters %r, expected %r" % (got.as_tuple(), want))
     return out
-
-
-def _isolate_and_delete(g, x):
-    return g.switch(list(g.neighbors(x))).delete_vertex(x)
 
 
 def switching_equivalent(g, h, bound=SWITCHING_VERTEX_BOUND):
@@ -212,15 +181,14 @@ def switching_equivalent(g, h, bound=SWITCHING_VERTEX_BOUND):
     if g.n != h.n:
         raise ValueError("vertex counts differ: %d vs %d" % (g.n, h.n))
     cap = effective_bound(bound)
-    assert g.n <= cap, "%d vertices exceeds the switching bound %d" % (g.n, cap)
+    if g.n > cap:
+        raise ValueError("%d vertices exceeds the switching bound %d" % (g.n, cap))
     tg, th = two_graph_of(g), two_graph_of(h)
-    if tg.block_count() != th.block_count():
-        return None
     if tg.pair_degree_multiset() != th.pair_degree_multiset():
         return None
-    g0 = _isolate_and_delete(g, 0)
+    g0 = tg.descendant_graph(0)
     for w in range(h.n):
-        perm = find_isomorphism(g0, _isolate_and_delete(h, w))
+        perm = find_isomorphism(g0, th.descendant_graph(w))
         if perm is not None:
             return (w, perm)
     return None

@@ -51,7 +51,10 @@ def test_build_usage_errors(capsys):
     rc, _, err = run(capsys, "verify-etf")
     assert rc == 2 and "either a family or --input" in err
     # sizes outside a family's range, and builds over the vertex bound
-    for argv in (("Paley", "15"), ("NOplusOdd_4", "0"), ("NOplusOdd_4", "3")):
+    # Peisert 6561 = 3^8 is past the largest field extension degree
+    for argv in (
+        ("Peisert", "6561"), ("Paley", "15"), ("NOplusOdd_4", "0"), ("NOplusOdd_4", "3"),
+    ):
         rc, out, err = run(capsys, "build", *argv)
         assert rc == 2 and out == "" and err.startswith("error: ")
     assert "build bound" in err

@@ -101,7 +101,9 @@ def test_explicit_gf4_tables():
 
 
 def test_bad_modulus_rejected():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Field(2, 2, modulus=(0, 0, 1))  # x^2 is reducible
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Field(4)  # p must be prime
+    with pytest.raises(ValueError):
+        Field(3, 8)  # past the largest extension degree

@@ -100,8 +100,8 @@ def test_not_tight_branch():
 
 
 def test_certificate_checks_survive_optimize():
-    # python -O strips every assert; the verdicts, the GF(4) count checks and
-    # the input guards must rest on explicit checks
+    # python -O strips every assert; the verdicts, the GF(4) count checks, the
+    # two-graph check and the input guards must rest on explicit checks
     script = """
 import hashlib
 from fractions import Fraction
@@ -110,6 +110,7 @@ from rank3etf.fields import field
 from rank3etf.frames import GramMatrix, embedding_gram, verify_etf
 from rank3etf.graphs import Graph
 from rank3etf.matrices import ExactMatrix
+from rank3etf.twographs import TwoGraph, switching_equivalent, two_graph_of
 print(__debug__)
 c = verify_etf(embedding_gram(build("VOplus", 2)))
 print(c.status, c.M, c.N, c.alpha_sq)
@@ -117,7 +118,19 @@ third = Fraction(1, 3)
 m = ExactMatrix.from_rows([[1 if i == j else third for j in range(4)] for i in range(4)])
 print(verify_etf(GramMatrix(m)).status)
 print(hashlib.sha256(repr(build("NOplusOdd_4", 2).rows).encode()).hexdigest())
-for bad in (lambda: build("NOplusOdd_4", 0), lambda: field(12), lambda: Graph(3, [(1, 1)])):
+masks = two_graph_of(build("VOplus", 2)).masks
+for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):  # one block flipped
+    masks[i][j] ^= 1 << k
+    masks[j][i] ^= 1 << k
+p9 = build("Paley", 9)
+for bad in (
+    lambda: build("NOplusOdd_4", 0),
+    lambda: field(12),
+    lambda: Graph(3, [(1, 1)]),
+    lambda: TwoGraph(16, masks),
+    lambda: field(3**8),
+    lambda: switching_equivalent(p9, p9, bound=5),
+):
     try:
         bad()
         print("accepted")
@@ -126,6 +139,7 @@ for bad in (lambda: build("NOplusOdd_4", 0), lambda: field(12), lambda: Graph(3,
 """
     paths = (str(Path(rank3etf.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH"))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    env.pop("ETF_RANK3_MAX_VERTICES", None)  # it would replace the bound=5 below
     done = subprocess.run(
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
     )
@@ -136,10 +150,7 @@ for bad in (lambda: build("NOplusOdd_4", 0), lambda: field(12), lambda: Graph(3,
         "NotTight",
         # frozen NOplusOdd_4 2 rows, as in test_families.GF4_ROW_DIGESTS
         "d9fe24fcf07582379b320c376925df4ae53dda9af51f7406a117b1e941f77b4f",
-        "ValueError",
-        "ValueError",
-        "ValueError",
-    ]
+    ] + ["ValueError"] * 6
 
 
 def test_welch_bound_is_strict_off_etf():

@@ -43,7 +43,7 @@ def test_graph_basics():
         Graph(3, [(0, 0)])  # loop
     with pytest.raises(ValueError):
         Graph(3, [(0, 3)])  # endpoint out of range
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Graph.from_rows([0b010, 0b000, 0b000])  # asymmetric
 
 

@@ -1,11 +1,15 @@
 """
-Two-graphs from graphs and Gram matrices: the even-4-set axiom, switching
-invariance (the defining property), descendants as isolate-and-delete,
-regularity with witnesses, and the switching-equivalence decision with its
-(vertex, bijection) witness verified by hand.
+Two-graphs from graphs and Gram matrices: the exact two-graph check against
+a brute-force even-4-set reference (random small triple systems, and a
+corrupted 64-vertex two-graph), switching invariance (the defining
+property), descendants as isolate-and-delete, regularity with witnesses,
+and the switching-equivalence decision with its (vertex, bijection) witness
+verified by hand.
 """
 
+import copy
 import random
+from itertools import combinations
 
 import pytest
 
@@ -81,20 +85,101 @@ def test_descendant_is_isolate_and_delete():
             assert t.descendant_graph(x) == switched.delete_vertex(x)
 
 
+def _flip_triple(masks, i, j, k):
+    "toggle the block {i, j, k} in all six mask slots"
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        masks[a][b] ^= 1 << c
+        masks[b][a] ^= 1 << c
+
+
+def _reference_is_two_graph(n, masks):
+    "brute force: the masks encode a set of triples with an even number in each 4-set"
+    if any(m >> n for row in masks for m in row):
+        return False  # a vertex out of range
+    triples = {
+        frozenset((i, j, z))
+        for i in range(n)
+        for j in range(n)
+        for z in range(n)
+        if (masks[i][j] >> z) & 1
+    }
+    if any(len(t) < 3 for t in triples):
+        return False  # a repeated vertex, or a diagonal mask
+    encoded = [[0] * n for _ in range(n)]
+    for t in triples:
+        for i, j in combinations(t, 2):
+            (z,) = t - {i, j}
+            encoded[i][j] |= 1 << z
+            encoded[j][i] |= 1 << z
+    if encoded != masks:
+        return False  # asymmetric or disagreeing tables
+    return all(
+        sum(frozenset(t) in triples for t in combinations(four, 3)) % 2 == 0
+        for four in combinations(range(n), 4)
+    )
+
+
+def _random_masks(rng, n):
+    "a two-graph, a perturbed two-graph, an arbitrary triple system or bad masks"
+    kind = rng.randrange(4)
+    masks = copy.deepcopy(two_graph_of(_rand_graph(rng, n)).masks)
+    if kind == 1 and n >= 3:
+        for _ in range(rng.randint(1, 3)):
+            _flip_triple(masks, *rng.sample(range(n), 3))
+    elif kind == 2:
+        masks = [[0] * n for _ in range(n)]
+        for t in combinations(range(n), 3):
+            if rng.random() < 0.5:
+                _flip_triple(masks, *t)
+    elif kind == 3:
+        # one slot changed alone: asymmetric, a repeated vertex or a diagonal bit
+        i, j = rng.randrange(n), rng.randrange(n)
+        masks[i][j] ^= 1 << rng.randrange(n + 1)
+    return masks
+
+
+def test_exact_check_matches_brute_force():
+    rng = random.Random(4242)
+    verdicts = {True: 0, False: 0}
+    for _ in range(3000):
+        n = rng.randint(1, 7)
+        masks = _random_masks(rng, n)
+        want = _reference_is_two_graph(n, masks)
+        try:
+            TwoGraph(n, masks)
+            got = True
+        except ValueError:
+            got = False
+        assert got == want, (n, masks)
+        verdicts[want] += 1
+    assert min(verdicts.values()) > 500  # both verdicts well exercised
+
+
+def test_corrupted_large_two_graph_rejected():
+    # 64 vertices: one flipped triple lies in only 61 of the 635,376 4-sets,
+    # so a check on a few thousand sampled 4-sets usually misses it
+    t = two_graph_of(build("VOplus", 3))
+    for triple in ((1, 2, 3), (0, 5, 40)):
+        masks = copy.deepcopy(t.masks)
+        _flip_triple(masks, *triple)
+        with pytest.raises(ValueError, match="two-graph"):
+            TwoGraph(64, masks)
+
+
 def test_axiom_rejects_non_two_graph():
     # blocks = {012}: the 4-set {0,1,2,3} then contains exactly one block
     masks = [[0] * 4 for _ in range(4)]
     masks[0][1] = masks[1][0] = 1 << 2
     masks[0][2] = masks[2][0] = 1 << 1
     masks[1][2] = masks[2][1] = 1 << 0
-    with pytest.raises(AssertionError, match="axiom"):
+    with pytest.raises(ValueError, match="axiom"):
         TwoGraph(4, masks)
 
 
 def test_consistency_rejects_bad_masks():
     masks = [[0] * 3 for _ in range(3)]
     masks[0][1] = 1 << 2  # but masks[1][0] stays 0: tables disagree
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         TwoGraph(3, masks)
 
 
@@ -121,7 +206,7 @@ def test_descendant_at_parameters():
     for x in (0, 7, 15):
         d = descendant_at(g, x)
         assert srg_params(d).as_tuple() == (15, 6, 1, 3)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         descendant_at(build("Triangular", 7), 0)  # not in a regular two-graph
 
 
@@ -160,7 +245,7 @@ def test_switching_equivalent_is_switching_invariant():
 def test_switching_equivalent_negative_and_errors():
     c5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
     k5 = Graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
-    assert switching_equivalent(c5, k5) is None  # block counts differ
+    assert switching_equivalent(c5, k5) is None  # pair-degree multisets differ
     with pytest.raises(ValueError):
         switching_equivalent(c5, Graph(6, []))
     # same block count cannot happen here, but the pre-checks must not
@@ -178,5 +263,5 @@ def test_switching_equivalent_negative_and_errors():
 def test_switching_bound(monkeypatch):
     g = build("Paley", 9)
     monkeypatch.setenv("ETF_RANK3_MAX_VERTICES", "5")
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="switching bound"):
         switching_equivalent(g, g)
