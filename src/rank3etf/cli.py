@@ -5,9 +5,11 @@ report tables, and run the equivalence experiments.
 Exit codes: 0 success, 1 certification failure (non-SRG input, non-ETF
 embedding, or a failed table row), 2 usage error, including a size outside
 a family's range, a build over the vertex bound, or an unreadable --input
-graph.  Output format is selected with --format (text, json, csv); graph
-and Gram exports are always JSON documents.  The environment variable ETF_RANK3_MAX_VERTICES
-overrides the built-in vertex-count guards.
+graph.  Usage errors are ValueErrors, and family sizes are checked by the
+family registry alone.  Output format is selected with --format (text,
+json, csv); graph and Gram exports are always JSON documents.  The
+environment variable ETF_RANK3_MAX_VERTICES overrides the built-in
+vertex-count guards.
 """
 
 import argparse
@@ -16,14 +18,13 @@ import io
 import json
 import sys
 
-from .families import FAMILIES, build, family_info
+from .families import build, family_info
 from .frames import embedding_gram, gram_to_json, verify_etf, vo_vectors
 from .graphs import Graph, NotStronglyRegular, srg_params
 from .tables import (
     EXPERIMENT_IDS,
     CertificationFailure,
     ReportRow,
-    embedding_row,
     generate_table,
     run_experiment,
 )
@@ -91,27 +92,10 @@ def _load_graph(args):
             with open(args.input) as fh:
                 return Graph.from_json(fh.read())
         except (OSError, ValueError) as e:
-            raise SystemExit2("cannot read graph %s: %s" % (args.input, e))
+            raise ValueError("cannot read graph %s: %s" % (args.input, e))
     if not args.family:
-        raise SystemExit2("either a family or --input is required")
+        raise ValueError("either a family or --input is required")
     return build(args.family, args.size)
-
-
-class SystemExit2(Exception):
-    "usage error; handled in main with exit code 2"
-
-
-def _require_size_or_not(family, size):
-    if family is None:
-        raise SystemExit2("either a family or --input is required")
-    if family not in FAMILIES:
-        raise SystemExit2(
-            "unknown family %r (run the list command for options)" % family
-        )
-    if FAMILIES[family]["needs_size"] and size is None:
-        raise SystemExit2("family %s needs a size argument" % family)
-    if not FAMILIES[family]["needs_size"] and size is not None:
-        raise SystemExit2("family %s takes no size argument" % family)
 
 
 def cmd_list(args):
@@ -138,15 +122,12 @@ def cmd_list(args):
 
 
 def cmd_build(args):
-    _require_size_or_not(args.family, args.size)
     g = build(args.family, args.size)
     _emit(g.to_json(), args.output)
     return 0
 
 
 def cmd_verify_srg(args):
-    if not args.input:
-        _require_size_or_not(args.family, args.size)
     g = _load_graph(args)
     try:
         p = srg_params(g)
@@ -174,17 +155,14 @@ def cmd_verify_srg(args):
 
 
 def cmd_verify_etf(args):
-    if args.input:
-        g = _load_graph(args)
-        p = srg_params(g)
-        cert = verify_etf(embedding_gram(g))
-        row = ReportRow(
-            g.label or "input", None, p.v, p.k, p.lam, p.mu,
-            cert.M, cert.N, cert.alpha_sq, cert.status, "experiment",
-        )
-    else:
-        _require_size_or_not(args.family, args.size)
-        row = embedding_row(args.family, args.size, provenance="experiment")
+    g = _load_graph(args)
+    p = srg_params(g)
+    cert = verify_etf(embedding_gram(g))
+    name, size = (g.label or "input", None) if args.input else (args.family, args.size)
+    row = ReportRow(
+        name, size, p.v, p.k, p.lam, p.mu,
+        cert.M, cert.N, cert.alpha_sq, cert.status, "experiment",
+    )
     _emit(_render_rows([row], args.format), args.output)
     return 0 if row.status == "ETF" else 1
 
@@ -205,10 +183,6 @@ def cmd_table(which):
 
 
 def cmd_experiment(args):
-    if args.id not in EXPERIMENT_IDS:
-        raise SystemExit2(
-            "unknown experiment %r (options: %s)" % (args.id, ", ".join(EXPERIMENT_IDS))
-        )
     report = run_experiment(args.id, args.size)
     if args.format == "json":
         _emit(json.dumps(report, indent=2), args.output)
@@ -233,7 +207,6 @@ def cmd_experiment(args):
 
 
 def cmd_export_gram(args):
-    _require_size_or_not(args.family, args.size)
     g = build(args.family, args.size)
     gm = embedding_gram(g)
     cert = verify_etf(gm)
@@ -244,9 +217,8 @@ def cmd_export_gram(args):
 def cmd_export_vectors(args):
     kinds = {"VOplus": "plus", "VOminus_comp": "minus_comp"}
     if args.family not in kinds:
-        raise SystemExit2("export-vectors supports: %s" % ", ".join(kinds))
-    if args.size is None:
-        raise SystemExit2("family %s needs a size argument" % args.family)
+        raise ValueError("export-vectors supports: %s" % ", ".join(kinds))
+    build(args.family, args.size)  # build's size check and vertex bound cover the 4^n columns
     mat = vo_vectors(args.size, kinds[args.family])
     payload = {
         "family": args.family,
@@ -342,9 +314,6 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit2 as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
     except CertificationFailure as e:
         print("certification failure: %s" % e, file=sys.stderr)
         return 1

@@ -2,14 +2,20 @@
 Builders for the graph families, each self-validating against closed-form
 parameters.
 
+FAMILIES is the one place a family is declared.  Its row holds check_size
+(raises ValueError on a size outside the family's range; None for a family
+that takes no size), table (the report table listing it, 0 for none),
+params (the closed-form SrgParams at size n) and build (the graph at size
+n).  expected_params and build are lookups behind one size check; build
+labels the graph "family:n" and certifies it against params.
+
 Vertex sets come from the packed tables of char-2 quadratic spaces
 (nonsingular vectors, singular vectors, hyperplanes of a given type, or
 whole vector spaces), from finite fields (difference graphs on square
 classes or on the exponent classes j = 0, 1 mod 4 of a fixed primitive
 element), from small combinatorics (2-subsets, grids, Fano flags), or from
 the weight-7 words of the binary quadratic-residue code of length 23.
-Every builder finishes by certifying strong regularity and comparing
-against expected_params; a mismatch raises, it is never a warning.
+A mismatch with params raises, it is never a warning.
 
 Adjacency conventions: orthogonality families join distinct vectors with
 B(x, y) = 0 (their "_comp" variants join on B != 0); hyperplane families
@@ -20,7 +26,6 @@ q(x + y) = 0 ("_comp": nonzero).  Vertex order is the enumeration order of
 the underlying object, so builds are deterministic.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .bounds import effective_bound
@@ -31,121 +36,26 @@ from .quadspaces import standard_singular_count, standard_space
 BUILD_VERTEX_BOUND = 1000
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    family: str
-    size: int | None = None
-
-
-def _lambda_from_identity(v, k, mu):
-    "the unique lambda with k(k - lambda - 1) = (v - k - 1) mu"
-    num = k * (k - 1) - (v - k - 1) * mu
-    assert num % k == 0, "infeasible (v, k, mu)"
-    return num // k
-
-
-def expected_params(family, size=None):
-    "closed-form (v, k, lambda, mu) for the family at this size"
-    info = FAMILIES.get(family)
-    if info is None:
-        raise ValueError("unknown family: %r" % (family,))
-    if info["needs_size"]:
-        if size is None:
-            raise ValueError("%s needs a size parameter" % family)
-        info["check_size"](size)
-    elif size is not None and size != 0:
-        raise ValueError("%s takes no size parameter" % family)
-    n = size
-    if family == "NOplus2n_2":
-        return SrgParams(
-            2 ** (n - 1) * (2**n - 1),
-            2 ** (2 * n - 2) - 1,
-            2 ** (2 * n - 3) - 2,
-            2 ** (n - 2) * (2 ** (n - 1) + 1),
-        )
-    if family == "NOminus2n_2_comp":
-        return SrgParams(
-            2 ** (n - 1) * (2**n + 1),
-            2 ** (n - 1) * (2 ** (n - 1) + 1),
-            2 ** (n - 2) * (2 ** (n - 1) + 1),
-            2 ** (n - 1) * (2 ** (n - 2) + 1),
-        )
-    if family == "NOplusOdd_4":
-        return SrgParams(
-            4**n * (4**n + 1) // 2,
-            (4 ** (n - 1) + 1) * (4**n - 1),
-            (4 ** (n - 1) + 2) * (4**n - 2) // 2,
-            4**n * (4 ** (n - 1) + 1) // 2,
-        )
-    if family == "NOminusOdd_4_comp":
-        return SrgParams(
-            4**n * (4**n - 1) // 2,
-            4 ** (n - 1) * (4**n + 1),
-            4**n * (4 ** (n - 1) + 1) // 2,
-            4 ** (n - 1) * (4**n + 2) // 2,
-        )
-    if family == "VOplus":
-        return SrgParams(
-            4**n,
-            (2 ** (n - 1) + 1) * (2**n - 1),
-            (2 ** (n - 1) + 2) * (2 ** (n - 1) - 1),
-            2 ** (n - 1) * (2 ** (n - 1) + 1),
-        )
-    if family == "VOminus_comp":
-        return SrgParams(
-            4**n,
-            2 ** (n - 1) * (2**n + 1),
-            2 ** (n - 1) * (2 ** (n - 1) + 1),
-            2 ** (n - 1) * (2 ** (n - 1) + 1),
-        )
-    if family == "G2_2_comp":
-        return SrgParams(36, 21, 12, 12)
-    if family == "M22_comp":
-        return SrgParams(176, 105, 68, 54)
-    if family in ("Paley", "Peisert"):
-        q = n
-        return SrgParams(q, (q - 1) // 2, (q - 5) // 4, (q - 1) // 4)
-    if family == "Triangular":
-        return SrgParams(n * (n - 1) // 2, 2 * (n - 2), n - 2, 4)
-    if family == "Lattice":
-        return SrgParams(n * n, 2 * (n - 1), n - 2, 2)
-    if family == "Sp2n_2":
-        return SrgParams(
-            4**n - 1, 2 ** (2 * n - 1) - 2, 2 ** (2 * n - 2) - 3, 2 ** (2 * n - 2) - 1
-        )
-    if family == "Oplus2n_2":
-        v = 2 ** (2 * n - 1) + 2 ** (n - 1) - 1
-        mu = (2 ** (n - 2) + 1) * (2 ** (n - 1) - 1)
-        k = 2 * mu
-        return SrgParams(v, k, _lambda_from_identity(v, k, mu), mu)
-    if family == "Ominus2n_2":
-        v = (2 ** (n - 1) - 1) * (2**n + 1)
-        mu = (2 ** (n - 2) - 1) * (2 ** (n - 1) + 1)
-        k = 2 * mu
-        return SrgParams(v, k, _lambda_from_identity(v, k, mu), mu)
-    raise ValueError("unknown family: %r" % (family,))
-
-
 # -- builders ------------------------------------------------------------------
 
 
-def _graph_from_rule(verts, adj, label):
+def _graph_from_rule(verts, adj):
     edges = [
         (i, j) for i in range(len(verts)) for j in range(i + 1, len(verts))
         if adj(verts[i], verts[j])
     ]
-    return Graph(len(verts), edges, label)
+    return Graph(len(verts), edges)
 
 
-def _no_gf2(n, kind, complemented, label):
+def _polar_gf2(n, kind, q_values, polar):
+    "nonzero x in GF(2)^2n with q(x) in q_values; x ~ y iff B(x, y) = polar"
     sp = standard_space(2, 2 * n, kind)
     qt = sp.q_table()
-    verts = [x for x in range(1, 4**n) if qt[x]]
-    want = 0 if not complemented else 1
-    return _graph_from_rule(verts, lambda x, y: qt[x ^ y] ^ qt[x] ^ qt[y] == want, label)
+    verts = [x for x in range(1, 4**n) if qt[x] in q_values]
+    return _graph_from_rule(verts, lambda x, y: qt[x ^ y] ^ qt[x] ^ qt[y] == polar)
 
 
-def _no_gf4(n, keep, complemented, label):
+def _no_gf4(n, keep, complemented):
     # Counts below include the zero vector.  Let nu be the nucleus of the
     # parabolic form on GF(q)^(2n+1), q even (the radical of its polar form).
     # A hyperplane through nu has q^(2n-1) singular vectors; one missing nu
@@ -177,42 +87,25 @@ def _no_gf4(n, keep, complemented, label):
             raise ValueError("intersection with %d singular vectors fits no class" % c)
         return (c == parabolic) == complemented
 
-    return _graph_from_rule(hps, adj, label)
+    return _graph_from_rule(hps, adj)
 
 
-def _vo(n, kind, complemented, label):
+def _vo(n, kind, complemented):
     sp = standard_space(2, 2 * n, kind)
     qt = sp.q_table()
     verts = list(range(4**n))
     want_zero = not complemented
-    return _graph_from_rule(
-        verts, lambda x, y: (qt[x ^ y] == 0) == want_zero, label
-    )
+    return _graph_from_rule(verts, lambda x, y: (qt[x ^ y] == 0) == want_zero)
 
 
-def _sp_gf2(n, label):
-    # the polar form of the hyperbolic quadric is the symplectic form
-    sp = standard_space(2, 2 * n, "plus")
-    qt = sp.q_table()
-    verts = list(range(1, 4**n))
-    return _graph_from_rule(verts, lambda x, y: qt[x ^ y] ^ qt[x] ^ qt[y] == 0, label)
-
-
-def _o_polar_gf2(n, kind, label):
-    sp = standard_space(2, 2 * n, kind)
-    qt = sp.q_table()
-    verts = [x for x in range(1, 4**n) if qt[x] == 0]
-    return _graph_from_rule(verts, lambda x, y: qt[x ^ y] == 0, label)
-
-
-def _paley(q, label):
+def _paley(q):
     f = field(q)
     sq = f.squares()
     assert f.neg(1) in sq  # q = 1 mod 4 makes the difference graph undirected
-    return _graph_from_rule(list(range(q)), lambda x, y: f.sub(x, y) in sq, label)
+    return _graph_from_rule(list(range(q)), lambda x, y: f.sub(x, y) in sq)
 
 
-def _peisert(q, label):
+def _peisert(q):
     f = field(q)
     conn = set()
     x = 1
@@ -221,19 +114,17 @@ def _peisert(q, label):
             conn.add(x)
         x = f.mul(x, f.g)
     assert f.neg(1) in conn  # -1 = g^((q-1)/2) with (q-1)/2 = 0 mod 4
-    return _graph_from_rule(list(range(q)), lambda x, y: f.sub(x, y) in conn, label)
+    return _graph_from_rule(list(range(q)), lambda x, y: f.sub(x, y) in conn)
 
 
-def _triangular(n, label):
+def _triangular(n):
     verts = list(combinations(range(n), 2))
-    return _graph_from_rule(verts, lambda a, b: bool(set(a) & set(b)), label)
+    return _graph_from_rule(verts, lambda a, b: bool(set(a) & set(b)))
 
 
-def _lattice(m, label):
+def _lattice(m):
     verts = [(i, j) for i in range(m) for j in range(m)]
-    return _graph_from_rule(
-        verts, lambda a, b: a[0] == b[0] or a[1] == b[1], label
-    )
+    return _graph_from_rule(verts, lambda a, b: a[0] == b[0] or a[1] == b[1])
 
 
 def fano_flags():
@@ -249,7 +140,7 @@ def fano_flags():
     return points, lines, flags
 
 
-def _g2_comp(label):
+def _g2_comp():
     points, lines, flags = fano_flags()
     verts = (
         [("inf",)]
@@ -278,7 +169,7 @@ def _g2_comp(label):
         # inf-ln, inf-pt are non-edges; pt-pt and ln-ln are cliques
         return u[0] == w[0]
 
-    return _graph_from_rule(verts, adj, label)
+    return _graph_from_rule(verts, adj)
 
 
 def _poly_gcd_gf2(a, b):
@@ -314,7 +205,7 @@ def golay_heptads():
     return [frozenset(i for i in range(23) if (w >> i) & 1) for w in heptads]
 
 
-def _m22_comp(label):
+def _m22_comp():
     blocks = [h for h in golay_heptads() if 0 not in h]
     assert len(blocks) == 176
     pair_counts = {}
@@ -324,22 +215,17 @@ def _m22_comp(label):
     assert set(pair_counts.values()) == {16}  # 2-(22, 7, 16) design
     for b1, b2 in combinations(blocks, 2):
         assert len(b1 & b2) in (1, 3)
-    return _graph_from_rule(blocks, lambda a, b: len(a & b) == 3, label)
-
-
-def _check_prime_power(q):
-    f = field(q)  # raises if q is not a prime power
-    return f
+    return _graph_from_rule(blocks, lambda a, b: len(a & b) == 3)
 
 
 def _check_paley_size(q):
     if q % 4 != 1:
         raise ValueError("Paley needs q = 1 mod 4")
-    _check_prime_power(q)
+    field(q)  # raises if q is not a prime power
 
 
 def _check_peisert_size(q):
-    f = _check_prime_power(q)
+    f = field(q)  # raises if q is not a prime power
     if f.p % 4 != 3 or f.e % 2:
         raise ValueError("Peisert needs q = p^(2t) with p = 3 mod 4")
 
@@ -352,81 +238,155 @@ def _mins(lo):
     return check
 
 
+def _paley_params(q):
+    return SrgParams(q, (q - 1) // 2, (q - 5) // 4, (q - 1) // 4)
+
+
 FAMILIES = {
-    "NOplus2n_2": dict(needs_size=True, check_size=_mins(3), table=3),
-    "NOminus2n_2_comp": dict(needs_size=True, check_size=_mins(2), table=3),
-    "NOplusOdd_4": dict(needs_size=True, check_size=_mins(1), table=3),
-    "NOminusOdd_4_comp": dict(needs_size=True, check_size=_mins(2), table=3),
-    "VOplus": dict(needs_size=True, check_size=_mins(2), table=3),
-    "VOminus_comp": dict(needs_size=True, check_size=_mins(2), table=3),
-    "G2_2_comp": dict(needs_size=False, check_size=None, table=3),
-    "M22_comp": dict(needs_size=False, check_size=None, table=3),
-    "Paley": dict(needs_size=True, check_size=_check_paley_size, table=4),
-    "Peisert": dict(needs_size=True, check_size=_check_peisert_size, table=4),
-    "Triangular": dict(needs_size=True, check_size=_mins(5), table=0),
-    "Lattice": dict(needs_size=True, check_size=_mins(3), table=0),
-    "Sp2n_2": dict(needs_size=True, check_size=_mins(2), table=4),
-    "Oplus2n_2": dict(needs_size=True, check_size=_mins(2), table=4),
-    "Ominus2n_2": dict(needs_size=True, check_size=_mins(3), table=4),
+    "NOplus2n_2": dict(
+        check_size=_mins(3), table=3, build=lambda n: _polar_gf2(n, "plus", (1,), 0),
+        params=lambda n: SrgParams(
+            2 ** (n - 1) * (2**n - 1),
+            2 ** (2 * n - 2) - 1,
+            2 ** (2 * n - 3) - 2,
+            2 ** (n - 2) * (2 ** (n - 1) + 1),
+        ),
+    ),
+    "NOminus2n_2_comp": dict(
+        check_size=_mins(2), table=3, build=lambda n: _polar_gf2(n, "minus", (1,), 1),
+        params=lambda n: SrgParams(
+            2 ** (n - 1) * (2**n + 1),
+            2 ** (n - 1) * (2 ** (n - 1) + 1),
+            2 ** (n - 2) * (2 ** (n - 1) + 1),
+            2 ** (n - 1) * (2 ** (n - 2) + 1),
+        ),
+    ),
+    "NOplusOdd_4": dict(
+        check_size=_mins(1), table=3, build=lambda n: _no_gf4(n, "plus", False),
+        params=lambda n: SrgParams(
+            4**n * (4**n + 1) // 2,
+            (4 ** (n - 1) + 1) * (4**n - 1),
+            (4 ** (n - 1) + 2) * (4**n - 2) // 2,
+            4**n * (4 ** (n - 1) + 1) // 2,
+        ),
+    ),
+    "NOminusOdd_4_comp": dict(
+        check_size=_mins(2), table=3, build=lambda n: _no_gf4(n, "minus", True),
+        params=lambda n: SrgParams(
+            4**n * (4**n - 1) // 2,
+            4 ** (n - 1) * (4**n + 1),
+            4**n * (4 ** (n - 1) + 1) // 2,
+            4 ** (n - 1) * (4**n + 2) // 2,
+        ),
+    ),
+    "VOplus": dict(
+        check_size=_mins(2), table=3, build=lambda n: _vo(n, "plus", False),
+        params=lambda n: SrgParams(
+            4**n,
+            (2 ** (n - 1) + 1) * (2**n - 1),
+            (2 ** (n - 1) + 2) * (2 ** (n - 1) - 1),
+            2 ** (n - 1) * (2 ** (n - 1) + 1),
+        ),
+    ),
+    "VOminus_comp": dict(
+        check_size=_mins(2), table=3, build=lambda n: _vo(n, "minus", True),
+        params=lambda n: SrgParams(
+            4**n,
+            2 ** (n - 1) * (2**n + 1),
+            2 ** (n - 1) * (2 ** (n - 1) + 1),
+            2 ** (n - 1) * (2 ** (n - 1) + 1),
+        ),
+    ),
+    "G2_2_comp": dict(
+        check_size=None, table=3, build=lambda n: _g2_comp(),
+        params=lambda n: SrgParams(36, 21, 12, 12),
+    ),
+    "M22_comp": dict(
+        check_size=None, table=3, build=lambda n: _m22_comp(),
+        params=lambda n: SrgParams(176, 105, 68, 54),
+    ),
+    "Paley": dict(
+        check_size=_check_paley_size, table=4, build=_paley, params=_paley_params
+    ),
+    "Peisert": dict(
+        check_size=_check_peisert_size, table=4, build=_peisert, params=_paley_params
+    ),
+    "Triangular": dict(
+        check_size=_mins(5), table=0, build=_triangular,
+        params=lambda n: SrgParams(n * (n - 1) // 2, 2 * (n - 2), n - 2, 4),
+    ),
+    "Lattice": dict(
+        check_size=_mins(3), table=0, build=_lattice,
+        params=lambda n: SrgParams(n * n, 2 * (n - 1), n - 2, 2),
+    ),
+    "Sp2n_2": dict(
+        # the polar form of the hyperbolic quadric is the symplectic form
+        check_size=_mins(2), table=4, build=lambda n: _polar_gf2(n, "plus", (0, 1), 0),
+        params=lambda n: SrgParams(
+            4**n - 1, 2 ** (2 * n - 1) - 2, 2 ** (2 * n - 2) - 3, 2 ** (2 * n - 2) - 1
+        ),
+    ),
+    # polar graphs of O+-(2n, q) at q = 2, upper signs for O+:
+    # lambda = q^2 (q^(n-3) +- 1)(q^(n-2) -+ 1) / (q - 1) + q - 1
+    "Oplus2n_2": dict(
+        check_size=_mins(2), table=4, build=lambda n: _polar_gf2(n, "plus", (0,), 0),
+        params=lambda n: SrgParams(
+            2 ** (2 * n - 1) + 2 ** (n - 1) - 1,
+            2 * (2 ** (n - 2) + 1) * (2 ** (n - 1) - 1),
+            (2 ** (n - 1) + 4) * (2 ** (n - 2) - 1) + 1,
+            (2 ** (n - 2) + 1) * (2 ** (n - 1) - 1),
+        ),
+    ),
+    "Ominus2n_2": dict(
+        check_size=_mins(3), table=4, build=lambda n: _polar_gf2(n, "minus", (0,), 0),
+        params=lambda n: SrgParams(
+            (2 ** (n - 1) - 1) * (2**n + 1),
+            2 * (2 ** (n - 2) - 1) * (2 ** (n - 1) + 1),
+            (2 ** (n - 1) - 4) * (2 ** (n - 2) + 1) + 1,
+            (2 ** (n - 2) - 1) * (2 ** (n - 1) + 1),
+        ),
+    ),
 }
 
 FAMILY_IDS = tuple(FAMILIES)
 
 
-def build(spec, size=None):
+def expected_params(family, size=None):
+    "closed-form (v, k, lambda, mu) for the family, once size passes its check"
+    row = FAMILIES.get(family)
+    if row is None:
+        raise ValueError("unknown family %r (options: %s)" % (family, ", ".join(FAMILIES)))
+    if row["check_size"] is None:
+        if size is not None:
+            raise ValueError("family %s takes no size argument" % family)
+    elif size is None:
+        raise ValueError("family %s needs a size argument" % family)
+    else:
+        row["check_size"](size)
+    return row["params"](size)
+
+
+def build(family, size=None):
     "build a family member and certify its parameters; mismatches raise"
-    if isinstance(spec, str):
-        spec = FamilySpec(spec, size)
-    want = expected_params(spec.family, spec.size)
+    want = expected_params(family, size)
     cap = effective_bound(BUILD_VERTEX_BOUND)
     if want.v > cap:
         raise ValueError("%d vertices exceeds the build bound %d" % (want.v, cap))
-    label = spec.family if spec.size is None else "%s:%d" % (spec.family, spec.size)
-    n = spec.size
-    if spec.family == "NOplus2n_2":
-        g = _no_gf2(n, "plus", False, label)
-    elif spec.family == "NOminus2n_2_comp":
-        g = _no_gf2(n, "minus", True, label)
-    elif spec.family == "NOplusOdd_4":
-        g = _no_gf4(n, "plus", False, label)
-    elif spec.family == "NOminusOdd_4_comp":
-        g = _no_gf4(n, "minus", True, label)
-    elif spec.family == "VOplus":
-        g = _vo(n, "plus", False, label)
-    elif spec.family == "VOminus_comp":
-        g = _vo(n, "minus", True, label)
-    elif spec.family == "G2_2_comp":
-        g = _g2_comp(label)
-    elif spec.family == "M22_comp":
-        g = _m22_comp(label)
-    elif spec.family == "Paley":
-        g = _paley(n, label)
-    elif spec.family == "Peisert":
-        g = _peisert(n, label)
-    elif spec.family == "Triangular":
-        g = _triangular(n, label)
-    elif spec.family == "Lattice":
-        g = _lattice(n, label)
-    elif spec.family == "Sp2n_2":
-        g = _sp_gf2(n, label)
-    elif spec.family == "Oplus2n_2":
-        g = _o_polar_gf2(n, "plus", label)
-    elif spec.family == "Ominus2n_2":
-        g = _o_polar_gf2(n, "minus", label)
-    else:
-        raise ValueError("unknown family: %r" % (spec.family,))
+    g = FAMILIES[family]["build"](size)
+    g.label = family if size is None else "%s:%d" % (family, size)
     got = srg_params(g)
-    assert got == want, "%s built (%d,%d,%d,%d), expected (%d,%d,%d,%d)" % (
-        (label,) + got.as_tuple() + want.as_tuple()
-    )
+    if got != want:
+        raise ValueError("%s built (%d,%d,%d,%d), expected (%d,%d,%d,%d)" % (
+            (g.label,) + got.as_tuple() + want.as_tuple()
+        ))
     return g
 
 
 def family_info():
     "registry rows for the CLI: id, whether a size is needed, table membership"
     out = []
-    for fid, info in FAMILIES.items():
+    for fid, row in FAMILIES.items():
         out.append(
-            {"family": fid, "needs_size": info["needs_size"], "table": info["table"]}
+            {"family": fid, "needs_size": row["check_size"] is not None, "table": row["table"]}
         )
     return out

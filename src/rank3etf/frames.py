@@ -43,11 +43,13 @@ class GramMatrix:
 
     def __post_init__(self):
         m = self.entries
-        assert m.rows == m.cols, "Gram matrix must be square"
-        one = QuadExt(1)
-        for i in range(m.rows):
-            assert m[i, i] == one, "diagonal entry is not 1"
-        assert m == m.transpose(), "Gram matrix must be symmetric"
+        if m.rows != m.cols:
+            raise ValueError("Gram matrix must be square")
+        # an entry (a + b sqrt(D)) / den is 1 iff a = den and b = 0
+        if (m.A.diagonal() != m.den).any() or m.B.diagonal().any():
+            raise ValueError("diagonal entry is not 1")
+        if m != m.transpose():
+            raise ValueError("Gram matrix must be symmetric")
 
     @property
     def M(self):
@@ -137,9 +139,11 @@ def naimark(gm, cert=None):
     "the (M, M-N) complement of an (M, N) ETF; an involution on ETF Grams"
     if cert is None:
         cert = verify_etf(gm)
-    assert cert.is_etf, "Naimark complement needs an ETF input"
+    if not cert.is_etf:
+        raise ValueError("Naimark complement needs an ETF input")
     M, N = cert.M, cert.N
-    assert N < M, "complement needs N < M"
+    if N >= M:
+        raise ValueError("complement needs N < M")
     scaled = gm.entries.scale(Fraction(-N, M - N))
     out = scaled + ExactMatrix.identity(M).scale(Fraction(M, M - N))
     return GramMatrix(out, gm.label)
@@ -148,7 +152,8 @@ def naimark(gm, cert=None):
 def descendant_gram(g):
     "border-and-switch Gram for a k = 2 mu graph: ETF with (M, N) = (v+1, g+1)"
     p = srg_params(g)
-    assert p.k == 2 * p.mu, "descendant Gram needs k = 2 mu"
+    if p.k != 2 * p.mu:
+        raise ValueError("descendant Gram needs k = 2 mu")
     sp = spectrum(p)
     c = (QuadExt(1) + sp.r * 2).inverse()
     codes = np.zeros((p.v + 1, p.v + 1), dtype=np.uint8)
@@ -211,7 +216,9 @@ def gram_from_json(text):
     obj = json.loads(text)
     M = obj["M"]
     vals = [QuadExt.parse(s) for s in obj["entries"]]
-    assert len(vals) == M * (M + 1) // 2
+    want = M * (M + 1) // 2
+    if len(vals) != want:
+        raise ValueError("%d Gram entries, expected %d for M = %d" % (len(vals), want, M))
     rows = [[None] * M for _ in range(M)]
     it = iter(vals)
     for i in range(M):

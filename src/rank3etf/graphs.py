@@ -30,6 +30,14 @@ class NotStronglyRegular(ValueError):
     "raised with a human-readable reason and an offending vertex pair if any"
 
 
+def bits(mask):
+    "indices of the set bits of mask, lowest first"
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class Graph:
     "simple undirected graph; rows[i] bit j set iff i ~ j"
 
@@ -73,18 +81,11 @@ class Graph:
 
     def edges(self):
         for i in range(self.n):
-            r = self.rows[i] >> (i + 1) << (i + 1)
-            while r:
-                low = r & -r
-                yield (i, low.bit_length() - 1)
-                r ^= low
+            for j in bits(self.rows[i] >> (i + 1) << (i + 1)):
+                yield (i, j)
 
     def neighbors(self, i):
-        r = self.rows[i]
-        while r:
-            low = r & -r
-            yield low.bit_length() - 1
-            r ^= low
+        yield from bits(self.rows[i])
 
     def complement(self):
         mask = (1 << self.n) - 1
@@ -97,7 +98,8 @@ class Graph:
         "Seidel switching: flip all edges between subset and its complement"
         smask = 0
         for i in subset:
-            assert 0 <= i < self.n
+            if not 0 <= i < self.n:
+                raise ValueError("vertex %r outside 0..%d" % (i, self.n - 1))
             smask |= 1 << i
         cmask = ((1 << self.n) - 1) ^ smask
         rows = [
@@ -106,7 +108,8 @@ class Graph:
         return Graph.from_rows(rows, self.label)
 
     def delete_vertex(self, x):
-        assert 0 <= x < self.n
+        if not 0 <= x < self.n:
+            raise ValueError("vertex %r outside 0..%d" % (x, self.n - 1))
         low = (1 << x) - 1
         rows = []
         for i, r in enumerate(self.rows):
@@ -117,14 +120,13 @@ class Graph:
 
     def relabel(self, perm):
         "perm[i] is the new name of old vertex i"
-        assert sorted(perm) == list(range(self.n))
+        if sorted(perm) != list(range(self.n)):
+            raise ValueError("not a permutation of 0..%d" % (self.n - 1))
         rows = [0] * self.n
         for i, r in enumerate(self.rows):
             nr = 0
-            while r:
-                low = r & -r
-                nr |= 1 << perm[low.bit_length() - 1]
-                r ^= low
+            for j in bits(r):
+                nr |= 1 << perm[j]
             rows[perm[i]] = nr
         return Graph.from_rows(rows, self.label)
 
@@ -181,8 +183,10 @@ class SrgParams:
     def __post_init__(self):
         v, k, lam, mu = self.v, self.k, self.lam, self.mu
         # 0 < mu keeps the graph connected, mu < k its complement
-        assert 0 < k < v - 1 and 0 < mu < k, "parameters are not primitive"
-        assert k * (k - lam - 1) == (v - k - 1) * mu, "parameter identity fails"
+        if not (0 < k < v - 1 and 0 < mu < k):
+            raise ValueError("parameters are not primitive")
+        if k * (k - lam - 1) != (v - k - 1) * mu:
+            raise ValueError("parameter identity fails")
 
     def complement(self):
         v, k, lam, mu = self.v, self.k, self.lam, self.mu

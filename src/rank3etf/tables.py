@@ -239,7 +239,8 @@ def run_experiment(exp_id, size=None):
     t0 = time.monotonic()
     checks = []
     if exp_id == "iso_checks":
-        assert size is None, "iso_checks takes no size"
+        if size is not None:
+            raise ValueError("iso_checks takes no size")
         for fam_a, sz_a, op_a, fam_b, sz_b, op_b in ISO_CHECK_PAIRS:
             a = build(fam_a, sz_a)
             if op_a == "complement":
@@ -266,7 +267,9 @@ def run_experiment(exp_id, size=None):
         b = _k1_plus(build("Peisert", q))
         checks.append(_switch_decision(a, b))
     else:
-        raise ValueError("unknown experiment: %r" % (exp_id,))
+        raise ValueError(
+            "unknown experiment %r (options: %s)" % (exp_id, ", ".join(EXPERIMENT_IDS))
+        )
     return {
         "id": exp_id,
         "size": size,

@@ -31,7 +31,7 @@ any search (they also cover block counts, as the degrees sum to 3 blocks).
 """
 
 from .bounds import effective_bound
-from .graphs import Graph, srg_params
+from .graphs import Graph, bits, srg_params
 from .iso import find_isomorphism
 
 SWITCHING_VERTEX_BOUND = 140
@@ -81,11 +81,8 @@ class TwoGraph:
     def blocks(self):
         for i in range(self.n):
             for j in range(i + 1, self.n):
-                m = self.masks[i][j] >> (j + 1) << (j + 1)
-                while m:
-                    low = m & -m
-                    yield (i, j, low.bit_length() - 1)
-                    m ^= low
+                for k in bits(self.masks[i][j] >> (j + 1) << (j + 1)):
+                    yield (i, j, k)
 
     def block_count(self):
         return sum(

@@ -152,6 +152,8 @@ def test_experiment_formats(capsys):
     rc, out, _ = run(capsys, "experiment", "descendant_vs_O", "--format", "csv")
     assert out.splitlines()[0] == "id,pair,decision,wall_time"
     assert run(capsys, "experiment", "bogus")[0] == 2
+    rc, out, err = run(capsys, "experiment", "iso_checks", "--size", "3")
+    assert rc == 2 and out == "" and err == "error: iso_checks takes no size\n"
 
 
 def test_export_gram(capsys, tmp_path):
@@ -176,6 +178,11 @@ def test_export_vectors(capsys):
         QuadExt.parse(s)  # every entry is a serialized exact scalar
     assert run(capsys, "export-vectors", "Paley", "9")[0] == 2
     assert run(capsys, "export-vectors", "VOplus")[0] == 2
+    # the family's own size check and the build vertex bound (M = 4^n)
+    for argv in (("VOplus", "0"), ("VOplus", "1"), ("VOminus_comp", "1"), ("VOplus", "13")):
+        rc, out, err = run(capsys, "export-vectors", *argv)
+        assert rc == 2 and out == "" and err.startswith("error: "), argv
+    assert "build bound" in err
 
 
 def test_output_files_end_with_newline(capsys, tmp_path):

@@ -14,7 +14,6 @@ import pytest
 from rank3etf.families import (
     FAMILIES,
     FAMILY_IDS,
-    FamilySpec,
     build,
     expected_params,
     family_info,
@@ -23,6 +22,7 @@ from rank3etf.families import (
 )
 from rank3etf.graphs import srg_params
 from rank3etf.iso import find_isomorphism
+from rank3etf.tables import TABLE3_MENU, TABLE4_MENU
 
 # smallest member of every family, with its frozen quadruple
 SMALLEST = {
@@ -47,6 +47,14 @@ SMALLEST = {
 def test_registry_covers_all_families():
     assert set(f for f, _ in SMALLEST) == set(FAMILY_IDS)
     assert {row["family"] for row in family_info()} == set(FAMILY_IDS)
+    # needs_size is derived from check_size, which is None for sizeless rows
+    for row in family_info():
+        spec = FAMILIES[row["family"]]
+        assert set(spec) == {"check_size", "table", "params", "build"}
+        assert row["needs_size"] == (spec["check_size"] is not None)
+    assert [r["family"] for r in family_info() if not r["needs_size"]] == [
+        "G2_2_comp", "M22_comp",
+    ]
 
 
 def test_smallest_member_of_every_family():
@@ -72,10 +80,27 @@ def test_larger_members():
         assert srg_params(build(fam, size)).as_tuple() == quad
 
 
-def test_spec_object_entry_point():
-    g = build(FamilySpec("Paley", 9))
-    assert g.label == "Paley:9"
-    assert build("Paley", 9) == g
+def test_closed_forms_satisfy_the_parameter_identity():
+    # SrgParams itself checks primitivity and k(k - lambda - 1) = (v - k - 1) mu,
+    # so every size a row accepts must give a quad, far past the build bound
+    for fam, row in FAMILIES.items():
+        if row["check_size"] is None:
+            expected_params(fam)
+            continue
+        accepted = 0
+        for n in range(1, 130):
+            try:
+                row["check_size"](n)
+            except ValueError:
+                continue
+            expected_params(fam, n)
+            accepted += 1
+        assert accepted >= 3, fam
+
+
+def test_build_labels():
+    assert build("Paley", 9).label == "Paley:9"
+    assert build("G2_2_comp").label == "G2_2_comp"
 
 
 def test_size_validation():
@@ -95,7 +120,9 @@ def test_size_validation():
         expected_params("Paley")  # size required
     with pytest.raises(ValueError):
         expected_params("G2_2_comp", 3)  # size forbidden
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="takes no size"):
+        build("G2_2_comp", 0)  # zero is a size too
+    with pytest.raises(ValueError, match="unknown family"):
         build("Petersen", 10)
 
 
@@ -183,3 +210,12 @@ def test_registry_table_membership():
     assert "M22_comp" in t3 and "Paley" in t4
     assert t3 & t4 == set()
     assert "Triangular" not in t3 | t4
+
+
+def test_registry_tables_match_table_menus():
+    # the registry's table column (shown by the list command) names exactly
+    # the families that generate_table puts in each table
+    for which, menu in ((3, TABLE3_MENU), (4, TABLE4_MENU)):
+        in_registry = {f for f, row in FAMILIES.items() if row["table"] == which}
+        assert in_registry == {f for f, _ in menu}, which
+    assert {row["table"] for row in FAMILIES.values()} == {0, 3, 4}

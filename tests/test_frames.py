@@ -45,10 +45,14 @@ def test_criteria_oracles():
 
 
 def test_gram_matrix_validation():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="diagonal"):
         GramMatrix(ExactMatrix.from_rows([[1, 0], [0, 2]]))  # diagonal not 1
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="diagonal"):
+        GramMatrix(ExactMatrix.from_rows([[1, 0], [0, QuadExt(1, 1, 2)]]))  # 1 + sqrt 2
+    with pytest.raises(ValueError, match="square"):
         GramMatrix(ExactMatrix.from_rows([[1, 0, 0], [0, 1, 0]]))  # not square
+    with pytest.raises(ValueError, match="symmetric"):
+        GramMatrix(ExactMatrix.from_rows([[1, 2], [0, 1]]))
     gm = GramMatrix(ExactMatrix.identity(3), "I3")
     assert gm.M == 3 and gm[0, 0] == QuadExt(1)
 
@@ -107,8 +111,8 @@ import hashlib
 from fractions import Fraction
 from rank3etf.families import build
 from rank3etf.fields import field
-from rank3etf.frames import GramMatrix, embedding_gram, verify_etf
-from rank3etf.graphs import Graph
+from rank3etf.frames import GramMatrix, descendant_gram, embedding_gram, naimark, verify_etf
+from rank3etf.graphs import Graph, SrgParams
 from rank3etf.matrices import ExactMatrix
 from rank3etf.twographs import TwoGraph, switching_equivalent, two_graph_of
 print(__debug__)
@@ -130,6 +134,11 @@ for bad in (
     lambda: TwoGraph(16, masks),
     lambda: field(3**8),
     lambda: switching_equivalent(p9, p9, bound=5),
+    lambda: GramMatrix(ExactMatrix.from_rows([[1, 2], [0, 1]])),
+    lambda: GramMatrix(ExactMatrix.from_rows([[1, 0], [0, 2]])),
+    lambda: SrgParams(10, 3, 9, 9),
+    lambda: naimark(embedding_gram(build("Sp2n_2", 2))),
+    lambda: descendant_gram(build("VOplus", 2)),
 ):
     try:
         bad()
@@ -150,7 +159,7 @@ for bad in (
         "NotTight",
         # frozen NOplusOdd_4 2 rows, as in test_families.GF4_ROW_DIGESTS
         "d9fe24fcf07582379b320c376925df4ae53dda9af51f7406a117b1e941f77b4f",
-    ] + ["ValueError"] * 6
+    ] + ["ValueError"] * 11
 
 
 def test_welch_bound_is_strict_off_etf():
@@ -176,7 +185,7 @@ def test_naimark_complement():
     assert ncert.is_etf
     back = naimark(nm, ncert)
     assert back.entries == gm.entries  # involution, byte-exact
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="needs an ETF"):
         naimark(embedding_gram(build("Sp2n_2", 2)))  # not an ETF
 
 
@@ -191,7 +200,7 @@ def test_descendant_gram():
     # appended vertex sits at index 0 with constant inner products
     c = dgm[0, 1]
     assert all(dgm[0, j] == c for j in range(1, dgm.M))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="k = 2 mu"):
         descendant_gram(build("VOplus", 2))  # k != 2 mu
 
 

@@ -16,6 +16,7 @@ from rank3etf.graphs import (
     Graph,
     NotStronglyRegular,
     SrgParams,
+    bits,
     eigenmatrices,
     spectrum,
     srg_params,
@@ -62,6 +63,16 @@ def test_complement_switch_delete_relabel():
     assert h.edge_count() == g.edge_count()
     for i, j in g.edges():
         assert h.adj(perm[i], perm[j])
+    for bad in (lambda: g.switch([5]), lambda: g.delete_vertex(-1),
+                lambda: g.relabel([0, 1, 2, 3, 3])):
+        with pytest.raises(ValueError):
+            bad()
+
+
+def test_bits():
+    assert list(bits(0)) == []
+    assert list(bits(0b1011001)) == [0, 3, 4, 6]
+    assert list(bits(1 << 200)) == [200]
 
 
 def test_json_round_trip():
@@ -95,9 +106,9 @@ def test_srg_rejections():
 
 
 def test_srg_params_primitivity_guard():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="primitive"):
         SrgParams(6, 4, 2, 4)  # mu = k
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="identity"):
         SrgParams(10, 3, 0, 2)  # identity fails
 
 
