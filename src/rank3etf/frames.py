@@ -164,13 +164,18 @@ def descendant_gram(g):
 
 def vo_vectors(n, kind):
     "character columns: entry (z, x) = (-1)^{B(x,z)} / sqrt(N), z nonsingular"
-    assert kind in ("plus", "minus_comp")
+    if kind not in ("plus", "minus_comp"):
+        raise ValueError("vo_vectors kind must be 'plus' or 'minus_comp', not %r" % (kind,))
+    if n < 2:
+        raise ValueError("vo_vectors needs n >= 2 for a primitive graph, not %r" % (n,))
     sp = standard_space(2, 2 * n, "plus" if kind == "plus" else "minus")
     qt = np.array(sp.q_table(), dtype=np.uint8)
     points = np.flatnonzero(qt)  # q(0) = 0, so z = 0 is never among them
     xs = np.arange(4**n)
     N = len(points)
-    assert N == 2 ** (n - 1) * (2**n + (-1 if kind == "plus" else 1))
+    want = 2 ** (n - 1) * (2**n + (-1 if kind == "plus" else 1))
+    if N != want:
+        raise ValueError("%d nonsingular vectors, expected %d" % (N, want))
     codes = qt[points[:, None] ^ xs] ^ qt[xs] ^ qt[points][:, None]  # B(x, z)
     plus = sqrt_int(N).inverse()
     return ExactMatrix.from_codes(codes, (plus, -plus))

@@ -110,7 +110,8 @@ class QuadraticSpace:
         "q values indexed by packed vector"
         if self._qt is None:
             n = self.field.q**self.dim
-            assert n <= AMBIENT_BOUND
+            if n > AMBIENT_BOUND:
+                raise ValueError("%d vectors exceeds the ambient bound %d" % (n, AMBIENT_BOUND))
             self._qt = [self.q_of(self.unpack(i)) for i in range(n)]
         return self._qt
 

@@ -28,11 +28,19 @@ descendant at x.  G and H are equivalent iff the descendant of G at 0 is
 isomorphic to a descendant of H at some w; the witness (w, bijection) is
 returned.  Mismatched pair-degree multisets decide NotEquivalent without
 any search (they also cover block counts, as the degrees sum to 3 blocks).
+
+Once the search at w = 0 has failed, the loop expects a refutation, and it
+skips every w whose descendant has a K4 pair multiset (iso.k4_pair_multiset)
+different from that of the descendant of G at 0.  The multiset is a graph
+isomorphism invariant, so a mismatch proves that descendant is not
+isomorphic, and the skipped w could not have given a witness: the first w
+that does, and its bijection, are the same as without the filter.  A
+positive decision found at w = 0 never computes the invariant.
 """
 
 from .bounds import effective_bound
 from .graphs import Graph, bits, srg_params
-from .iso import find_isomorphism
+from .iso import find_isomorphism, k4_pair_multiset
 
 SWITCHING_VERTEX_BOUND = 140
 
@@ -184,8 +192,14 @@ def switching_equivalent(g, h, bound=SWITCHING_VERTEX_BOUND):
     if tg.pair_degree_multiset() != th.pair_degree_multiset():
         return None
     g0 = tg.descendant_graph(0)
+    key = None  # k4_pair_multiset(g0), once a search has failed
     for w in range(h.n):
-        perm = find_isomorphism(g0, th.descendant_graph(w))
+        hw = th.descendant_graph(w)
+        if key is not None and k4_pair_multiset(hw) != key:
+            continue
+        perm = find_isomorphism(g0, hw)
         if perm is not None:
             return (w, perm)
+        if key is None:
+            key = k4_pair_multiset(g0)
     return None

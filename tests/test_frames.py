@@ -105,14 +105,16 @@ def test_not_tight_branch():
 
 def test_certificate_checks_survive_optimize():
     # python -O strips every assert; the verdicts, the GF(4) count checks, the
-    # two-graph check and the input guards must rest on explicit checks
+    # two-graph check, the isomorphism witness check and the input guards must
+    # rest on explicit checks
     script = """
 import hashlib
 from fractions import Fraction
 from rank3etf.families import build
 from rank3etf.fields import field
-from rank3etf.frames import GramMatrix, descendant_gram, embedding_gram, naimark, verify_etf
+from rank3etf.frames import GramMatrix, descendant_gram, embedding_gram, naimark, verify_etf, vo_vectors
 from rank3etf.graphs import Graph, SrgParams
+from rank3etf import iso
 from rank3etf.matrices import ExactMatrix
 from rank3etf.twographs import TwoGraph, switching_equivalent, two_graph_of
 print(__debug__)
@@ -139,12 +141,21 @@ for bad in (
     lambda: SrgParams(10, 3, 9, 9),
     lambda: naimark(embedding_gram(build("Sp2n_2", 2))),
     lambda: descendant_gram(build("VOplus", 2)),
+    lambda: vo_vectors(13, "plus"),
+    lambda: vo_vectors(2, "bogus"),
+    lambda: vo_vectors(1, "plus"),
 ):
     try:
         bad()
         print("accepted")
     except ValueError:
         print("ValueError")
+# a bijection that is not an isomorphism: vertices 0 and 1 swapped
+iso._search = lambda rows_g, rows_h, col_g, col_h: [1, 0] + list(range(2, len(rows_g)))
+try:
+    print(iso.find_isomorphism(p9, p9))
+except RuntimeError:
+    print("RuntimeError")
 """
     paths = (str(Path(rank3etf.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH"))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
@@ -159,7 +170,7 @@ for bad in (
         "NotTight",
         # frozen NOplusOdd_4 2 rows, as in test_families.GF4_ROW_DIGESTS
         "d9fe24fcf07582379b320c376925df4ae53dda9af51f7406a117b1e941f77b4f",
-    ] + ["ValueError"] * 11
+    ] + ["ValueError"] * 14 + ["RuntimeError"]
 
 
 def test_welch_bound_is_strict_off_etf():
@@ -219,6 +230,12 @@ def test_vo_vectors_match_embedding():
         got = gram_of_columns(mat)
         want = embedding_gram(g)
         assert got.entries == want.entries
+
+
+def test_vo_vectors_rejects_bad_arguments():
+    for n, kind in ((2, "bogus"), (1, "plus"), (1, "minus_comp"), (13, "plus")):
+        with pytest.raises(ValueError, match="vo_vectors|ambient bound"):
+            vo_vectors(n, kind)
 
 
 def test_vo_vectors_unit_columns():

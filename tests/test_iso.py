@@ -2,16 +2,18 @@
 Graph isomorphism by colour refinement with individualization: random
 relabelings are always recovered, returned bijections are verified edgewise,
 and the classic same-parameter pair (4x4 lattice vs Shrikhande graph, both
-(16,6,2,2)) is separated.
+(16,6,2,2)) is separated.  The packed K4 pair invariant matches a naive
+count, is unchanged by relabeling, and separates Paley(49) from Peisert(49).
 """
 
+from itertools import combinations
 import random
 
 import pytest
 
 from rank3etf.families import build
 from rank3etf.graphs import Graph, srg_params
-from rank3etf.iso import find_isomorphism, isomorphic
+from rank3etf.iso import find_isomorphism, isomorphic, k4_pair_multiset
 
 
 def _shrikhande():
@@ -98,3 +100,45 @@ def test_vertex_bound_overridable(monkeypatch):
         find_isomorphism(g, g)
     monkeypatch.setenv("ETF_RANK3_MAX_VERTICES", "20")
     assert find_isomorphism(g, g) is not None
+
+
+def _naive_k4_pair_multiset(g):
+    "reference: the edges inside each common neighbourhood, counted pair by pair"
+    nb = [set(g.neighbors(v)) for v in range(g.n)]
+    counts = {}
+    for i, j in combinations(range(g.n), 2):
+        common = nb[i] & nb[j]
+        inside = sum(1 for a, b in combinations(sorted(common), 2) if b in nb[a])
+        key = (int(j in nb[i]), len(common), inside)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def _rand_graph(rng, n):
+    p = rng.random()
+    return Graph(n, [(i, j) for i, j in combinations(range(n), 2) if rng.random() < p])
+
+
+def test_k4_pair_multiset_matches_naive_count():
+    rng = random.Random(2024)
+    graphs = [_rand_graph(rng, rng.randint(1, 30)) for _ in range(60)]
+    graphs += [_shrikhande(), build("Lattice", 4), build("Paley", 13), build("Peisert", 9)]
+    graphs += [build("Triangular", 7), build("VOplus", 2), build("NOminus2n_2_comp", 3)]
+    for g in graphs:
+        assert k4_pair_multiset(g) == _naive_k4_pair_multiset(g), g.label
+
+
+def test_k4_pair_multiset_is_relabeling_invariant():
+    rng = random.Random(2025)
+    for g in [_rand_graph(rng, rng.randint(2, 30)) for _ in range(20)] + [build("Paley", 29)]:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert k4_pair_multiset(g.relabel(perm)) == k4_pair_multiset(g)
+
+
+def test_k4_pair_multiset_separates_paley_peisert():
+    # both (49, 24, 11, 12): the pair counts agree, the K4 counts do not
+    assert k4_pair_multiset(build("Paley", 49)) == {(1, 11, 25): 588, (0, 12, 30): 588}
+    assert k4_pair_multiset(build("Peisert", 49)) == {(1, 11, 22): 588, (0, 12, 33): 588}
+    # and the Shrikhande graph from the 4x4 lattice, both (16, 6, 2, 2)
+    assert k4_pair_multiset(_shrikhande()) != k4_pair_multiset(build("Lattice", 4))

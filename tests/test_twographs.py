@@ -4,7 +4,9 @@ a brute-force even-4-set reference (random small triple systems, and a
 corrupted 64-vertex two-graph), switching invariance (the defining
 property), descendants as isolate-and-delete, regularity with witnesses,
 and the switching-equivalence decision with its (vertex, bijection) witness
-verified by hand.
+verified by hand.  The K4 invariant filter leaves every witness as the
+plain search loop finds it, and refutes K1+Paley(q) vs K1+Peisert(q) for
+q = 49 and 81 with one search.
 """
 
 import copy
@@ -16,6 +18,9 @@ import pytest
 from rank3etf.families import build
 from rank3etf.frames import descendant_gram, embedding_gram
 from rank3etf.graphs import Graph, srg_params
+from rank3etf.iso import find_isomorphism
+from rank3etf.tables import _k1_plus
+import rank3etf.twographs
 from rank3etf.twographs import (
     NotRegular,
     TwoGraph,
@@ -258,6 +263,53 @@ def test_switching_equivalent_negative_and_errors():
         da = two_graph_of(g).descendant_graph(0)
         db = two_graph_of(g.complement()).descendant_graph(w)
         assert da.relabel(perm) == db
+
+
+def _unfiltered_witness(g, h):
+    "reference: the first w, in order, whose descendant the search maps onto"
+    g0 = two_graph_of(g).descendant_graph(0)
+    th = two_graph_of(h)
+    for w in range(h.n):
+        perm = find_isomorphism(g0, th.descendant_graph(w))
+        if perm is not None:
+            return (w, perm)
+    return None
+
+
+def test_filtered_witness_matches_plain_search():
+    # random two-graphs have few automorphisms, so the search at w = 0
+    # usually fails and the filter picks among the remaining w
+    rng = random.Random(4711)
+    late = 0
+    for _ in range(30):
+        g = _rand_graph(rng, rng.randint(6, 14))
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = g.switch([v for v in range(g.n) if rng.random() < 0.5]).relabel(perm)
+        res = switching_equivalent(g, h)
+        assert res is not None and res == _unfiltered_witness(g, h)
+        late += res[0] > 0
+    assert late >= 10
+
+
+def _paley_peisert(q):
+    return _k1_plus(build("Paley", q)), _k1_plus(build("Peisert", q))
+
+
+def test_paley_vs_peisert(monkeypatch):
+    p9, s9 = _paley_peisert(9)
+    res = switching_equivalent(p9, s9)  # Paley(9) is Peisert(9)
+    assert res is not None and res[0] == 0
+    assert switching_equivalent(*_paley_peisert(81)) is None
+    searches = []
+
+    def counting(g, h):
+        searches.append(h.n)
+        return find_isomorphism(g, h)
+
+    monkeypatch.setattr(rank3etf.twographs, "find_isomorphism", counting)
+    assert switching_equivalent(*_paley_peisert(49)) is None
+    assert searches == [49]  # w = 0 only: the K4 counts refute the other 49 w
 
 
 def test_switching_bound(monkeypatch):
