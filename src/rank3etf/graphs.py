@@ -252,24 +252,31 @@ class Spectrum:
 def spectrum(params):
     v, k, lam, mu = params.as_tuple()
     disc = (lam - mu) ** 2 + 4 * (k - mu)
-    assert disc > 0
+    if disc <= 0:
+        raise ValueError("discriminant must be positive")
     root = sqrt_int(disc)
     r = (QuadExt(lam - mu) + root) / 2
     s = (QuadExt(lam - mu) - root) / 2
-    assert r.sign() > 0 and s.sign() < 0, "primitive spectrum must straddle zero"
+    if not (r.sign() > 0 and s.sign() < 0):
+        raise ValueError("primitive spectrum must straddle zero")
     if root.is_rational():
         fq = (QuadExt(-k) - s * (v - 1)) / (r - s)
         f = fq.as_fraction()
-        assert f.denominator == 1 and 0 < f < v, "multiplicity is not integral"
+        if not (f.denominator == 1 and 0 < f < v):
+            raise ValueError("multiplicity is not integral")
         f = int(f)
         g = v - 1 - f
     else:
         # irrational eigenvalues force equal multiplicities: the half case
-        assert 2 * k + (v - 1) * (lam - mu) == 0, "irrational case needs trace zero"
-        assert (v - 1) % 2 == 0
+        if 2 * k + (v - 1) * (lam - mu) != 0:
+            raise ValueError("irrational case needs trace zero")
+        if (v - 1) % 2 != 0:
+            raise ValueError("irrational case needs an odd vertex count")
         f = g = (v - 1) // 2
-    assert QuadExt(k) + r * f + s * g == 0  # trace of A
-    assert QuadExt(k * k) + r.sq() * f + s.sq() * g == QuadExt(v * k)  # trace of A^2
+    if QuadExt(k) + r * f + s * g != 0:
+        raise ValueError("trace of A is not zero")
+    if QuadExt(k * k) + r.sq() * f + s.sq() * g != QuadExt(v * k):
+        raise ValueError("trace of A^2 is not vk")
     return Spectrum(k, r, s, f, g)
 
 
@@ -299,5 +306,6 @@ def eigenmatrices(params):
         ]
     )
     prod = mat_mul(P, Q)
-    assert prod == ExactMatrix.identity(3).scale(v), "P Q != v I"
+    if prod != ExactMatrix.identity(3).scale(v):
+        raise ValueError("P Q != v I")
     return Eigenmatrices(P, Q)

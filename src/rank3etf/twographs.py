@@ -1,30 +1,37 @@
 """
 Two-graphs, regularity, descendants, and the switching-equivalence decision.
 
-A two-graph is stored as pair masks: masks[i][j] is the bitmask of vertices
-z making {i, j, z} a block.  From a graph, a triple is a block iff it spans
-an odd number of edges, so masks[i][j] = rows[i] XOR rows[j], complemented
-when i ~ j, with bits i and j cleared; from a Gram matrix the sign graph
-(edge iff negative inner product) is taken first, which matches the
-obtuse-angle reading.
+The blocks of the two-graph of a graph are the vertex triples spanning an
+odd number of edges; from a Gram matrix the sign graph (edge iff negative
+inner product) is taken first, which matches the obtuse-angle reading.
+Switching leaves the two-graph unchanged, and a TwoGraph stores the member
+of the switching class with vertex 0 isolated, G.switch(N(0)).  It is
+unique (Seidel, "A survey of two-graphs", 1976): members differ by a switch
+on some S, or on its complement, which flips the same pairs, so take 0 not
+in S; the switch flips {0, v} for v in S, so if both isolate 0, S is empty.
+Equal two-graphs have equal members, as a graph with 0 isolated has the
+block {0, i, j} iff i ~ j, so two-graph equality is row equality.  The
+blocks through i, j are the z in rows[i] XOR rows[j], complemented when
+i ~ j, with bits i and j cleared.
 
-Every TwoGraph is checked exactly, for every n, in O(n^2) mask operations.
-A triple system T is a two-graph (each 4-set of vertices contains an even
-number of blocks) iff T is the two-graph of the graph G0 read from
-masks[0]: vertex 0 isolated, and i ~ j (i < j) iff {0, i, j} is a block.
-Proof: applied to the 4-set {0, i, j, k}, the axiom puts {i, j, k} in T iff
-an odd number of {0,i,j}, {0,i,k}, {0,j,k} are blocks, which is the
-two-graph of G0 on {i, j, k}; triples through 0 span one G0 edge or none.
-Conversely every graph's two-graph satisfies the axiom, since each edge
-inside a 4-set lies in exactly two of its triples.  The masks must equal
-those of G0 exactly, so the check also rejects asymmetric masks, repeated
-vertices and disagreeing tables.
+TwoGraph.from_masks takes a triple system T as pair masks, masks[i][j] the
+bitmask of the z making {i, j, z} a block, and checks it exactly, for every
+n, in O(n^2) mask operations.  T is a two-graph (each 4-set of vertices
+contains an even number of blocks) iff T is the two-graph of the graph G0
+read from masks[0]: vertex 0 isolated, and i ~ j (i < j) iff {0, i, j} is a
+block.  Proof: applied to the 4-set {0, i, j, k}, the axiom puts {i, j, k}
+in T iff an odd number of {0,i,j}, {0,i,k}, {0,j,k} are blocks, which is
+the two-graph of G0 on {i, j, k}; triples through 0 span one G0 edge or
+none.  Conversely every graph's two-graph satisfies the axiom, since each
+edge inside a 4-set lies in exactly two of its triples.  The masks must
+equal those of G0 exactly, so the check also rejects asymmetric masks,
+repeated vertices and disagreeing tables.
 
-Switching a graph on any vertex subset leaves its two-graph unchanged, and
-two graphs are switching equivalent iff their two-graphs are isomorphic.
+Two graphs are switching equivalent iff their two-graphs are isomorphic.
 The decision procedure canonicalizes by vertex isolation: switching G on
 the neighbourhood of vertex x isolates x, and deleting x then yields the
-descendant at x.  G and H are equivalent iff the descendant of G at 0 is
+descendant at x, the same from every member, since the member isolating x
+is unique.  G and H are equivalent iff the descendant of G at 0 is
 isomorphic to a descendant of H at some w; the witness (w, bijection) is
 returned.  Mismatched pair-degree multisets decide NotEquivalent without
 any search (they also cover block counts, as the degrees sum to 3 blocks).
@@ -49,84 +56,64 @@ class NotRegular(ValueError):
     "carries a witness vertex pair"
 
 
-def _pair_masks(rows):
-    "two-graph masks of the graph with these adjacency rows"
-    n = len(rows)
-    full = (1 << n) - 1
-    masks = [[0] * n for _ in range(n)]
-    for i in range(n):
-        ri = rows[i]
-        for j in range(i + 1, n):
-            m = ri ^ rows[j]
-            if (ri >> j) & 1:
-                m ^= full
-            m &= ~((1 << i) | (1 << j))
-            masks[i][j] = masks[j][i] = m
-    return masks
-
-
 class TwoGraph:
-    "triple system on n vertices; masks[i][j] = bitmask of z with {i,j,z} a block"
+    "the switching class of a graph, stored as its member with vertex 0 isolated"
 
-    __slots__ = ("n", "masks")
+    __slots__ = ("n", "rep")
 
-    def __init__(self, n, masks):
+    def __init__(self, g):
+        self.n = g.n
+        self.rep = g.switch(g.neighbors(0)) if g.n else g
+
+    @staticmethod
+    def from_masks(n, masks):
+        "the two-graph whose blocks through i, j are the bits of masks[i][j]"
         # G0 from the blocks through vertex 0; see the module docstring
-        rows = [0] * n
-        for i in range(1, n):
-            for j in range(i + 1, n):
-                if (masks[0][i] >> j) & 1:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-        if masks != _pair_masks(rows):
+        edges = [
+            (i, j) for i in range(1, n) for j in range(i + 1, n) if masks[0][i] >> j & 1
+        ]
+        t = TwoGraph(Graph(n, edges))
+        if masks != [[t._pair_mask(i, j) for j in range(n)] for i in range(n)]:
             raise ValueError("not a two-graph: the masks fail the two-graph axiom")
-        self.n = n
-        self.masks = masks
+        return t
+
+    def _pair_mask(self, i, j):
+        "bitmask of the z making {i, j, z} a block"
+        rows = self.rep.rows
+        m = rows[i] ^ rows[j]
+        if (rows[i] >> j) & 1:
+            m ^= (1 << self.n) - 1
+        return m & ~((1 << i) | (1 << j))
 
     def contains(self, i, j, k):
-        return (self.masks[i][j] >> k) & 1 == 1
+        return (self._pair_mask(i, j) >> k) & 1 == 1
 
     def blocks(self):
         for i in range(self.n):
             for j in range(i + 1, self.n):
-                for k in bits(self.masks[i][j] >> (j + 1) << (j + 1)):
+                for k in bits(self._pair_mask(i, j) >> (j + 1) << (j + 1)):
                     yield (i, j, k)
 
     def block_count(self):
-        return sum(
-            self.masks[i][j].bit_count()
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        ) // 3
+        return sum(d * c for d, c in self.pair_degree_multiset().items()) // 3
 
     def pair_degree(self, i, j):
-        return self.masks[i][j].bit_count()
+        return self._pair_mask(i, j).bit_count()
 
     def pair_degree_multiset(self):
         out = {}
         for i in range(self.n):
             for j in range(i + 1, self.n):
-                d = self.masks[i][j].bit_count()
+                d = self._pair_mask(i, j).bit_count()
                 out[d] = out.get(d, 0) + 1
         return out
 
     def descendant_graph(self, x):
-        "graph on the other vertices: y ~ z iff {x, y, z} is a block"
-        rows = []
-        for y in range(self.n):
-            if y == x:
-                continue
-            m = self.masks[x][y]
-            low = m & ((1 << x) - 1)
-            rows.append(low | ((m >> (x + 1)) << x))
-        return Graph.from_rows(rows)
+        "isolate x by switching on its neighbourhood, then delete it"
+        return self.rep.switch(self.rep.neighbors(x)).delete_vertex(x)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, TwoGraph)
-            and self.n == other.n
-            and self.masks == other.masks
-        )
+        return isinstance(other, TwoGraph) and self.rep == other.rep
 
     def __repr__(self):
         return "TwoGraph(n=%d, blocks=%d)" % (self.n, self.block_count())
@@ -134,7 +121,7 @@ class TwoGraph:
 
 def two_graph_of(g):
     "blocks are the vertex triples spanning an odd number of edges of g"
-    return TwoGraph(g.n, _pair_masks(g.rows))
+    return TwoGraph(g)
 
 
 def sign_graph(gm):
@@ -168,7 +155,7 @@ def descendant_at(g, x):
     p = srg_params(g)
     if not criteria(p)["equiangular"]:
         raise ValueError("descendant needs an equiangular embedding")
-    out = g.switch(list(g.neighbors(x))).delete_vertex(x)
+    out = two_graph_of(g).descendant_graph(x)
     got = srg_params(out)
     v, k, lam, mu = p.as_tuple()
     want = (v - 1, 2 * (k - mu), k + lam - 2 * mu, k - mu)

@@ -113,7 +113,7 @@ from fractions import Fraction
 from rank3etf.families import build
 from rank3etf.fields import field
 from rank3etf.frames import GramMatrix, descendant_gram, embedding_gram, naimark, verify_etf, vo_vectors
-from rank3etf.graphs import Graph, SrgParams
+from rank3etf.graphs import Graph, SrgParams, eigenmatrices, spectrum
 from rank3etf import iso
 from rank3etf.matrices import ExactMatrix
 from rank3etf.twographs import TwoGraph, switching_equivalent, two_graph_of
@@ -124,7 +124,8 @@ third = Fraction(1, 3)
 m = ExactMatrix.from_rows([[1 if i == j else third for j in range(4)] for i in range(4)])
 print(verify_etf(GramMatrix(m)).status)
 print(hashlib.sha256(repr(build("NOplusOdd_4", 2).rows).encode()).hexdigest())
-masks = two_graph_of(build("VOplus", 2)).masks
+t = two_graph_of(build("VOplus", 2))
+masks = [[sum(1 << z for z in range(16) if t.contains(i, j, z)) for j in range(16)] for i in range(16)]
 for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):  # one block flipped
     masks[i][j] ^= 1 << k
     masks[j][i] ^= 1 << k
@@ -133,7 +134,7 @@ for bad in (
     lambda: build("NOplusOdd_4", 0),
     lambda: field(12),
     lambda: Graph(3, [(1, 1)]),
-    lambda: TwoGraph(16, masks),
+    lambda: TwoGraph.from_masks(16, masks),
     lambda: field(3**8),
     lambda: switching_equivalent(p9, p9, bound=5),
     lambda: GramMatrix(ExactMatrix.from_rows([[1, 2], [0, 1]])),
@@ -144,6 +145,10 @@ for bad in (
     lambda: vo_vectors(13, "plus"),
     lambda: vo_vectors(2, "bogus"),
     lambda: vo_vectors(1, "plus"),
+    lambda: spectrum(SrgParams(7, 3, 1, 1)),
+    lambda: spectrum(SrgParams(15, 7, 3, 3)),
+    lambda: eigenmatrices(SrgParams(7, 3, 1, 1)),
+    lambda: eigenmatrices(SrgParams(15, 7, 3, 3)),
 ):
     try:
         bad()
@@ -170,7 +175,7 @@ except RuntimeError:
         "NotTight",
         # frozen NOplusOdd_4 2 rows, as in test_families.GF4_ROW_DIGESTS
         "d9fe24fcf07582379b320c376925df4ae53dda9af51f7406a117b1e941f77b4f",
-    ] + ["ValueError"] * 14 + ["RuntimeError"]
+    ] + ["ValueError"] * 18 + ["RuntimeError"]
 
 
 def test_welch_bound_is_strict_off_etf():

@@ -3,6 +3,7 @@ Graphs as bitmask rows, SRG certification with rejection witnesses, spectra
 and eigenmatrices.  Oracles: the pentagon (5,2,0,1), the Petersen graph
 (10,3,0,1) with spectrum 3, 1^5, (-2)^4, a conference spectrum with equal
 multiplicities, and a rank 3 eigenmatrix pair with denominator-5 entries.
+Parameter sets that pass SrgParams but have no valid spectrum raise.
 """
 
 import json
@@ -141,6 +142,19 @@ def test_spectrum_trace_identities_random_corpus():
         sp = spectrum(p)
         assert QuadExt(p.k) + sp.r * sp.f + sp.s * sp.g == 0
         assert sp.f + sp.g + 1 == p.v
+
+
+def test_spectrum_rejects_feasible_looking_parameters():
+    # both pass the SrgParams checks; (7, 3, 1, 1) has irrational eigenvalues
+    # +-sqrt(2) without trace zero, (15, 7, 3, 3) gives f = 21/4
+    for params, reason in (
+        (SrgParams(7, 3, 1, 1), "irrational case needs trace zero"),
+        (SrgParams(15, 7, 3, 3), "multiplicity is not integral"),
+    ):
+        with pytest.raises(ValueError, match=reason):
+            spectrum(params)
+        with pytest.raises(ValueError, match=reason):
+            eigenmatrices(params)
 
 
 def test_eigenmatrices_pq_identity():

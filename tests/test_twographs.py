@@ -1,15 +1,15 @@
 """
-Two-graphs from graphs and Gram matrices: the exact two-graph check against
-a brute-force even-4-set reference (random small triple systems, and a
-corrupted 64-vertex two-graph), switching invariance (the defining
-property), descendants as isolate-and-delete, regularity with witnesses,
-and the switching-equivalence decision with its (vertex, bijection) witness
-verified by hand.  The K4 invariant filter leaves every witness as the
-plain search loop finds it, and refutes K1+Paley(q) vs K1+Peisert(q) for
-q = 49 and 81 with one search.
+Two-graphs from graphs and Gram matrices: the exact mask check of
+TwoGraph.from_masks against a brute-force even-4-set reference (random small
+triple systems, and a corrupted 64-vertex two-graph), equality of the stored
+members against a brute-force odd-triple reference, switching invariance
+(the defining property), descendants as isolate-and-delete, regularity
+with witnesses, and the switching-equivalence decision with its (vertex,
+bijection) witness verified by hand.  The K4 invariant filter leaves every
+witness as the plain search loop finds it, and refutes K1+Paley(q) vs
+K1+Peisert(q) for q = 49 and 81 with one search.
 """
 
-import copy
 import random
 from itertools import combinations
 
@@ -79,6 +79,44 @@ def test_complement_changes_two_graph():
     assert two_graph_of(g) != two_graph_of(g.complement())
 
 
+def _odd_triples(g):
+    "reference: the vertex triples of g spanning an odd number of edges"
+    return {
+        t
+        for t in combinations(range(g.n), 3)
+        if sum(g.adj(a, b) for a, b in combinations(t, 2)) % 2
+    }
+
+
+def test_equality_matches_odd_triples():
+    # pairs on one vertex set: a switched copy (always equal), a switched and
+    # relabeled copy, an independent graph, or one edge flipped (unequal for
+    # n >= 3); the stored members must agree exactly when the triples do
+    rng = random.Random(2468)
+    verdicts = {True: 0, False: 0}
+    for _ in range(1500):
+        n = rng.randint(1, 8)
+        a = _rand_graph(rng, n)
+        kind = rng.randrange(4)
+        if kind == 2:
+            b = _rand_graph(rng, n)
+        elif kind == 3 and n >= 2:
+            i, j = sorted(rng.sample(range(n), 2))
+            b = Graph(n, set(a.edges()) ^ {(i, j)})
+        else:
+            b = a.switch([v for v in range(n) if rng.random() < 0.5])
+            if kind == 1:
+                perm = list(range(n))
+                rng.shuffle(perm)
+                b = b.relabel(perm)
+        ta, tb = two_graph_of(a), two_graph_of(b)
+        want = _odd_triples(a) == _odd_triples(b)
+        assert (ta == tb) == want, (a.rows, b.rows)
+        assert TwoGraph.from_masks(n, _masks(ta)) == ta
+        verdicts[want] += 1
+    assert min(verdicts.values()) > 400  # both verdicts well exercised
+
+
 def test_descendant_is_isolate_and_delete():
     rng = random.Random(888)
     for _ in range(6):
@@ -124,10 +162,18 @@ def _reference_is_two_graph(n, masks):
     )
 
 
+def _masks(t):
+    "the pair masks of t, read off contains: bit z of [i][j] iff {i, j, z} is a block"
+    return [
+        [sum(1 << z for z in range(t.n) if t.contains(i, j, z)) for j in range(t.n)]
+        for i in range(t.n)
+    ]
+
+
 def _random_masks(rng, n):
     "a two-graph, a perturbed two-graph, an arbitrary triple system or bad masks"
     kind = rng.randrange(4)
-    masks = copy.deepcopy(two_graph_of(_rand_graph(rng, n)).masks)
+    masks = _masks(two_graph_of(_rand_graph(rng, n)))
     if kind == 1 and n >= 3:
         for _ in range(rng.randint(1, 3)):
             _flip_triple(masks, *rng.sample(range(n), 3))
@@ -151,7 +197,7 @@ def test_exact_check_matches_brute_force():
         masks = _random_masks(rng, n)
         want = _reference_is_two_graph(n, masks)
         try:
-            TwoGraph(n, masks)
+            TwoGraph.from_masks(n, masks)
             got = True
         except ValueError:
             got = False
@@ -165,10 +211,10 @@ def test_corrupted_large_two_graph_rejected():
     # so a check on a few thousand sampled 4-sets usually misses it
     t = two_graph_of(build("VOplus", 3))
     for triple in ((1, 2, 3), (0, 5, 40)):
-        masks = copy.deepcopy(t.masks)
+        masks = _masks(t)
         _flip_triple(masks, *triple)
         with pytest.raises(ValueError, match="two-graph"):
-            TwoGraph(64, masks)
+            TwoGraph.from_masks(64, masks)
 
 
 def test_axiom_rejects_non_two_graph():
@@ -178,14 +224,14 @@ def test_axiom_rejects_non_two_graph():
     masks[0][2] = masks[2][0] = 1 << 1
     masks[1][2] = masks[2][1] = 1 << 0
     with pytest.raises(ValueError, match="axiom"):
-        TwoGraph(4, masks)
+        TwoGraph.from_masks(4, masks)
 
 
 def test_consistency_rejects_bad_masks():
     masks = [[0] * 3 for _ in range(3)]
     masks[0][1] = 1 << 2  # but masks[1][0] stays 0: tables disagree
     with pytest.raises(ValueError):
-        TwoGraph(3, masks)
+        TwoGraph.from_masks(3, masks)
 
 
 def test_sign_graph_recovers_adjacency():
