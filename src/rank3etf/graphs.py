@@ -64,10 +64,11 @@ class Graph:
         for i, r in enumerate(g.rows):
             if not 0 <= r <= mask or (r >> i) & 1:
                 raise ValueError("loop or stray bit at %d" % i)
-        for i in range(g.n):
-            for j in range(i + 1, g.n):
-                if (g.rows[i] >> j) & 1 != (g.rows[j] >> i) & 1:
-                    raise ValueError("asymmetric pair (%d, %d)" % (i, j))
+        a = g.adjacency_bits()
+        asym = a != a.T
+        if asym.any():
+            bad = np.argwhere(np.triu(asym, 1))  # row-major, so bad[0] is the first pair
+            raise ValueError("asymmetric pair (%d, %d)" % tuple(bad[0]))
         return g
 
     def adj(self, i, j):

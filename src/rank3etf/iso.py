@@ -23,7 +23,20 @@ rows tri[u] holding N(s) & N(u) in an n-bit block s for each s in N(u).
 Block s of tri[i] & tri[j] is then N(s) & C when s lies in C and empty
 otherwise, so its popcount is the sum over s in C of |N(s) & C|, which is
 2 e(C).  Its price is one n^2-bit integer per vertex, so find_isomorphism
-leaves it to callers that expect a mismatch (switching_equivalent).
+never computes the whole multiset.
+
+The search applies the same count one vertex at a time.  At a node with
+refined colourings col_g, col_h, once the first target w of the
+individualized vertex u has failed, it computes the K4 profile of u, the
+sorted multiset of (col_g[v], u ~ v, edges inside N(u) & N(v)) over all v,
+and skips every later target w whose profile in h differs.  Any bijection
+the branch u -> w can return is an isomorphism that sends u to w and
+respects the node's colouring (the ids are shared and refinement only splits
+classes), so it maps each v to a vertex of the same colour, keeps adjacency
+to u, and carries N(u) & N(v) with its edges onto N(w) & N(perm[v]): the
+profiles agree.  A skipped branch could not have returned a bijection, and
+the first one found is the one the unpruned search finds.  A search that
+succeeds on its first branch at every node never computes a profile.
 """
 
 from .bounds import effective_bound
@@ -105,6 +118,18 @@ def _verify(rows_g, rows_h, perm):
     return True
 
 
+def _profile(rows, col, u):
+    "sorted (col[v], u ~ v, edges inside N(u) & N(v)) over all v"
+    ru = rows[u]
+    out = []
+    for v, rv in enumerate(rows):
+        c = ru & rv
+        inside = sum((rows[s] & c).bit_count() for s in bits(c)) >> 1
+        out.append((col[v], (ru >> v) & 1, inside))
+    out.sort()
+    return out
+
+
 def _search(rows_g, rows_h, col_g, col_h):
     refined = _refine(rows_g, rows_h, col_g, col_h)
     if refined is None:
@@ -122,8 +147,11 @@ def _search(rows_g, rows_h, col_g, col_h):
     _, c = min(split)
     u = col_g.index(c)
     fresh = n  # colour ids are < n after refinement
+    prof = None  # _profile(rows_g, col_g, u), once a branch has failed
     for w in range(n):
         if col_h[w] != c:
+            continue
+        if prof is not None and _profile(rows_h, col_h, w) != prof:
             continue
         cg = list(col_g)
         ch = list(col_h)
@@ -132,6 +160,8 @@ def _search(rows_g, rows_h, col_g, col_h):
         perm = _search(rows_g, rows_h, cg, ch)
         if perm is not None:
             return perm
+        if prof is None:
+            prof = _profile(rows_g, col_g, u)
     return None
 
 

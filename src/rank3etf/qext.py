@@ -17,7 +17,8 @@ from fractions import Fraction
 
 def squarefree_part(n):
     "largest square-free d with n = m*m*d; n must be a positive integer"
-    assert n > 0
+    if n <= 0:
+        raise ValueError("squarefree_part needs a positive integer, not %r" % (n,))
     d, m, p = 1, 1, 2
     while p * p <= n:
         if n % p == 0:
@@ -52,8 +53,10 @@ class QuadExt:
             a, b, D = a + b, Fraction(0), 0
         if b == 0:
             D = 0
-        assert _issquarefree(D), "D must be a square-free non-negative integer: %r" % D
-        assert D > 0 or b == 0
+        if not _issquarefree(D):
+            raise ValueError("D must be a square-free non-negative integer: %r" % D)
+        if D == 0 and b != 0:
+            raise ValueError("a non-zero b needs D > 0")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "D", D)
@@ -112,7 +115,8 @@ class QuadExt:
     def inverse(self):
         "multiplicative inverse; x * x.inverse() == 1 exactly"
         nrm = self.a * self.a - self.b * self.b * self.D
-        assert nrm != 0, "zero has no inverse"
+        if nrm == 0:
+            raise ZeroDivisionError("zero has no inverse")
         return QuadExt(self.a / nrm, -self.b / nrm, self.D)
 
     def __truediv__(self, other):
@@ -176,7 +180,8 @@ class QuadExt:
         return self.b == 0
 
     def as_fraction(self):
-        assert self.b == 0, "irrational value %s" % self
+        if self.b != 0:
+            raise ValueError("irrational value %s" % self)
         return self.a
 
     # -- serialization -----------------------------------------------------
@@ -215,7 +220,8 @@ ONE = QuadExt(1)
 def sqrt_int(n):
     "exact sqrt(n) of a positive integer as a QuadExt"
     d, m = squarefree_part(n)
-    assert m * m * d == n
+    if m * m * d != n:
+        raise ValueError("squarefree_part(%d) gave %d^2 * %d" % (n, m, d))
     if d == 1:
         return QuadExt(m)
     return QuadExt(0, m, d)

@@ -42,7 +42,10 @@ different from that of the descendant of G at 0.  The multiset is a graph
 isomorphism invariant, so a mismatch proves that descendant is not
 isomorphic, and the skipped w could not have given a witness: the first w
 that does, and its bijection, are the same as without the filter.  A
-positive decision found at w = 0 never computes the invariant.
+positive decision found at w = 0 never computes the invariant.  The failed
+search at w = 0 is not exhaustive either: find_isomorphism prunes its
+branches by the K4 profile of one vertex (see the iso docstring), so for
+K1+Paley(q) vs K1+Peisert(q) it refutes every branch after the first.
 """
 
 from .bounds import effective_bound

@@ -116,6 +116,7 @@ from rank3etf.frames import GramMatrix, descendant_gram, embedding_gram, naimark
 from rank3etf.graphs import Graph, SrgParams, eigenmatrices, spectrum
 from rank3etf import iso
 from rank3etf.matrices import ExactMatrix
+from rank3etf.qext import QuadExt
 from rank3etf.twographs import TwoGraph, switching_equivalent, two_graph_of
 print(__debug__)
 c = verify_etf(embedding_gram(build("VOplus", 2)))
@@ -149,12 +150,17 @@ for bad in (
     lambda: spectrum(SrgParams(15, 7, 3, 3)),
     lambda: eigenmatrices(SrgParams(7, 3, 1, 1)),
     lambda: eigenmatrices(SrgParams(15, 7, 3, 3)),
+    lambda: QuadExt(0, 1, 12),
+    lambda: QuadExt(0, 1, 5).as_fraction(),
+    lambda: QuadExt(0).inverse(),
 ):
     try:
         bad()
         print("accepted")
     except ValueError:
         print("ValueError")
+    except ZeroDivisionError:
+        print("ZeroDivisionError")
 # a bijection that is not an isomorphism: vertices 0 and 1 swapped
 iso._search = lambda rows_g, rows_h, col_g, col_h: [1, 0] + list(range(2, len(rows_g)))
 try:
@@ -175,7 +181,7 @@ except RuntimeError:
         "NotTight",
         # frozen NOplusOdd_4 2 rows, as in test_families.GF4_ROW_DIGESTS
         "d9fe24fcf07582379b320c376925df4ae53dda9af51f7406a117b1e941f77b4f",
-    ] + ["ValueError"] * 18 + ["RuntimeError"]
+    ] + ["ValueError"] * 20 + ["ZeroDivisionError", "RuntimeError"]
 
 
 def test_welch_bound_is_strict_off_etf():

@@ -4,6 +4,8 @@ and eigenmatrices.  Oracles: the pentagon (5,2,0,1), the Petersen graph
 (10,3,0,1) with spectrum 3, 1^5, (-2)^4, a conference spectrum with equal
 multiplicities, and a rank 3 eigenmatrix pair with denominator-5 entries.
 Parameter sets that pass SrgParams but have no valid spectrum raise.
+Graph.from_rows rejects exactly what a reference pair scan rejects, with
+the same first offending vertex or pair.
 """
 
 import json
@@ -47,6 +49,39 @@ def test_graph_basics():
         Graph(3, [(0, 3)])  # endpoint out of range
     with pytest.raises(ValueError):
         Graph.from_rows([0b010, 0b000, 0b000])  # asymmetric
+
+
+def _first_bad_row_pair(rows):
+    "reference: the loop and pair scan that Graph.from_rows replaces"
+    n = len(rows)
+    for i, r in enumerate(rows):
+        if not 0 <= r < 1 << n or (r >> i) & 1:
+            return "loop or stray bit at %d" % i
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (rows[i] >> j) & 1 != (rows[j] >> i) & 1:
+                return "asymmetric pair (%d, %d)" % (i, j)
+    return None
+
+
+def test_from_rows_matches_pair_scan():
+    rng = random.Random(5150)
+    for _ in range(400):
+        n = rng.randint(0, 40)
+        p = rng.random()
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        rows = list(Graph(n, edges).rows)
+        for _ in range(rng.choice((0, 0, 1, 2, 3))):
+            if n:
+                i = rng.randrange(n)
+                rows[i] ^= 1 << rng.randrange(n + rng.choice((0, 0, 0, 1)))
+        want = _first_bad_row_pair(rows)
+        if want is None:
+            assert Graph.from_rows(rows).rows == tuple(rows)
+        else:
+            with pytest.raises(ValueError) as err:
+                Graph.from_rows(rows)
+            assert str(err.value) == want
 
 
 def test_complement_switch_delete_relabel():

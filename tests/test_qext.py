@@ -1,7 +1,8 @@
 """
 Field arithmetic in Q(sqrt(D)): ring axioms on random elements, exact sign
 against floating point, serialization round trips, and the integer-sqrt and
-squarefree helpers that anchor the representation.
+squarefree helpers that anchor the representation.  Bad input raises
+ValueError, and the inverse of zero ZeroDivisionError.
 """
 
 import math
@@ -23,9 +24,9 @@ def test_construction_and_equality():
     assert QuadExt(Fraction(1, 2), 0, 7) == QuadExt(Fraction(1, 2))
     assert QuadExt(2, 3, 1) == QuadExt(5)  # sqrt(1) folds into the rational part
     assert QuadExt(1, 1, 2) != QuadExt(1, 1, 3)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="square-free"):
         QuadExt(0, 1, 4)  # D must be square-free
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="square-free"):
         QuadExt(0, 1, -2)
 
 
@@ -49,6 +50,10 @@ def test_norm_form_inverse():
     inv = x.inverse()
     assert inv == QuadExt(Fraction(-3, 11), Fraction(2, 11), 5)
     assert x * inv == QuadExt(1)
+    with pytest.raises(ZeroDivisionError, match="zero has no inverse"):
+        QuadExt(0).inverse()
+    with pytest.raises(ZeroDivisionError):
+        QuadExt(1, 1, 5) / QuadExt(0)
 
 
 def test_sign_matches_float():
@@ -76,7 +81,7 @@ def test_rational_detection():
     assert QuadExt(Fraction(3, 4)).is_rational()
     assert QuadExt(Fraction(3, 4)).as_fraction() == Fraction(3, 4)
     assert not QuadExt(0, 1, 5).is_rational()
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="irrational"):
         QuadExt(0, 1, 5).as_fraction()
 
 
@@ -117,3 +122,6 @@ def test_squarefree_part():
         assert m * m * d == n
         for p in (2, 3, 5, 7, 11, 13):
             assert d % (p * p) != 0
+    for n in (0, -4):
+        with pytest.raises(ValueError, match="positive"):
+            squarefree_part(n)

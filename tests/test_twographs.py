@@ -7,7 +7,7 @@ members against a brute-force odd-triple reference, switching invariance
 with witnesses, and the switching-equivalence decision with its (vertex,
 bijection) witness verified by hand.  The K4 invariant filter leaves every
 witness as the plain search loop finds it, and refutes K1+Paley(q) vs
-K1+Peisert(q) for q = 49 and 81 with one search.
+K1+Peisert(q) for q = 49, 81 and 121 with one search.
 """
 
 import random
@@ -356,6 +356,11 @@ def test_paley_vs_peisert(monkeypatch):
     monkeypatch.setattr(rank3etf.twographs, "find_isomorphism", counting)
     assert switching_equivalent(*_paley_peisert(49)) is None
     assert searches == [49]  # w = 0 only: the K4 counts refute the other 49 w
+
+
+def test_paley_vs_peisert_121():
+    # the search at w = 0 fails after pruning its branches by K4 profile
+    assert switching_equivalent(*_paley_peisert(121)) is None
 
 
 def test_switching_bound(monkeypatch):
