@@ -52,7 +52,8 @@ def _poly_mulmod(a, b, mod, p):
 
 def _poly_divmod(a, b, p):
     b = _poly_trim(tuple(b))
-    assert b, "division by zero polynomial"
+    if not b:
+        raise ValueError("division by the zero polynomial")
     a = list(_poly_trim(tuple(a)))
     db = len(b) - 1
     binv = pow(b[-1], p - 2, p)
@@ -70,7 +71,8 @@ def _poly_divmod(a, b, p):
 def _is_irreducible(poly, p):
     "trial division by all monic polynomials of degree <= deg/2"
     deg = len(poly) - 1
-    assert deg >= 1 and poly[-1] == 1
+    if deg < 1 or poly[-1] != 1:
+        raise ValueError("the modulus must be monic of degree at least 1")
     if poly[0] == 0:
         return deg == 1  # divisible by x
     for d in range(1, deg // 2 + 1):
@@ -160,7 +162,8 @@ class Field:
         return v
 
     def inv(self, x):
-        assert x != 0
+        if x == 0:
+            raise ZeroDivisionError("zero has no inverse")
         return self._pow[(self.q - 1 - self._log[x]) % (self.q - 1)]
 
     def power(self, x, n):
@@ -170,7 +173,8 @@ class Field:
         return r
 
     def order(self, x):
-        assert x != 0
+        if x == 0:
+            raise ValueError("zero has no multiplicative order")
         r, n = x, 1
         while r != 1:
             r = self.mul(r, x)
@@ -187,7 +191,8 @@ class Field:
         pw = [1]
         for _ in range(self.q - 2):
             pw.append(self.mul(pw[-1], self.g))
-        assert len(set(pw)) == self.q - 1
+        if len(set(pw)) != self.q - 1:
+            raise ValueError("the powers of the primitive element are not a permutation")
         return pw
 
     def log(self, x):

@@ -38,6 +38,26 @@ def bits(mask):
         mask ^= low
 
 
+def unpack_rows(rows, n):
+    "a (len(rows), n) numpy uint8 0/1 array holding bit j of rows[i] at [i, j]"
+    nbytes = (n + 7) // 8
+    buf = b"".join(r.to_bytes(nbytes, "little") for r in rows)
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little")
+
+
+def common_neighbour_counts(rows):
+    "C[i, j] = |N(i) & N(j)| as an int64 numpy array, from popcounts of 64-bit words"
+    n = len(rows)
+    nwords = (n + 63) // 64
+    buf = b"".join(r.to_bytes(8 * nwords, "little") for r in rows)
+    words = np.frombuffer(buf, dtype="<u8").reshape(n, nwords)
+    c = np.zeros((n, n), dtype=np.int64)
+    for w in words.T:
+        c += np.bitwise_count(w[:, None] & w[None, :])
+    return c
+
+
 class Graph:
     "simple undirected graph; rows[i] bit j set iff i ~ j"
 
@@ -133,10 +153,7 @@ class Graph:
 
     def adjacency_bits(self):
         "the 0/1 adjacency matrix as a numpy uint8 array, unpacked from the rows"
-        nbytes = (self.n + 7) // 8
-        buf = b"".join(r.to_bytes(nbytes, "little") for r in self.rows)
-        packed = np.frombuffer(buf, dtype=np.uint8).reshape(self.n, nbytes)
-        return np.unpackbits(packed, axis=1, count=self.n, bitorder="little")
+        return unpack_rows(self.rows, self.n)
 
     def adjacency_matrix(self):
         return ExactMatrix.from_codes(self.adjacency_bits(), (0, 1))

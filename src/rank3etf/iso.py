@@ -3,8 +3,20 @@ Graph isomorphism by joint colour refinement with individualization.
 
 Both graphs are refined together so colour ids stay comparable: a vertex
 signature is its current colour plus its neighbour count into every colour
-class (a popcount against the class bitmask), and new ids are handed out
-by sorted signature, so mismatched histograms abort a branch immediately.
+class, and new ids are handed out by sorted signature, so mismatched
+histograms abort a branch immediately.  A round is one exact integer numpy
+pass: the rows are unpacked once per call into 0/1 arrays, one
+np.add.reduceat over the columns sorted by colour gives every vertex's
+count into every class, and one np.unique over the signatures of both
+graphs gives the new ids.  Each signature is a row of big-endian uint32
+values (colour, then the counts in ascending colour order), all of one
+length, viewed as one void key.  Void keys compare bytewise, and a
+big-endian unsigned value puts its most significant byte first, so the
+bytewise order of two keys is the order of their first differing value:
+the lexicographic order of the (colour, counts) tuples.  The ids are those
+of sorting the tuples, and equal signature multisets in g and h mean equal
+id histograms.
+
 Strongly regular graphs are regular in every 1-dimensional sense, so
 refinement alone never splits them; the search individualizes a vertex of
 the smallest non-singleton class, pairs it against each same-coloured
@@ -12,8 +24,9 @@ target, and recurses.  A discrete colouring proposes a bijection that is
 then checked edge-by-edge before being returned.
 
 Cheap invariants run first: order, degree multiset, and the multiset of
-common-neighbour counts over all vertex pairs, which separates strongly
-regular graphs with different (lambda, mu) without any search.
+(adjacency, common-neighbour count) over all vertex pairs, read off one
+numpy popcount matrix (graphs.common_neighbour_counts), which separates
+strongly regular graphs with different (lambda, mu) without any search.
 
 A finer invariant, k4_pair_multiset, adds to each pair key the number of
 edges inside the common neighbourhood C = N(i) & N(j): the K4 count of the
@@ -39,21 +52,21 @@ the first one found is the one the unpruned search finds.  A search that
 succeeds on its first branch at every node never computes a profile.
 """
 
+import numpy as np
+
 from .bounds import effective_bound
-from .graphs import bits
+from .graphs import bits, common_neighbour_counts, unpack_rows
 
 ISO_VERTEX_BOUND = 300
 
 
 def _pair_count_multiset(g):
-    counts = {}
-    rows = g.rows
-    for i in range(g.n):
-        ri = rows[i]
-        for j in range(i + 1, g.n):
-            key = ((ri >> j) & 1, (ri & rows[j]).bit_count())
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+    "multiset of (i ~ j, |N(i) & N(j)|) over pairs i < j"
+    i, j = np.triu_indices(g.n, 1)
+    adj = unpack_rows(g.rows, g.n)[i, j]
+    key = 2 * common_neighbour_counts(g.rows)[i, j] + adj
+    vals, counts = np.unique(key, return_counts=True)
+    return {(k & 1, k >> 1): c for k, c in zip(vals.tolist(), counts.tolist())}
 
 
 def k4_pair_multiset(g):
@@ -76,36 +89,31 @@ def k4_pair_multiset(g):
 
 
 def _refine(rows_g, rows_h, col_g, col_h):
-    "shared-id colour refinement; None on histogram mismatch"
+    "shared-id colour refinement; None on a colour or signature histogram mismatch"
     n = len(col_g)
+    if n == 0:
+        return [], []
+    adj_g, adj_h = unpack_rows(rows_g, n), unpack_rows(rows_h, n)
+    col = np.array(col_g + col_h, dtype=np.int64)
     while True:
-        colors = sorted(set(col_g))
-        if sorted(set(col_h)) != colors:
+        hist = np.bincount(col[:n])
+        starts = (np.cumsum(hist) - hist)[hist > 0]  # each class's first column by colour
+        k = len(starts)
+        keys = np.empty((2 * n, k + 1), dtype=">u4")
+        keys[:, 0] = col
+        for adj, half in ((adj_g, slice(0, n)), (adj_h, slice(n, 2 * n))):
+            by_colour = adj[:, np.argsort(col[half])]
+            keys[half, 1:] = np.add.reduceat(by_colour, starts, axis=1, dtype=np.uint32)
+        sig = keys.view(np.dtype((np.void, 4 * (k + 1)))).ravel()
+        uniq, new = np.unique(sig, return_inverse=True)
+        # the colour leads each signature, so this also rejects unequal histograms
+        if not np.array_equal(
+            np.bincount(new[:n], minlength=len(uniq)), np.bincount(new[n:], minlength=len(uniq))
+        ):
             return None
-        mask_g = {c: 0 for c in colors}
-        mask_h = {c: 0 for c in colors}
-        for v in range(n):
-            mask_g[col_g[v]] |= 1 << v
-            mask_h[col_h[v]] |= 1 << v
-        for c in colors:
-            if mask_g[c].bit_count() != mask_h[c].bit_count():
-                return None
-        sig_g = [
-            (col_g[v], tuple((rows_g[v] & mask_g[c]).bit_count() for c in colors))
-            for v in range(n)
-        ]
-        sig_h = [
-            (col_h[v], tuple((rows_h[v] & mask_h[c]).bit_count() for c in colors))
-            for v in range(n)
-        ]
-        if sorted(sig_g) != sorted(sig_h):
-            return None
-        ids = {s: i for i, s in enumerate(sorted(set(sig_g)))}
-        new_g = [ids[s] for s in sig_g]
-        new_h = [ids[s] for s in sig_h]
-        if len(ids) == len(colors):
-            return new_g, new_h
-        col_g, col_h = new_g, new_h
+        if len(uniq) == k:
+            return new[:n].tolist(), new[n:].tolist()
+        col = new
 
 
 def _verify(rows_g, rows_h, perm):

@@ -12,7 +12,11 @@ in S; the switch flips {0, v} for v in S, so if both isolate 0, S is empty.
 Equal two-graphs have equal members, as a graph with 0 isolated has the
 block {0, i, j} iff i ~ j, so two-graph equality is row equality.  The
 blocks through i, j are the z in rows[i] XOR rows[j], complemented when
-i ~ j, with bits i and j cleared.
+i ~ j, with bits i and j cleared.  So the pair degree is s = d_i + d_j -
+2 |N(i) & N(j)|, the popcount of the XOR, when i is not adjacent to j
+(bits i and j of the XOR are clear), and n - s when i ~ j (both are set,
+and the complement clears them); pair_degree_multiset reads s off one
+numpy popcount matrix.
 
 TwoGraph.from_masks takes a triple system T as pair masks, masks[i][j] the
 bitmask of the z making {i, j, z} a block, and checks it exactly, for every
@@ -48,8 +52,10 @@ branches by the K4 profile of one vertex (see the iso docstring), so for
 K1+Paley(q) vs K1+Peisert(q) it refutes every branch after the first.
 """
 
+import numpy as np
+
 from .bounds import effective_bound
-from .graphs import Graph, bits, srg_params
+from .graphs import Graph, bits, common_neighbour_counts, srg_params, unpack_rows
 from .iso import find_isomorphism, k4_pair_multiset
 
 SWITCHING_VERTEX_BOUND = 140
@@ -104,12 +110,14 @@ class TwoGraph:
         return self._pair_mask(i, j).bit_count()
 
     def pair_degree_multiset(self):
-        out = {}
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                d = self._pair_mask(i, j).bit_count()
-                out[d] = out.get(d, 0) + 1
-        return out
+        "multiset of the pair degrees over i < j; see the module docstring"
+        rows = self.rep.rows
+        i, j = np.triu_indices(self.n, 1)
+        c = common_neighbour_counts(rows)  # the degrees on its diagonal
+        s = c[i, i] + c[j, j] - 2 * c[i, j]
+        s = np.where(unpack_rows(rows, self.n)[i, j], self.n - s, s)
+        vals, counts = np.unique(s, return_counts=True)
+        return dict(zip(vals.tolist(), counts.tolist()))
 
     def descendant_graph(self, x):
         "isolate x by switching on its neighbourhood, then delete it"

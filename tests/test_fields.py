@@ -1,14 +1,15 @@
 """
 Finite fields GF(p^e) on integer-indexed elements: field axioms on random
 triples, Frobenius additivity, inverse and discrete-log tables, square
-counts, and the canonical-modulus factory.
+counts, the canonical-modulus factory, and explicit raises on bad
+arguments.
 """
 
 import random
 
 import pytest
 
-from rank3etf.fields import Field, field, is_prime
+from rank3etf.fields import Field, _is_irreducible, _poly_divmod, field, is_prime
 
 
 def test_is_prime():
@@ -107,3 +108,24 @@ def test_bad_modulus_rejected():
         Field(4)  # p must be prime
     with pytest.raises(ValueError):
         Field(3, 8)  # past the largest extension degree
+
+
+def test_bad_arguments_raise():
+    # explicit raises, so python -O keeps them
+    f = field(9)
+    with pytest.raises(ZeroDivisionError):
+        f.inv(0)
+    with pytest.raises(ValueError):
+        f.order(0)
+    with pytest.raises(ValueError):
+        _poly_divmod((1, 1), (0, 0), 3)  # the zero polynomial
+    for poly in ((1,), (1, 2), ()):  # constant, non-monic, empty
+        with pytest.raises(ValueError):
+            _is_irreducible(poly, 3)
+
+    class NotPrimitive(Field):
+        def _find_primitive(self):
+            return 1
+
+    with pytest.raises(ValueError):
+        NotPrimitive(5)  # the powers of 1 are not a permutation of GF(5)*

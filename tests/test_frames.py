@@ -152,7 +152,9 @@ for bad in (
     lambda: eigenmatrices(SrgParams(15, 7, 3, 3)),
     lambda: QuadExt(0, 1, 12),
     lambda: QuadExt(0, 1, 5).as_fraction(),
+    lambda: field(9).order(0),
     lambda: QuadExt(0).inverse(),
+    lambda: field(9).inv(0),
 ):
     try:
         bad()
@@ -172,7 +174,11 @@ except RuntimeError:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     env.pop("ETF_RANK3_MAX_VERTICES", None)  # it would replace the bound=5 below
     done = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+        [sys.executable, "-O", "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,  # a check that loops under -O fails instead of stalling the suite
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
@@ -181,7 +187,7 @@ except RuntimeError:
         "NotTight",
         # frozen NOplusOdd_4 2 rows, as in test_families.GF4_ROW_DIGESTS
         "d9fe24fcf07582379b320c376925df4ae53dda9af51f7406a117b1e941f77b4f",
-    ] + ["ValueError"] * 20 + ["ZeroDivisionError", "RuntimeError"]
+    ] + ["ValueError"] * 21 + ["ZeroDivisionError"] * 2 + ["RuntimeError"]
 
 
 def test_welch_bound_is_strict_off_etf():

@@ -6,6 +6,11 @@ and the classic same-parameter pair (4x4 lattice vs Shrikhande graph, both
 count, is unchanged by relabeling, and separates Paley(49) from Peisert(49).
 The search's K4 profile pruning returns exactly the witness, or None, of a
 reference copy of the unpruned search, on pairs where the pruning fires.
+The numpy refinement and pair-count multiset match pure-Python reference
+copies (one popcount per vertex and class, one per pair) on relabeled SRGs,
+random graphs, non-equitable colourings, mismatched histograms and sizes
+across the 64-bit word boundaries; the unpruned reference search refines
+with the reference copy, so it shares no code with the numpy path.
 """
 
 from itertools import combinations
@@ -15,7 +20,7 @@ import pytest
 
 from rank3etf import iso
 from rank3etf.families import build
-from rank3etf.graphs import Graph, srg_params
+from rank3etf.graphs import Graph, common_neighbour_counts, srg_params
 from rank3etf.iso import find_isomorphism, isomorphic, k4_pair_multiset
 
 
@@ -139,6 +144,27 @@ def test_k4_pair_multiset_is_relabeling_invariant():
         assert k4_pair_multiset(g.relabel(perm)) == k4_pair_multiset(g)
 
 
+def _plain_pair_counts(g):
+    "reference: (i ~ j, |N(i) & N(j)|) counted pair by pair"
+    counts = {}
+    for i, j in combinations(range(g.n), 2):
+        key = (int(g.adj(i, j)), (g.rows[i] & g.rows[j]).bit_count())
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def test_pair_count_multiset_matches_pair_scan():
+    rng = random.Random(2026)
+    graphs = [_rand_graph(rng, n) for n in (0, 1, 2, 63, 64, 65, 127, 128, 129) for _ in range(3)]
+    graphs += [build("M22_comp", None), build("NOminus2n_2_comp", 4), _shrikhande()]
+    for g in graphs:
+        c = common_neighbour_counts(g.rows)
+        assert c.tolist() == [[(a & b).bit_count() for b in g.rows] for a in g.rows]
+        got = iso._pair_count_multiset(g)
+        assert got == _plain_pair_counts(g), g.n
+        assert all(type(x) is int for key, m in got.items() for x in key + (m,))
+
+
 def test_k4_pair_multiset_separates_paley_peisert():
     # both (49, 24, 11, 12): the pair counts agree, the K4 counts do not
     assert k4_pair_multiset(build("Paley", 49)) == {(1, 11, 25): 588, (0, 12, 30): 588}
@@ -147,10 +173,97 @@ def test_k4_pair_multiset_separates_paley_peisert():
     assert k4_pair_multiset(_shrikhande()) != k4_pair_multiset(build("Lattice", 4))
 
 
+def _reference_refine(rows_g, rows_h, col_g, col_h):
+    "reference: shared-id colour refinement with one popcount per vertex and class"
+    n = len(col_g)
+    while True:
+        colors = sorted(set(col_g))
+        if sorted(set(col_h)) != colors:
+            return None
+        mask_g = {c: 0 for c in colors}
+        mask_h = {c: 0 for c in colors}
+        for v in range(n):
+            mask_g[col_g[v]] |= 1 << v
+            mask_h[col_h[v]] |= 1 << v
+        for c in colors:
+            if mask_g[c].bit_count() != mask_h[c].bit_count():
+                return None
+        sig_g = [
+            (col_g[v], tuple((rows_g[v] & mask_g[c]).bit_count() for c in colors))
+            for v in range(n)
+        ]
+        sig_h = [
+            (col_h[v], tuple((rows_h[v] & mask_h[c]).bit_count() for c in colors))
+            for v in range(n)
+        ]
+        if sorted(sig_g) != sorted(sig_h):
+            return None
+        ids = {s: i for i, s in enumerate(sorted(set(sig_g)))}
+        new_g = [ids[s] for s in sig_g]
+        new_h = [ids[s] for s in sig_h]
+        if len(ids) == len(colors):
+            return new_g, new_h
+        col_g, col_h = new_g, new_h
+
+
+def _refine_cases(rng):
+    "seeded (rows_g, rows_h, col_g, col_h) inputs for _refine"
+    srgs = [build("M22_comp", None), build("NOminus2n_2_comp", 4).complement()]
+    srgs += [build("Paley", 49), build("Peisert", 49), _shrikhande(), build("Lattice", 4)]
+    # degrees past 255, and ids past 255 once refinement splits it
+    dense = Graph(260, [e for e in combinations(range(260), 2) if rng.random() < 0.99])
+    for g in srgs + [dense]:
+        for _ in range(3):
+            h = _relabeled(rng, g)
+            yield g.rows, h.rows, [0] * g.n, [0] * g.n
+            # individualize u in g and w in h, as a search node does
+            cg, ch = [0] * g.n, [0] * g.n
+            cg[rng.randrange(g.n)] = ch[rng.randrange(g.n)] = g.n
+            yield g.rows, h.rows, cg, ch
+    for a, b in ((srgs[2], srgs[3]), (srgs[4], srgs[5])):  # same parameters
+        cg, ch = [0] * a.n, [0] * a.n
+        cg[0] = ch[0] = a.n
+        yield a.rows, b.rows, cg, ch
+    for n in (0, 1, 2, 5, 17, 63, 64, 65, 100, 129, 260):  # 64-bit word boundaries
+        for _ in range(4):
+            g = _rand_graph(rng, n)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            ncol = rng.randint(1, 5)
+            # a random partial colouring, not equitable in general, and its image
+            cg = [rng.randrange(ncol) for _ in range(n)]
+            ch = [0] * n
+            for v, c in enumerate(cg):
+                ch[perm[v]] = c
+            yield g.rows, g.relabel(perm).rows, cg, ch
+            sparse = [3 * c + 7 for c in cg]  # ids need not be 0..k-1
+            yield g.rows, g.relabel(perm).rows, sparse, [3 * c + 7 for c in ch]
+            yield g.rows, _rand_graph(rng, n).rows, cg, ch
+            if n:
+                bad = list(ch)  # a histogram mismatch, unless it redraws the same colour
+                bad[rng.randrange(n)] = rng.randrange(ncol + 1)
+                yield g.rows, g.relabel(perm).rows, cg, bad
+
+
+def test_refine_matches_reference():
+    rng = random.Random(9009)
+    results = {True: 0, False: 0}  # by whether the reference refined
+    split = 0  # refinements that split a class, so ran more than one round
+    for rows_g, rows_h, col_g, col_h in _refine_cases(rng):
+        want = _reference_refine(rows_g, rows_h, col_g, col_h)
+        got = iso._refine(rows_g, rows_h, col_g, col_h)
+        assert got == want, (len(col_g), col_g[:8], col_h[:8])
+        if got is not None:
+            assert all(type(c) is int for c in got[0] + got[1])
+            split += len(set(got[0])) > len(set(col_g))
+        results[want is not None] += 1
+    assert results[True] >= 60 and results[False] >= 60 and split >= 20, (results, split)
+
+
 def _plain_search(rows_g, rows_h, col_g, col_h, nodes):
     "reference: the search without profile pruning, counting its nodes"
     nodes.append(1)
-    refined = iso._refine(rows_g, rows_h, col_g, col_h)
+    refined = _reference_refine(rows_g, rows_h, col_g, col_h)
     if refined is None:
         return None
     col_g, col_h = refined

@@ -7,7 +7,9 @@ members against a brute-force odd-triple reference, switching invariance
 with witnesses, and the switching-equivalence decision with its (vertex,
 bijection) witness verified by hand.  The K4 invariant filter leaves every
 witness as the plain search loop finds it, and refutes K1+Paley(q) vs
-K1+Peisert(q) for q = 49, 81 and 121 with one search.
+K1+Peisert(q) for q = 49, 81 and 121 with one search.  The numpy pair-degree
+multiset matches a plain scan of the pair masks, across the 64-bit word
+boundaries.
 """
 
 import random
@@ -309,6 +311,22 @@ def test_switching_equivalent_negative_and_errors():
         da = two_graph_of(g).descendant_graph(0)
         db = two_graph_of(g.complement()).descendant_graph(w)
         assert da.relabel(perm) == db
+
+
+def test_pair_degree_multiset_matches_pair_scan():
+    rng = random.Random(2027)
+    sizes = (0, 1, 2, 3, 63, 64, 65, 129)  # across the 64-bit word boundaries
+    graphs = [_rand_graph(rng, n, rng.random()) for n in sizes for _ in range(3)]
+    graphs += [build("M22_comp", None), build("NOminus2n_2_comp", 4), build("Paley", 13)]
+    for g in graphs:
+        t = two_graph_of(g)
+        want = {}
+        for i, j in combinations(range(g.n), 2):
+            d = t.pair_degree(i, j)
+            want[d] = want.get(d, 0) + 1
+        got = t.pair_degree_multiset()
+        assert got == want, g.n
+        assert all(type(x) is int for x in list(got) + list(got.values()))
 
 
 def _unfiltered_witness(g, h):
