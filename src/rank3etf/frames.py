@@ -10,7 +10,8 @@ value and G^2 = (M/N) G with N = rank G; certification checks both
 identities in exact arithmetic and, on success, checks Welch equality
 alpha^2 = (M-N)/(N(M-1)).  N = tr G / lambda from G^2 = lambda G with
 lambda = (G^2)_00 != 0: G / lambda is then idempotent, so its rank is its
-trace.  Elimination runs only when that identity fails.  Both conditions
+trace, which is M as GramMatrix has checked the unit diagonal: N = M /
+lambda.  Elimination runs only when that identity fails.  Both conditions
 are decidable from parameters alone (criteria): equiangularity is
 s/k = -(-1-s)/(v-k-1), and membership of the graph in a regular two-graph
 is v = 2(2k - lambda - mu).
@@ -97,15 +98,15 @@ def embedding_gram(g):
 def verify_etf(gm):
     """certify equiangularity and tightness exactly.
 
-    N = tr G / lambda from G^2 = lambda G, lambda = (G^2)_00; elimination
-    only when that fails.
+    N = tr G / lambda = M / lambda from G^2 = lambda G, lambda = (G^2)_00;
+    elimination only when that fails.
     """
     m = gm.entries
     M = gm.M
     sq = mat_mul(m, m)
     lam = sq[0, 0] if M else QuadExt(0)
     if lam and sq == m.scale(lam):
-        n = sum((m[i, i] for i in range(M)), QuadExt(0)) / lam
+        n = QuadExt(M) / lam  # tr G = M: GramMatrix has checked the unit diagonal
         if not n.is_rational() or n.as_fraction().denominator != 1:
             raise ValueError("tr G / lambda = %s is not an integer" % n)
         N = int(n.as_fraction())
@@ -197,7 +198,11 @@ def gram_to_json(gm, cert=None):
     if cert is None:
         cert = verify_etf(gm)
     m = gm.entries
-    entries = [m[i, j].serialize() for i in range(gm.M) for j in range(i, gm.M)]
+    i, j = np.triu_indices(gm.M)  # row-major upper triangle
+    keys = list(zip(m.A[i, j].tolist(), m.B[i, j].tolist()))
+    text = {k: QuadExt(Fraction(k[0], m.den), Fraction(k[1], m.den), m.D).serialize()
+            for k in set(keys)}
+    entries = [text[k] for k in keys]
     return json.dumps(
         {
             "M": gm.M,

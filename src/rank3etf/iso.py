@@ -184,7 +184,13 @@ def find_isomorphism(g, h, bound=ISO_VERTEX_BOUND):
     if _pair_count_multiset(g) != _pair_count_multiset(h):
         return None
     perm = _search(g.rows, h.rows, [0] * g.n, [0] * h.n)
-    if perm is not None and not _verify(g.rows, h.rows, perm):
+    # a guard independent of the search: a bijection with i ~ j iff perm[i] ~ perm[j]
+    if perm is not None and (
+        sorted(perm) != list(range(g.n))
+        or not np.array_equal(
+            unpack_rows(g.rows, g.n), unpack_rows(h.rows, h.n)[np.ix_(perm, perm)]
+        )
+    ):
         raise RuntimeError("the search returned a bijection that is not an isomorphism")
     return perm
 

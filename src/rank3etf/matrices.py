@@ -1,16 +1,26 @@
 """
 Dense exact matrices over Q(sqrt(D)).
 
-A matrix is stored once, as (A + B*sqrt(D)) / den: A and B are numpy arrays
-of Python ints (dtype=object), den > 0 with gcd(den, A, B) = 1, and D = 0
-exactly when B is zero.  Equal matrices are therefore
-stored identically and equality is array equality.  Entries are handed out
-as QuadExt scalars.
+A matrix is stored once, as (A + B*sqrt(D)) / den with integer arrays A
+and B, den > 0 with gcd(den, A, B) = 1, and D = 0 exactly when B is zero.
+Entries are handed out as QuadExt scalars of Python ints.
 
+Storage rule: A (and likewise B) is an np.int64 array exactly when every
+|entry| < 2^62, and otherwise an object array of Python ints.  The rule
+depends on the values alone, so equal matrices are stored identically,
+dtype included, and equality and hashing are array equality.
+
+Every operation computes in int64 when an a-priori bound, evaluated in
+Python ints before numpy runs, proves that no intermediate value reaches
+2^62, and on Python ints otherwise; the result is then stored by the rule
+above.  The bounds, with max|X| the largest |entry| of X:
+  - a linear combination sum c*X (sums, differences, scaling, and the
+    sqrt(D) parts of a product): sum |c| * max|X|, and every |c| and
+    max|X| itself, since numpy cannot hold a coefficient >= 2^63 even when
+    it multiplies zeros;
+  - a matrix product X @ Y: inner_dim * max|X| * max|Y|;
+  - an entrywise product: max|X| * max|Y|.
 A product costs one integer product A*A' (four when sqrt(D) is present).
-Each runs in numpy int64 whenever the a-priori bound
-inner_dim * max|X| * max|Y| < 2^62 proves it exact, and otherwise in
-numpy's object-dtype matmul on Python ints.
 
 Rank is computed by fraction-free (Bareiss) elimination over Z; the
 intermediate entries are minors of the integer matrix, so every division is
@@ -43,20 +53,62 @@ def _same_shape(x, y):
         raise ValueError("shape mismatch %dx%d vs %dx%d" % (x.rows, x.cols, y.rows, y.cols))
 
 
+def _maxabs(X):
+    "largest |entry| of an integer array, as a Python int; 0 when empty"
+    return max(int(X.max(initial=0)), -int(X.min(initial=0)))
+
+
+def _fits(*bounds):
+    return all(b < _NP_BOUND for b in bounds)
+
+
+def _stored(X):
+    "X under the storage rule: int64 iff every |entry| < 2^62, else Python ints"
+    return X.astype(np.int64 if _maxabs(X) < _NP_BOUND else object, copy=False)
+
+
+def _lincomb(*terms):
+    "exact sum of c * X over (Python int c, integer array X) terms"
+    coeffs = [abs(c) for c, _ in terms]
+    maxes = [_maxabs(X) for _, X in terms]
+    if _fits(sum(map(operator.mul, coeffs, maxes)), *coeffs, *maxes):
+        return sum(c * X.astype(np.int64, copy=False) for c, X in terms)
+    return sum(c * X.astype(object) for c, X in terms)
+
+
+def _iproduct(X, Y, op):
+    "exact op(X, Y) of integer arrays, op being a matrix or an entrywise product"
+    xmax, ymax = _maxabs(X), _maxabs(Y)
+    inner = X.shape[1] if op is operator.matmul else 1
+    if _fits(inner * xmax * ymax, xmax, ymax):
+        return op(X.astype(np.int64, copy=False), Y.astype(np.int64, copy=False))
+    return op(X.astype(object), Y.astype(object))
+
+
+def _sign(X):
+    return (X > 0).astype(np.int8) - (X < 0)
+
+
 class ExactMatrix:
     "immutable dense matrix (A + B*sqrt(D)) / den over Q(sqrt(D))"
 
     __slots__ = ("A", "B", "den", "D")
 
     def __init__(self, A, B, den, D):
-        "A, B: 2-d integer object arrays of one shape; den > 0; put in lowest terms"
+        "A, B: 2-d integer arrays of one shape; den > 0; put in lowest terms"
         if A.ndim != 2 or A.shape != B.shape or den <= 0:
             raise ValueError("need two equal-shape 2-d arrays and den > 0")
+        A, B = _stored(A), _stored(B)
         if not B.any():
             D = 0
-        g = gcd(den, *A.flat, *B.flat)
-        if g > 1:
-            A, B, den = A // g, B // g, den // g
+        g = gcd(int(np.gcd.reduce(A, axis=None, initial=0)),
+                int(np.gcd.reduce(B, axis=None, initial=0)))
+        if not g:
+            den = 1  # the zero matrix
+        g = gcd(g, den)
+        if g > 1:  # g <= |x| for x != 0, so it fits the dtype of a nonzero A or B
+            A, B = (_stored(X // g) if X.any() else X for X in (A, B))
+            den //= g
         A.flags.writeable = B.flags.writeable = False
         for name, val in (("A", A), ("B", B), ("den", den), ("D", D)):
             object.__setattr__(self, name, val)
@@ -80,8 +132,8 @@ class ExactMatrix:
         for v in values:
             D = _join(D, v.D)
         den = lcm(*(x.denominator for v in values for x in (v.a, v.b)))
-        a = np.array([int(v.a * den) for v in values], dtype=object)
-        b = np.array([int(v.b * den) for v in values], dtype=object)
+        a = _stored(np.array([int(v.a * den) for v in values], dtype=object))
+        b = _stored(np.array([int(v.b * den) for v in values], dtype=object))
         return ExactMatrix(a[codes], b[codes], den, D)
 
     @staticmethod
@@ -103,7 +155,7 @@ class ExactMatrix:
         return ExactMatrix.from_codes(np.zeros((r, c), dtype=np.intp), (0,))
 
     def _scalars(self, As, Bs):
-        "entries for parallel numerator sequences; each distinct one is built once"
+        "entries for parallel Python int numerator sequences; each distinct one is built once"
         made = {}
         out = []
         for key in zip(As, Bs):
@@ -118,20 +170,35 @@ class ExactMatrix:
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError("entry (%r, %r) outside %dx%d" % (i, j, self.rows, self.cols))
-        return self._scalars((self.A[i, j],), (self.B[i, j],))[0]
+        return self._scalars((int(self.A[i, j]),), (int(self.B[i, j]),))[0]
 
     def row(self, i):
-        return self._scalars(self.A[i], self.B[i])
+        return self._scalars(self.A[i].tolist(), self.B[i].tolist())
 
     @property
     def entries(self):
         "all entries in row-major order"
-        return self._scalars(self.A.flat, self.B.flat)
+        return self._scalars(self.A.ravel().tolist(), self.B.ravel().tolist())
 
     def support(self):
         "(i, j) of the nonzero entries, in row-major order"
         for i, j in np.argwhere((self.A != 0) | (self.B != 0)):
             yield int(i), int(j)
+
+    def signs(self):
+        "int8 array of the entry signs -1, 0, +1 as real numbers; exact"
+        sa, sb = _sign(self.A), _sign(self.B)  # den > 0 does not change a sign
+        out = np.where(sa == sb, sa, 0).astype(np.int8)
+        # otherwise the larger of |a| and |b| sqrt(D) decides: t = a^2 - D b^2,
+        # which is not 0 as D is square-free
+        mixed = sa != sb
+        a, b, D = self.A[mixed], self.B[mixed], self.D
+        amax, bmax = _maxabs(a), _maxabs(b)
+        if not _fits(amax * amax + D * bmax * bmax, amax, bmax, D):
+            a, b = a.astype(object), b.astype(object)
+        t = a * a - D * (b * b)
+        out[mixed] = np.where(t > 0, sa[mixed], sb[mixed])
+        return out
 
     def transpose(self):
         return ExactMatrix(self.A.T, self.B.T, self.den, self.D)
@@ -147,14 +214,17 @@ class ExactMatrix:
         )
 
     def __hash__(self):
-        return hash((self.den, self.D, self.A.shape, tuple(self.A.flat), tuple(self.B.flat)))
+        return hash((self.den, self.D, self.A.shape,
+                     tuple(self.A.ravel().tolist()), tuple(self.B.ravel().tolist())))
 
     def _add(self, other, sign):
         _same_shape(self, other)
         D = _join(self.D, other.D)
         den = lcm(self.den, other.den)
         x, y = den // self.den, sign * (den // other.den)
-        return ExactMatrix(self.A * x + other.A * y, self.B * x + other.B * y, den, D)
+        return ExactMatrix(
+            _lincomb((x, self.A), (y, other.A)), _lincomb((x, self.B), (y, other.B)), den, D
+        )
 
     def __add__(self, other):
         return self._add(other, 1)
@@ -168,7 +238,10 @@ class ExactMatrix:
         cd = lcm(c.a.denominator, c.b.denominator)
         ca, cb = int(c.a * cd), int(c.b * cd)
         return ExactMatrix(
-            self.A * ca + self.B * (cb * D), self.A * cb + self.B * ca, self.den * cd, D
+            _lincomb((ca, self.A), (cb * D, self.B)),
+            _lincomb((cb, self.A), (ca, self.B)),
+            self.den * cd,
+            D,
         )
 
     def hadamard(self, other):
@@ -185,23 +258,14 @@ class ExactMatrix:
         return "ExactMatrix(%dx%d, D=%d)" % (self.rows, self.cols, self.D)
 
 
-def _imatmul(X, Y):
-    "exact product of integer object arrays, in int64 when the bound allows"
-    xmax = np.abs(X).max(initial=0)
-    ymax = np.abs(Y).max(initial=0)
-    if X.shape[1] * xmax * ymax < _NP_BOUND:
-        return (X.astype(np.int64) @ Y.astype(np.int64)).astype(object)
-    return X @ Y
-
-
-def _product(x, y, mul):
-    "(XA + XB r)(YA + YB r) with r = sqrt(D), each part multiplied by mul"
+def _product(x, y, op):
+    "(XA + XB r)(YA + YB r) with r = sqrt(D), each part multiplied by op"
     D = _join(x.D, y.D)
-    A = mul(x.A, y.A)
+    A = _iproduct(x.A, y.A, op)
     if not D:
-        return ExactMatrix(A, np.zeros_like(A), x.den * y.den, 0)
-    A = A + D * mul(x.B, y.B)
-    B = mul(x.A, y.B) + mul(x.B, y.A)
+        return ExactMatrix(A, np.zeros(A.shape, np.int64), x.den * y.den, 0)
+    A = _lincomb((1, A), (D, _iproduct(x.B, y.B, op)))
+    B = _lincomb((1, _iproduct(x.A, y.B, op)), (1, _iproduct(x.B, y.A, op)))
     return ExactMatrix(A, B, x.den * y.den, D)
 
 
@@ -210,7 +274,7 @@ def mat_mul(x, y):
     if x.cols != y.rows:
         raise ValueError("dimension mismatch %dx%d * %dx%d" % (
             x.rows, x.cols, y.rows, y.cols))
-    return _product(x, y, _imatmul)
+    return _product(x, y, operator.matmul)
 
 
 def _int_rank(rows, ncols):
@@ -250,5 +314,7 @@ def mat_rank(m):
     "rank over Q(sqrt(D)), by fraction-free elimination; exact"
     if not m.D:
         return _int_rank(m.A.tolist(), m.cols)  # den does not affect rank
-    block = np.block([[m.A, m.D * m.B], [m.B, m.A]])
-    return _int_rank(block.tolist(), 2 * m.cols) // 2
+    a, b = m.A.tolist(), m.B.tolist()  # Python ints: D*B may not fit int64
+    block = [ra + [m.D * x for x in rb] for ra, rb in zip(a, b)]
+    block += [rb + ra for ra, rb in zip(a, b)]
+    return _int_rank(block, 2 * m.cols) // 2

@@ -51,16 +51,22 @@ def _anisotropic_delta(fld):
     raise AssertionError("no anisotropic binary form")  # impossible over a finite field
 
 
+def _check_type(dim, kind):
+    "a known kind; odd dim >= 1 for a parabolic form, even dim >= 2 otherwise"
+    if kind not in _KINDS:
+        raise ValueError("kind must be one of %s, not %r" % (", ".join(_KINDS), kind))
+    if not (dim >= 1 and dim % 2 == 1 if kind == "parabolic" else dim >= 2 and dim % 2 == 0):
+        raise ValueError("no nondegenerate %s form in dimension %r" % (kind, dim))
+
+
 def standard_singular_count(q, dim, kind):
     "nonzero singular vectors of the nondegenerate form of this type"
+    _check_type(dim, kind)
     if kind == "parabolic":
-        assert dim % 2 == 1
         return q ** (dim - 1) - 1
-    assert dim % 2 == 0 and dim >= 2
     m = dim // 2
     if kind == "plus":
         return (q**m - 1) * (q ** (m - 1) + 1)
-    assert kind == "minus"
     return (q**m + 1) * (q ** (m - 1) - 1)
 
 
@@ -68,25 +74,27 @@ class QuadraticSpace:
     "a quadratic form of declared type on GF(q)^dim, q even, self-checked by counting"
 
     def __init__(self, fld, dim, kind, coeffs):
-        assert isinstance(fld, Field)
+        if not isinstance(fld, Field):
+            raise ValueError("need a Field, not %r" % (fld,))
         if fld.p != 2:
             raise ValueError("quadratic spaces need characteristic 2, got %r" % (fld,))
-        assert kind in _KINDS
-        assert dim >= 1
+        _check_type(dim, kind)
         self.field = fld
         self.dim = dim
         self.kind = kind
         self.coeffs = {k: v for k, v in coeffs.items() if v != 0}
         for (i, j), c in self.coeffs.items():
-            assert 0 <= i <= j < dim and 0 < c < fld.q
+            if not (0 <= i <= j < dim and 0 < c < fld.q):
+                raise ValueError(
+                    "coefficient %r at %r outside GF(%d)^%d" % (c, (i, j), fld.q, dim)
+                )
         self._qt = None
         got = self.count_singular()
         want = standard_singular_count(fld.q, dim, kind)
-        assert got == want, "form is not of type %s: %d singular, expected %d" % (
-            kind,
-            got,
-            want,
-        )
+        if got != want:
+            raise ValueError(
+                "form is not of type %s: %d singular, expected %d" % (kind, got, want)
+            )
 
     def q_of(self, vec):
         f = self.field
@@ -160,11 +168,7 @@ def standard_space(fld, dim, kind):
     "the standard nondegenerate form of the given type"
     if isinstance(fld, int):
         fld = field(fld)
-    assert kind in _KINDS
-    if kind == "parabolic":
-        assert dim % 2 == 1 and dim >= 1
-    else:
-        assert dim % 2 == 0 and dim >= 2
+    _check_type(dim, kind)
     coeffs = {}
     pairs = dim // 2
     if kind == "minus":

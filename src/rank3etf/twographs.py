@@ -137,12 +137,8 @@ def two_graph_of(g):
 
 def sign_graph(gm):
     "edge iff the Gram entry is negative (an obtuse angle)"
-    n = gm.M
-    rows = [gm.entries.row(i) for i in range(n)]
-    edges = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j].sign() < 0
-    ]
-    return Graph(n, edges, gm.label)
+    edges = np.argwhere(np.triu(gm.entries.signs() < 0, 1)).tolist()
+    return Graph(gm.M, edges, gm.label)
 
 
 def two_graph_of_gram(gm):

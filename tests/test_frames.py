@@ -105,8 +105,9 @@ def test_not_tight_branch():
 
 def test_certificate_checks_survive_optimize():
     # python -O strips every assert; the verdicts, the GF(4) count checks, the
-    # two-graph check, the isomorphism witness check and the input guards must
-    # rest on explicit checks
+    # quadratic-space kind, dimension and form-type checks, the two-graph check,
+    # the isomorphism witness check and the input guards must rest on explicit
+    # checks
     script = """
 import hashlib
 from fractions import Fraction
@@ -117,6 +118,7 @@ from rank3etf.graphs import Graph, SrgParams, eigenmatrices, spectrum
 from rank3etf import iso
 from rank3etf.matrices import ExactMatrix
 from rank3etf.qext import QuadExt
+from rank3etf.quadspaces import QuadraticSpace, standard_space
 from rank3etf.twographs import TwoGraph, switching_equivalent, two_graph_of
 print(__debug__)
 c = verify_etf(embedding_gram(build("VOplus", 2)))
@@ -155,6 +157,9 @@ for bad in (
     lambda: field(9).order(0),
     lambda: QuadExt(0).inverse(),
     lambda: field(9).inv(0),
+    lambda: standard_space(2, 4, "hyperbolic"),
+    lambda: standard_space(2, 3, "plus"),
+    lambda: QuadraticSpace(field(2), 2, "minus", {(0, 1): 1}),
 ):
     try:
         bad()
@@ -187,7 +192,7 @@ except RuntimeError:
         "NotTight",
         # frozen NOplusOdd_4 2 rows, as in test_families.GF4_ROW_DIGESTS
         "d9fe24fcf07582379b320c376925df4ae53dda9af51f7406a117b1e941f77b4f",
-    ] + ["ValueError"] * 21 + ["ZeroDivisionError"] * 2 + ["RuntimeError"]
+    ] + ["ValueError"] * 21 + ["ZeroDivisionError"] * 2 + ["ValueError"] * 3 + ["RuntimeError"]
 
 
 def test_welch_bound_is_strict_off_etf():

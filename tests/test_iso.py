@@ -376,6 +376,15 @@ def test_profile_pruning_matches_unpruned_search(monkeypatch):
     assert pruned[True] >= 8 and pruned[False] >= 8, pruned
 
 
+def test_final_guard_rejects_what_is_not_an_isomorphism(monkeypatch):
+    p9, empty = build("Paley", 9), Graph(4, [])
+    assert find_isomorphism(p9, p9) is not None
+    for g, fake in ((p9, [1, 0] + list(range(2, 9))), (empty, [0, 0, 1, 2])):
+        monkeypatch.setattr(iso, "_search", lambda *args, fake=fake: fake)
+        with pytest.raises(RuntimeError):
+            find_isomorphism(g, g)
+
+
 def test_paley_peisert_49_refuted_without_exhaustive_search(monkeypatch):
     nodes = []
     real_search = iso._search

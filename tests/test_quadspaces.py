@@ -33,10 +33,16 @@ def test_standard_counts_by_enumeration():
 
 def test_wrong_kind_rejected():
     f = field(2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="not of type minus"):
         QuadraticSpace(f, 2, "minus", {(0, 1): 1})  # hyperbolic plane is not elliptic
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="dimension 3"):
         standard_space(2, 3, "plus")  # plus type needs even dimension
+    with pytest.raises(ValueError, match="kind"):
+        standard_space(2, 2, "hyperbolic")
+    with pytest.raises(ValueError, match="outside GF"):
+        QuadraticSpace(f, 2, "plus", {(0, 2): 1})
+    with pytest.raises(ValueError, match="dimension 0"):
+        standard_singular_count(2, 0, "plus")
 
 
 def test_polar_is_bilinear_and_symmetric():

@@ -9,18 +9,23 @@ bijection) witness verified by hand.  The K4 invariant filter leaves every
 witness as the plain search loop finds it, and refutes K1+Paley(q) vs
 K1+Peisert(q) for q = 49, 81 and 121 with one search.  The numpy pair-degree
 multiset matches a plain scan of the pair masks, across the 64-bit word
-boundaries.
+boundaries, and the sign graph read off the numerator arrays matches
+QuadExt.sign entry by entry.
 """
 
+from fractions import Fraction
+from math import isqrt
 import random
 from itertools import combinations
 
 import pytest
 
 from rank3etf.families import build
-from rank3etf.frames import descendant_gram, embedding_gram
+from rank3etf.frames import GramMatrix, descendant_gram, embedding_gram
 from rank3etf.graphs import Graph, srg_params
 from rank3etf.iso import find_isomorphism
+from rank3etf.matrices import ExactMatrix
+from rank3etf.qext import QuadExt
 from rank3etf.tables import _k1_plus
 import rank3etf.twographs
 from rank3etf.twographs import (
@@ -242,6 +247,28 @@ def test_sign_graph_recovers_adjacency():
         g = build(fam, size)
         assert sign_graph(embedding_gram(g)) == g
         assert two_graph_of_gram(embedding_gram(g)) == two_graph_of(g)
+
+
+def test_sign_graph_matches_entry_signs():
+    # sign_graph reads signs off the numerator arrays; the reference calls
+    # QuadExt.sign per entry, on entries near and above 2^31 and 2^62 whose
+    # two parts nearly cancel, so only an exact comparison decides them
+    rng = random.Random(8)
+    for D, scale, den in ((0, 2**31, 1), (0, 2**70, 3), (5, 2**31, 1), (13, 2**62, 1),
+                          (13, 2**31, 2**64 + 3), (2, 2**70, 7)):
+        n = 9
+        rows = [[QuadExt(1) if i == j else None for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                b = rng.randint(-scale, scale) if D else 0
+                a = isqrt(D * b * b) + rng.randint(-1, 1) if D else rng.randint(-scale, scale)
+                rows[i][j] = rows[j][i] = QuadExt(
+                    Fraction(a * rng.choice((1, -1)), den), Fraction(b, den), D
+                )
+        gm = GramMatrix(ExactMatrix.from_rows(rows), "seeded")
+        want = [(i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j].sign() < 0]
+        got = sign_graph(gm)
+        assert got == Graph(n, want) and got.label == "seeded"
 
 
 def test_regularity():
