@@ -101,7 +101,8 @@ def _vo(n, kind, complemented):
 def _paley(q):
     f = field(q)
     sq = f.squares()
-    assert f.neg(1) in sq  # q = 1 mod 4 makes the difference graph undirected
+    if f.neg(1) not in sq:  # q = 1 mod 4 makes the difference graph undirected
+        raise ValueError("-1 is not a square in GF(%d): Paley needs q = 1 mod 4" % q)
     return _graph_from_rule(list(range(q)), lambda x, y: f.sub(x, y) in sq)
 
 
@@ -113,7 +114,8 @@ def _peisert(q):
         if j % 4 in (0, 1):
             conn.add(x)
         x = f.mul(x, f.g)
-    assert f.neg(1) in conn  # -1 = g^((q-1)/2) with (q-1)/2 = 0 mod 4
+    if f.neg(1) not in conn:  # -1 = g^((q-1)/2) with (q-1)/2 = 0 mod 4
+        raise ValueError("-1 is outside the Peisert connection set of GF(%d)" % q)
     return _graph_from_rule(list(range(q)), lambda x, y: f.sub(x, y) in conn)
 
 
@@ -131,12 +133,13 @@ def fano_flags():
     "points 0..6, lines {i, i+1, i+3} mod 7, and the 21 incident pairs"
     points = list(range(7))
     lines = [frozenset({i, (i + 1) % 7, (i + 3) % 7}) for i in range(7)]
-    for l1, l2 in combinations(lines, 2):
-        assert len(l1 & l2) == 1
+    if any(len(l1 & l2) != 1 for l1, l2 in combinations(lines, 2)):
+        raise ValueError("two Fano lines do not meet in one point")
     flags = [(p, l) for l in lines for p in sorted(l)]
-    assert len(flags) == 21
-    for p in points:
-        assert sum(1 for l in lines if p in l) == 3
+    if len(flags) != 21:
+        raise ValueError("%d Fano flags, expected 21" % len(flags))
+    if any(sum(1 for l in lines if p in l) != 3 for p in points):
+        raise ValueError("a Fano point is not on three lines")
     return points, lines, flags
 
 
@@ -187,34 +190,41 @@ def golay_heptads():
     qr = {pow(x, 2, 23) for x in range(1, 23)}
     theta = sum(1 << r for r in qr)
     gen = _poly_gcd_gf2((1 << 23) | 1, theta)
-    assert gen.bit_length() - 1 == 11, "wrong generator degree"
+    if gen.bit_length() - 1 != 11:
+        raise ValueError("generator of degree %d, expected 11" % (gen.bit_length() - 1))
     words = {0}
     for i in range(12):
         b = gen << i
         words |= {w ^ b for w in words}
-    assert len(words) == 4096
+    if len(words) != 4096:
+        raise ValueError("%d code words, expected 4096" % len(words))
     heptads = sorted(w for w in words if w.bit_count() == 7)
-    assert len(heptads) == 253
+    if len(heptads) != 253:
+        raise ValueError("%d weight-7 words, expected 253" % len(heptads))
     cover = {}
     for w in heptads:
         pts = [i for i in range(23) if (w >> i) & 1]
         for four in combinations(pts, 4):
-            assert four not in cover, "4-set covered twice"
+            if four in cover:
+                raise ValueError("4-set %r covered twice" % (four,))
             cover[four] = w
-    assert len(cover) == 8855  # C(23, 4): a Steiner system S(4, 7, 23)
+    if len(cover) != 8855:  # C(23, 4): a Steiner system S(4, 7, 23)
+        raise ValueError("heptads cover %d 4-sets, expected 8855" % len(cover))
     return [frozenset(i for i in range(23) if (w >> i) & 1) for w in heptads]
 
 
 def _m22_comp():
     blocks = [h for h in golay_heptads() if 0 not in h]
-    assert len(blocks) == 176
+    if len(blocks) != 176:
+        raise ValueError("%d blocks, expected 176" % len(blocks))
     pair_counts = {}
     for b in blocks:
         for two in combinations(sorted(b), 2):
             pair_counts[two] = pair_counts.get(two, 0) + 1
-    assert set(pair_counts.values()) == {16}  # 2-(22, 7, 16) design
-    for b1, b2 in combinations(blocks, 2):
-        assert len(b1 & b2) in (1, 3)
+    if set(pair_counts.values()) != {16}:  # 2-(22, 7, 16) design
+        raise ValueError("blocks are not a 2-(22, 7, 16) design")
+    if any(len(b1 & b2) not in (1, 3) for b1, b2 in combinations(blocks, 2)):
+        raise ValueError("two blocks meet in neither 1 nor 3 points")
     return _graph_from_rule(blocks, lambda a, b: len(a & b) == 3)
 
 

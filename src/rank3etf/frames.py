@@ -7,14 +7,11 @@ The embedding Gram of a primitive SRG has unit diagonal, s/k on edges and
 (-1-s)/(v-k-1) on non-edges; it always satisfies G^2 = (v/g) G. The frame
 is a real ETF exactly when the two off-diagonal values have one absolute
 value and G^2 = (M/N) G with N = rank G; certification checks both
-identities in exact arithmetic and, on success, checks Welch equality
-alpha^2 = (M-N)/(N(M-1)).  N = tr G / lambda from G^2 = lambda G with
-lambda = (G^2)_00 != 0: G / lambda is then idempotent, so its rank is its
-trace, which is M as GramMatrix has checked the unit diagonal: N = M /
-lambda.  Elimination runs only when that identity fails.  Both conditions
-are decidable from parameters alone (criteria): equiangularity is
-s/k = -(-1-s)/(v-k-1), and membership of the graph in a regular two-graph
-is v = 2(2k - lambda - mu).
+identities exactly, each as one whole-array check (proofs in verify_etf),
+and on success checks Welch equality alpha^2 = (M-N)/(N(M-1)).  Both
+conditions are decidable from parameters alone (criteria): equiangularity
+is s/k = -(-1-s)/(v-k-1), and membership of the graph in a regular
+two-graph is v = 2(2k - lambda - mu).
 
 The Naimark complement (M/(M-N)) (I - (N/M) G) swaps N for M - N and is an
 involution.  For graphs with k = 2 mu, bordering the switched adjacency
@@ -49,7 +46,7 @@ class GramMatrix:
         # an entry (a + b sqrt(D)) / den is 1 iff a = den and b = 0
         if (m.A.diagonal() != m.den).any() or m.B.diagonal().any():
             raise ValueError("diagonal entry is not 1")
-        if m != m.transpose():
+        if not (np.array_equal(m.A, m.A.T) and np.array_equal(m.B, m.B.T)):
             raise ValueError("Gram matrix must be symmetric")
 
     @property
@@ -96,16 +93,26 @@ def embedding_gram(g):
 
 
 def verify_etf(gm):
-    """certify equiangularity and tightness exactly.
+    """certify equiangularity and tightness exactly; witnesses are the first
+    failing pair in row-major order.
 
-    N = tr G / lambda = M / lambda from G^2 = lambda G, lambda = (G^2)_00;
-    elimination only when that fails.
+    Tightness is one comparison, G^2 = lambda G with lambda = (G^2)_00 != 0.
+    G / lambda is then idempotent, so its rank is its trace, which is M as
+    GramMatrix has checked the unit diagonal: N = M / lambda, and M / N =
+    lambda, so G^2 = (M/N) G is the comparison already made.  If it fails,
+    no c gives G^2 = c G, since (c G)_00 = c; elimination gives N, and the
+    certificate is NotTight unless it is NotEquiangular.
+
+    Equiangularity is entrywise.  Entries share one denominator, so each is
+    (a + b sqrt(D)) / den, and e^2 = f^2 iff e = +-f in the field Q(sqrt(D)):
+    every off-diagonal (a, b) must be +-(a, b) of entry (0, 1).
     """
     m = gm.entries
     M = gm.M
     sq = mat_mul(m, m)
     lam = sq[0, 0] if M else QuadExt(0)
-    if lam and sq == m.scale(lam):
+    tight = bool(lam) and sq == m.scale(lam)
+    if tight:
         n = QuadExt(M) / lam  # tr G = M: GramMatrix has checked the unit diagonal
         if not n.is_rational() or n.as_fraction().denominator != 1:
             raise ValueError("tr G / lambda = %s is not an integer" % n)
@@ -116,16 +123,18 @@ def verify_etf(gm):
         raise ValueError("rank %d outside 1..%d" % (N, M))
     c = Fraction(M, N)
     if M > 1:
-        squares = m.hadamard(m)
-        ref = squares[0, 1]
-        flat = ExactMatrix.from_codes(np.zeros((M, M), dtype=np.intp), (ref,))
-        bad = next(((i, j) for i, j in (squares - flat).support() if i < j), None)
-        if bad:
-            return EtfCertificate(M, N, None, c, "NotEquiangular", ((0, 1), bad))
-    want = m.scale(c)
-    if sq != want:
-        return EtfCertificate(M, N, None, c, "NotTight", next((sq - want).support()))
+        a, b = m.A[0, 1], m.B[0, 1]
+        same = ((m.A == a) & (m.B == b)) | ((m.A == -a) & (m.B == -b))
+        bad = np.argwhere(np.triu(~same, 1))
+        if len(bad):
+            witness = ((0, 1), tuple(bad[0].tolist()))
+            return EtfCertificate(M, N, None, c, "NotEquiangular", witness)
+    if not tight:
+        diff = sq - m.scale(c)
+        bad = np.argwhere((diff.A != 0) | (diff.B != 0))
+        return EtfCertificate(M, N, None, c, "NotTight", tuple(bad[0].tolist()))
     if M > 1:
+        ref = m[0, 1].sq()
         if not ref.is_rational():
             raise ValueError("squared inner products must be rational")
         alpha_sq = ref.as_fraction()

@@ -5,8 +5,11 @@ certification.
 A graph on v vertices stores one integer per vertex whose bit j is the
 adjacency to vertex j, so common-neighbour counts are popcounts of ANDed
 rows and Seidel switching is an XOR.  srg_params certifies the defining
-identity A^2 = kI + lambda A + mu (J - I - A) pairwise and raises
-NotStronglyRegular with a witness on failure.
+identity A^2 = kI + lambda A + mu (J - I - A) on all pairs at once: it
+reads the degrees off the diagonal of one common_neighbour_counts array and
+compares every edge and non-edge count with the first of its class.  On
+failure it raises NotStronglyRegular with the first offending vertex, or the
+first offending pair in row-major order.
 
 From (v, k, lambda, mu) the non-principal eigenvalues are the roots
 r > s of xi^2 + (mu - lambda) xi + (mu - k) = 0, exact in Q(sqrt(disc))
@@ -215,38 +218,31 @@ class SrgParams:
 
 
 def srg_params(g):
-    "certify strong regularity pairwise; primitive SrgParams or NotStronglyRegular"
+    "certify strong regularity on all pairs; primitive SrgParams or NotStronglyRegular"
     n = g.n
     if n < 4:
         raise NotStronglyRegular("too few vertices: %d" % n)
-    rows = g.rows
-    k = rows[0].bit_count()
-    for i in range(1, n):
-        if rows[i].bit_count() != k:
-            raise NotStronglyRegular("degree differs at vertex %d" % i)
-    lam = mu = None
-    for i in range(n):
-        ri = rows[i]
-        for j in range(i + 1, n):
-            c = (ri & rows[j]).bit_count()
-            if (ri >> j) & 1:
-                if lam is None:
-                    lam = c
-                elif lam != c:
-                    raise NotStronglyRegular(
-                        "common-neighbour count varies on edges: pair (%d, %d)" % (i, j)
-                    )
-            else:
-                if mu is None:
-                    mu = c
-                elif mu != c:
-                    raise NotStronglyRegular(
-                        "common-neighbour count varies on non-edges: pair (%d, %d)"
-                        % (i, j)
-                    )
+    c = common_neighbour_counts(g.rows)  # the diagonal holds the degrees
+    deg = c.diagonal()
+    k = int(deg[0])
+    uneven = np.flatnonzero(deg != k)
+    if len(uneven):
+        raise NotStronglyRegular("degree differs at vertex %d" % uneven[0])
+    a = g.adjacency_bits().astype(bool)
+    edges, non_edges = np.triu(a, 1), np.triu(~a, 1)
+    # lambda and mu are the counts on the first edge and the first non-edge; a
+    # class with no pair reads 0 and is rejected below as complete or edgeless
+    lam, mu = (int(c[cls][0]) if cls.any() else 0 for cls in (edges, non_edges))
+    bad = np.argwhere((edges & (c != lam)) | (non_edges & (c != mu)))
+    if len(bad):  # row-major, so bad[0] is the first pair
+        i, j = bad[0].tolist()
+        raise NotStronglyRegular(
+            "common-neighbour count varies on %s: pair (%d, %d)"
+            % ("edges" if a[i, j] else "non-edges", i, j)
+        )
     if k == 0 or k == n - 1:
         raise NotStronglyRegular("complete or edgeless graph")
-    if mu is None or mu == 0:
+    if mu == 0:
         raise NotStronglyRegular("disconnected graph")
     if mu == k:
         raise NotStronglyRegular("disconnected complement (complete multipartite)")

@@ -18,8 +18,7 @@ above.  The bounds, with max|X| the largest |entry| of X:
     sqrt(D) parts of a product): sum |c| * max|X|, and every |c| and
     max|X| itself, since numpy cannot hold a coefficient >= 2^63 even when
     it multiplies zeros;
-  - a matrix product X @ Y: inner_dim * max|X| * max|Y|;
-  - an entrywise product: max|X| * max|Y|.
+  - a matrix product X @ Y: inner_dim * max|X| * max|Y|.
 A product costs one integer product A*A' (four when sqrt(D) is present).
 
 Rank is computed by fraction-free (Bareiss) elimination over Z; the
@@ -76,13 +75,12 @@ def _lincomb(*terms):
     return sum(c * X.astype(object) for c, X in terms)
 
 
-def _iproduct(X, Y, op):
-    "exact op(X, Y) of integer arrays, op being a matrix or an entrywise product"
+def _iproduct(X, Y):
+    "exact matrix product X @ Y of integer arrays"
     xmax, ymax = _maxabs(X), _maxabs(Y)
-    inner = X.shape[1] if op is operator.matmul else 1
-    if _fits(inner * xmax * ymax, xmax, ymax):
-        return op(X.astype(np.int64, copy=False), Y.astype(np.int64, copy=False))
-    return op(X.astype(object), Y.astype(object))
+    if _fits(X.shape[1] * xmax * ymax, xmax, ymax):
+        return X.astype(np.int64, copy=False) @ Y.astype(np.int64, copy=False)
+    return X.astype(object) @ Y.astype(object)
 
 
 def _sign(X):
@@ -180,11 +178,6 @@ class ExactMatrix:
         "all entries in row-major order"
         return self._scalars(self.A.ravel().tolist(), self.B.ravel().tolist())
 
-    def support(self):
-        "(i, j) of the nonzero entries, in row-major order"
-        for i, j in np.argwhere((self.A != 0) | (self.B != 0)):
-            yield int(i), int(j)
-
     def signs(self):
         "int8 array of the entry signs -1, 0, +1 as real numbers; exact"
         sa, sb = _sign(self.A), _sign(self.B)  # den > 0 does not change a sign
@@ -244,11 +237,6 @@ class ExactMatrix:
             D,
         )
 
-    def hadamard(self, other):
-        "entrywise product"
-        _same_shape(self, other)
-        return _product(self, other, operator.mul)
-
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
             return mat_mul(self, other)
@@ -258,23 +246,18 @@ class ExactMatrix:
         return "ExactMatrix(%dx%d, D=%d)" % (self.rows, self.cols, self.D)
 
 
-def _product(x, y, op):
-    "(XA + XB r)(YA + YB r) with r = sqrt(D), each part multiplied by op"
-    D = _join(x.D, y.D)
-    A = _iproduct(x.A, y.A, op)
-    if not D:
-        return ExactMatrix(A, np.zeros(A.shape, np.int64), x.den * y.den, 0)
-    A = _lincomb((1, A), (D, _iproduct(x.B, y.B, op)))
-    B = _lincomb((1, _iproduct(x.A, y.B, op)), (1, _iproduct(x.B, y.A, op)))
-    return ExactMatrix(A, B, x.den * y.den, D)
-
-
 def mat_mul(x, y):
-    "exact matrix product"
+    "exact matrix product (XA + XB r)(YA + YB r) with r = sqrt(D)"
     if x.cols != y.rows:
         raise ValueError("dimension mismatch %dx%d * %dx%d" % (
             x.rows, x.cols, y.rows, y.cols))
-    return _product(x, y, operator.matmul)
+    D = _join(x.D, y.D)
+    A = _iproduct(x.A, y.A)
+    if not D:
+        return ExactMatrix(A, np.zeros(A.shape, np.int64), x.den * y.den, 0)
+    A = _lincomb((1, A), (D, _iproduct(x.B, y.B)))
+    B = _lincomb((1, _iproduct(x.A, y.B)), (1, _iproduct(x.B, y.A)))
+    return ExactMatrix(A, B, x.den * y.den, D)
 
 
 def _int_rank(rows, ncols):

@@ -2,11 +2,14 @@
 ETF certification: parameter criteria, embedding Grams (always rank g with
 G^2 = (v/g) G), exact equiangularity and tightness verdicts with witnesses,
 Welch equality on every ETF, Naimark complements, bordered descendant Grams,
-and explicit character frames matching their Grams entrywise.
+and explicit character frames matching their Grams entrywise.  verify_etf
+gives the certificates of the Hadamard-square certifier it replaced.
 """
 
+import ast
 from fractions import Fraction
 import os
+import random
 from pathlib import Path
 import subprocess
 import sys
@@ -14,8 +17,10 @@ import sys
 import pytest
 
 import rank3etf
+from rank3etf import families
 from rank3etf.families import build
 from rank3etf.frames import (
+    EtfCertificate,
     GramMatrix,
     criteria,
     descendant_gram,
@@ -30,6 +35,7 @@ from rank3etf.frames import (
 from rank3etf.graphs import SrgParams, spectrum, srg_params
 from rank3etf.matrices import ExactMatrix, mat_mul, mat_rank
 from rank3etf.qext import QuadExt
+from rank3etf.tables import TABLE3_MENU, TABLE4_MENU
 
 
 def test_criteria_oracles():
@@ -106,8 +112,8 @@ def test_not_tight_branch():
 def test_certificate_checks_survive_optimize():
     # python -O strips every assert; the verdicts, the GF(4) count checks, the
     # quadratic-space kind, dimension and form-type checks, the two-graph check,
-    # the isomorphism witness check and the input guards must rest on explicit
-    # checks
+    # the family construction checks, the isomorphism witness check and the
+    # input guards must rest on explicit checks
     script = """
 import hashlib
 from fractions import Fraction
@@ -115,7 +121,7 @@ from rank3etf.families import build
 from rank3etf.fields import field
 from rank3etf.frames import GramMatrix, descendant_gram, embedding_gram, naimark, verify_etf, vo_vectors
 from rank3etf.graphs import Graph, SrgParams, eigenmatrices, spectrum
-from rank3etf import iso
+from rank3etf import families, iso
 from rank3etf.matrices import ExactMatrix
 from rank3etf.qext import QuadExt
 from rank3etf.quadspaces import QuadraticSpace, standard_space
@@ -160,6 +166,7 @@ for bad in (
     lambda: standard_space(2, 4, "hyperbolic"),
     lambda: standard_space(2, 3, "plus"),
     lambda: QuadraticSpace(field(2), 2, "minus", {(0, 1): 1}),
+    lambda: families._paley(7),
 ):
     try:
         bad()
@@ -168,6 +175,12 @@ for bad in (
         print("ValueError")
     except ZeroDivisionError:
         print("ZeroDivisionError")
+families._poly_gcd_gf2 = lambda a, b: 1  # a Golay generator of the wrong degree
+try:
+    families.golay_heptads()
+    print("accepted")
+except ValueError:
+    print("ValueError")
 # a bijection that is not an isomorphism: vertices 0 and 1 swapped
 iso._search = lambda rows_g, rows_h, col_g, col_h: [1, 0] + list(range(2, len(rows_g)))
 try:
@@ -192,7 +205,19 @@ except RuntimeError:
         "NotTight",
         # frozen NOplusOdd_4 2 rows, as in test_families.GF4_ROW_DIGESTS
         "d9fe24fcf07582379b320c376925df4ae53dda9af51f7406a117b1e941f77b4f",
-    ] + ["ValueError"] * 21 + ["ZeroDivisionError"] * 2 + ["ValueError"] * 3 + ["RuntimeError"]
+    ] + ["ValueError"] * 21 + ["ZeroDivisionError"] * 2 + ["ValueError"] * 5 + ["RuntimeError"]
+
+
+def test_no_assert_statements_in_src():
+    # python -O strips them, so every check in the package must raise instead
+    pkg = Path(rank3etf.__file__).resolve().parent
+    found = [
+        (path.name, node.lineno)
+        for path in sorted(pkg.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_welch_bound_is_strict_off_etf():
@@ -288,3 +313,132 @@ def test_gram_json_round_trip():
     assert obj2["certificate"]["status"] == "ETF"
     assert (obj2["M"], obj2["N"]) == (16, 6)
     assert gram_to_json(back2, cert2) == text2  # byte-stable
+
+
+# -- verify_etf against the certifier it replaced ---------------------------------
+
+
+def _reference_verify_etf(gm):
+    "reference: squares of QuadExt entries, and the tightness comparison made twice"
+    m = gm.entries
+    M = gm.M
+    sq = mat_mul(m, m)
+    lam = sq[0, 0] if M else QuadExt(0)
+    if lam and sq == m.scale(lam):
+        n = QuadExt(M) / lam
+        if not n.is_rational() or n.as_fraction().denominator != 1:
+            raise ValueError("tr G / lambda = %s is not an integer" % n)
+        N = int(n.as_fraction())
+    else:
+        N = mat_rank(m)
+    if not 1 <= N <= M:
+        raise ValueError("rank %d outside 1..%d" % (N, M))
+    c = Fraction(M, N)
+    entries = m.entries
+    squares = {q: q.sq() for q in set(entries)}
+    if M > 1:
+        ref = squares[entries[1]]
+        bad = next(((i, j) for i in range(M) for j in range(i + 1, M)
+                    if squares[entries[i * M + j]] != ref), None)
+        if bad:
+            return EtfCertificate(M, N, None, c, "NotEquiangular", ((0, 1), bad))
+    want = m.scale(c)
+    if sq != want:
+        first = next(t for t, x in enumerate((sq - want).entries) if x)
+        return EtfCertificate(M, N, None, c, "NotTight", divmod(first, M))
+    if M > 1:
+        if not ref.is_rational():
+            raise ValueError("squared inner products must be rational")
+        alpha_sq = ref.as_fraction()
+        if alpha_sq != Fraction(M - N, N * (M - 1)):
+            raise ValueError("Welch equality fails")
+    else:
+        alpha_sq = Fraction(0)
+    return EtfCertificate(M, N, alpha_sq, c, "ETF")
+
+
+def _table_grams():
+    "every table Gram up to 176 points"
+    for fam, sizes in TABLE3_MENU:
+        for size in sizes:
+            if families.expected_params(fam, size).v <= 176:
+                yield embedding_gram(build(fam, size))
+    for fam, sizes in TABLE4_MENU:
+        for size in sizes:
+            yield descendant_gram(build(fam, size))
+
+
+def _random_gram(rng, M, values):
+    "unit diagonal, off-diagonal entries drawn from values"
+    rows = [[QuadExt(1)] * M for _ in range(M)]
+    for i in range(M):
+        for j in range(i + 1, M):
+            rows[i][j] = rows[j][i] = rng.choice(values)
+    return GramMatrix(ExactMatrix.from_rows(rows))
+
+
+def _random_grams(rng):
+    for D in (0, 5):
+        for den in (1, 3, 2**64 + 3):  # den > 2^62 stores A as Python ints
+            for _ in range(50):
+                M = rng.randint(1, 8)
+                e = QuadExt(Fraction(rng.randint(-3, 3), den),
+                            Fraction(rng.randint(-2, 2), den) if D else 0, D)
+                f = QuadExt(Fraction(rng.randint(-3, 3), den), 0, D)
+                # +-e alone is equiangular; adding f is usually not
+                yield _random_gram(rng, M, (e, -e) if rng.random() < 0.5 else (e, -e, f))
+
+
+def _signed_relabel(rng, gm):
+    "D G D with a random signature D, then a random relabeling: ETF stays ETF"
+    M = gm.M
+    perm = list(range(M))
+    rng.shuffle(perm)
+    sign = [rng.choice((1, -1)) for _ in range(M)]
+    rows = [gm.entries.row(perm[i]) for i in range(M)]
+    return GramMatrix(ExactMatrix.from_rows(
+        [[rows[i][perm[j]] * (sign[i] * sign[j]) for j in range(M)] for i in range(M)]))
+
+
+def _certify_outcome(certify, gm):
+    "(text, status): repr also tells a Python int witness from a numpy one"
+    try:
+        cert = certify(gm)
+    except ValueError as err:
+        return "ValueError: %s" % err, None
+    return repr(cert), cert.status
+
+
+def test_verify_etf_matches_reference():
+    rng = random.Random(1729)
+    corpus = []
+    for gm in _table_grams():
+        corpus += [gm, naimark(gm)]
+    corpus += [_signed_relabel(rng, gm) for gm in corpus if gm.M <= 40]
+    corpus += [embedding_gram(build("Paley", q)) for q in (61, 73, 89)]
+    corpus += list(_random_grams(rng))
+    seen = set()
+    for gm in corpus:
+        want, status = _certify_outcome(_reference_verify_etf, gm)
+        assert _certify_outcome(verify_etf, gm)[0] == want
+        seen.add((status, gm.entries.D, gm.entries.A.dtype == object))
+    # every verdict over Q and over Q(sqrt 5), and both rejections on Python ints
+    for status in ("ETF", "NotEquiangular", "NotTight"):
+        for D in (0, 5):
+            assert (status, D, False) in seen
+    for status in ("NotEquiangular", "NotTight"):
+        assert any(key[0] == status and key[2] for key in seen)
+
+
+def test_etf_certificate_builds_only_the_square_and_its_multiple(monkeypatch):
+    gm = embedding_gram(build("NOplus2n_2", 3))
+    shapes = []
+    real = ExactMatrix.__init__
+
+    def counting(self, A, B, den, D):
+        shapes.append(A.shape)
+        real(self, A, B, den, D)
+
+    monkeypatch.setattr(ExactMatrix, "__init__", counting)
+    assert verify_etf(gm).is_etf
+    assert shapes == [(28, 28)] * 2  # G^2 and lambda G

@@ -5,7 +5,8 @@ and eigenmatrices.  Oracles: the pentagon (5,2,0,1), the Petersen graph
 multiplicities, and a rank 3 eigenmatrix pair with denominator-5 entries.
 Parameter sets that pass SrgParams but have no valid spectrum raise.
 Graph.from_rows rejects exactly what a reference pair scan rejects, with
-the same first offending vertex or pair.
+the same first offending vertex or pair, and srg_params gives the results
+and messages of the pair loop it replaced.
 """
 
 import json
@@ -25,6 +26,7 @@ from rank3etf.graphs import (
     srg_params,
 )
 from rank3etf.matrices import ExactMatrix, mat_mul
+from rank3etf.tables import TABLE3_MENU, TABLE4_MENU
 from rank3etf.qext import QuadExt
 
 
@@ -139,6 +141,110 @@ def test_srg_rejections():
         srg_params(_cycle(6))
     with pytest.raises(NotStronglyRegular):
         srg_params(Graph(3, [(0, 1)]))
+
+
+def _reference_srg_params(g):
+    "reference: the pair loop that srg_params replaces"
+    n = g.n
+    if n < 4:
+        raise NotStronglyRegular("too few vertices: %d" % n)
+    rows = g.rows
+    k = rows[0].bit_count()
+    for i in range(1, n):
+        if rows[i].bit_count() != k:
+            raise NotStronglyRegular("degree differs at vertex %d" % i)
+    lam = mu = None
+    for i in range(n):
+        ri = rows[i]
+        for j in range(i + 1, n):
+            c = (ri & rows[j]).bit_count()
+            if (ri >> j) & 1:
+                if lam is None:
+                    lam = c
+                elif lam != c:
+                    raise NotStronglyRegular(
+                        "common-neighbour count varies on edges: pair (%d, %d)" % (i, j)
+                    )
+            else:
+                if mu is None:
+                    mu = c
+                elif mu != c:
+                    raise NotStronglyRegular(
+                        "common-neighbour count varies on non-edges: pair (%d, %d)"
+                        % (i, j)
+                    )
+    if k == 0 or k == n - 1:
+        raise NotStronglyRegular("complete or edgeless graph")
+    if mu is None or mu == 0:
+        raise NotStronglyRegular("disconnected graph")
+    if mu == k:
+        raise NotStronglyRegular("disconnected complement (complete multipartite)")
+    return SrgParams(n, k, lam, mu)
+
+
+def _srg_outcome(certify, g):
+    try:
+        return certify(g)
+    except NotStronglyRegular as err:
+        return str(err)
+
+
+def _srg_corpus():
+    rng = random.Random(2024)
+    menus = list(TABLE3_MENU) + list(TABLE4_MENU) + [
+        ("Triangular", (5, 6, 7, 8)), ("Lattice", (3, 4, 5))]
+    for fam, sizes in menus:
+        for size in sizes:
+            g = build(fam, size)
+            yield g
+            yield g.complement()
+    for n in range(0, 13):
+        yield Graph(n, [])
+        yield Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        if n >= 3:
+            yield _cycle(n)
+    for t in range(1, 5):  # m K_t, and its complement, the complete multipartite K_{m x t}
+        for m in range(1, 5):
+            g = Graph(m * t, [(i, j) for i in range(m * t) for j in range(i + 1, m * t)
+                              if i // t == j // t])
+            yield g
+            yield g.complement()
+    for _ in range(150):
+        n = rng.randint(4, 40)
+        # circulants are regular, so their failures reach the lambda and mu checks
+        conn = {d for d in range(1, n // 2 + 1) if rng.random() < 0.4}
+        g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                      if min(j - i, n - j + i) in conn])
+        perm = list(range(n))
+        rng.shuffle(perm)
+        yield g.relabel(perm)
+        p = rng.random()
+        yield Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+    # a degree-preserving swap ab, cd -> ac, bd breaks lambda or mu somewhere
+    for fam, size in (("Paley", 13), ("Lattice", 4), ("Triangular", 6), ("Peisert", 9)):
+        g = build(fam, size)
+        for _ in range(10):
+            a, b = rng.choice(list(g.edges()))
+            c, d = rng.choice(list(g.edges()))
+            if len({a, b, c, d}) == 4 and not g.adj(a, c) and not g.adj(b, d):
+                rest = set(g.edges()) - {(a, b), (c, d)}
+                yield Graph(g.n, rest | {(a, c), (b, d)})
+
+
+def test_srg_params_matches_pair_loop():
+    outcomes = set()
+    for g in _srg_corpus():
+        want = _srg_outcome(_reference_srg_params, g)
+        assert _srg_outcome(srg_params, g) == want, g
+        kind = want.split(":")[0].rstrip("0123456789 ") if isinstance(want, str) else "srg"
+        outcomes.add(kind)
+    # every rejection message, and acceptance, is exercised
+    assert outcomes == {
+        "srg", "too few vertices", "degree differs at vertex",
+        "common-neighbour count varies on edges", "common-neighbour count varies on non-edges",
+        "complete or edgeless graph", "disconnected graph",
+        "disconnected complement (complete multipartite)",
+    }
 
 
 def test_srg_params_primitivity_guard():

@@ -261,7 +261,6 @@ def test_storage_split_matches_reference(D, den, pool):
         elementwise = {
             "+": (x + y, operator.add),
             "-": (x - y, operator.sub),
-            "hadamard": (x.hadamard(y), operator.mul),
         }
         for name, (got, op) in elementwise.items():
             _check_stored(got)

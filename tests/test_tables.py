@@ -2,13 +2,16 @@
 Report rows and tables: certified (M, N, M-N, alpha^2) values frozen from
 independent eigenvalue computations, the k = 2 mu gate on descendant rows,
 parameter-only rows at spectrum level, the shared-(M, {N, M-N}) grouping,
-byte-identical reruns, and experiment payload structure.
+byte-identical reruns, experiment payload structure, and two srg_params
+calls per row.
 """
 
 from fractions import Fraction
+import sys
 
 import pytest
 
+from rank3etf import graphs
 from rank3etf.tables import (
     PARAM_ONLY_ROWS,
     CertificationFailure,
@@ -89,6 +92,26 @@ def test_descendant_rows():
         assert row.M == row.v + 1  # bordered by one extra unit vector
         assert row.alpha_sq == a2 == F(M - N, N * (M - 1))
         assert row.status == "ETF" and row.provenance == "table4"
+
+
+def test_each_row_certifies_its_graph_twice(monkeypatch):
+    # once in build against the closed form, once in embedding_gram or
+    # descendant_gram; the row reads the parameters build has just certified
+    calls = []
+    real = graphs.srg_params
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("rank3etf.") and getattr(mod, "srg_params", None) is real:
+            monkeypatch.setattr(mod, "srg_params", lambda g: calls.append(g) or real(g))
+    for make_row, fam, size in (
+        (embedding_row, "VOplus", 2),
+        (embedding_row, "M22_comp", None),
+        (descendant_row, "Paley", 13),
+        (descendant_row, "Sp2n_2", 2),
+    ):
+        calls.clear()
+        row = make_row(fam, size)
+        assert len(calls) == 2, (fam, size)
+        assert (row.v, row.k, row.lam, row.mu) == real(calls[0]).as_tuple()
 
 
 def test_descendant_rejects_k_ne_2mu():
