@@ -18,7 +18,7 @@ import io
 import json
 import sys
 
-from .families import build, family_info
+from .families import build, expected_params, family_info
 from .frames import embedding_gram, gram_to_json, verify_etf, vo_vectors
 from .graphs import Graph, NotStronglyRegular, srg_params
 from .tables import (
@@ -156,7 +156,8 @@ def cmd_verify_srg(args):
 
 def cmd_verify_etf(args):
     g = _load_graph(args)
-    p = srg_params(g)
+    # for a family, build has certified srg_params(g) equal to the closed form
+    p = srg_params(g) if args.input else expected_params(args.family, args.size)
     cert = verify_etf(embedding_gram(g))
     name, size = (g.label or "input", None) if args.input else (args.family, args.size)
     row = ReportRow(

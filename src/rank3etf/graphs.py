@@ -49,16 +49,36 @@ def unpack_rows(rows, n):
     return np.unpackbits(packed, axis=1, count=n, bitorder="little")
 
 
-def common_neighbour_counts(rows):
-    "C[i, j] = |N(i) & N(j)| as an int64 numpy array, from popcounts of 64-bit words"
-    n = len(rows)
-    nwords = (n + 63) // 64
-    buf = b"".join(r.to_bytes(8 * nwords, "little") for r in rows)
-    words = np.frombuffer(buf, dtype="<u8").reshape(n, nwords)
+def _and_popcounts(words):
+    "P[i, j] = popcount(words[i] & words[j]) as int64, summed over the 64-bit words"
+    n = len(words)
     c = np.zeros((n, n), dtype=np.int64)
     for w in words.T:
         c += np.bitwise_count(w[:, None] & w[None, :])
     return c
+
+
+def common_neighbour_counts(rows):
+    "C[i, j] = |N(i) & N(j)| as an int64 numpy array, from popcounts of 64-bit words"
+    nwords = (len(rows) + 63) // 64
+    buf = b"".join(r.to_bytes(8 * nwords, "little") for r in rows)
+    return _and_popcounts(np.frombuffer(buf, dtype="<u8").reshape(len(rows), nwords))
+
+
+def k4_counts(adj):
+    """E[i, j] = edges inside N(i) & N(j) as int64, from the 0/1 array adj: bit e
+    of T[u] is set iff both ends of edge e lie in N(u), so E[i, j] is the
+    popcount of T[i] & T[j].  T is packed a block of rows at a time."""
+    n = len(adj)
+    s, v = np.nonzero(np.triu(adj, 1))  # the m edges, s < v
+    t = np.zeros((n, 8 * ((len(s) + 63) // 64)), dtype=np.uint8)
+    step = max(1, (1 << 18) // max(len(s), 1))  # rows per block, about 256 KB each
+    for lo in range(0, n, step):
+        a = adj[lo : lo + step]
+        t[lo : lo + step, : (len(s) + 7) // 8] = np.packbits(
+            a[:, s] & a[:, v], axis=1, bitorder="little"
+        )
+    return _and_popcounts(t.view("<u8"))
 
 
 class Graph:

@@ -45,11 +45,13 @@ skips every w whose descendant has a K4 pair multiset (iso.k4_pair_multiset)
 different from that of the descendant of G at 0.  The multiset is a graph
 isomorphism invariant, so a mismatch proves that descendant is not
 isomorphic, and the skipped w could not have given a witness: the first w
-that does, and its bijection, are the same as without the filter.  A
-positive decision found at w = 0 never computes the invariant.  The failed
-search at w = 0 is not exhaustive either: find_isomorphism prunes its
-branches by the K4 profile of one vertex (see the iso docstring), so for
-K1+Paley(q) vs K1+Peisert(q) it refutes every branch after the first.
+that does, and its bijection, are the same as without the filter.  It costs
+a few numpy passes over the descendant (graphs.k4_counts), and a positive
+decision found at w = 0 never computes it.  The failed search at w = 0 is
+not exhaustive either: find_isomorphism prunes its branches by the K4
+profile of one vertex, a row of the same count array (see the iso
+docstring), so for K1+Paley(q) vs K1+Peisert(q) it refutes every branch
+after the first.
 """
 
 import numpy as np

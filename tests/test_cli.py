@@ -5,9 +5,11 @@ build / verify, and the export payloads.
 """
 
 import json
+import sys
 
 import pytest
 
+from rank3etf import graphs
 from rank3etf.cli import CSV_COLUMNS, main
 from rank3etf.frames import gram_from_json
 from rank3etf.graphs import Graph
@@ -97,6 +99,21 @@ def test_verify_etf_exit_codes(capsys):
     assert rc == 0 and "ETF" in out
     rc, out, _ = run(capsys, "verify-etf", "Sp2n_2", "2")
     assert rc == 1 and "NotEquiangular" in out
+
+
+def test_verify_etf_certifies_a_family_graph_twice(capsys, monkeypatch):
+    # once in build against the closed form, once in embedding_gram; the row
+    # reads the parameters build has just certified
+    calls = []
+    real = graphs.srg_params
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("rank3etf.") and getattr(mod, "srg_params", None) is real:
+            monkeypatch.setattr(mod, "srg_params", lambda g: calls.append(g) or real(g))
+    rc, out, _ = run(capsys, "verify-etf", "NOplus2n_2", "3", "--format", "csv")
+    assert rc == 0 and len(calls) == 2
+    cells = dict(zip(CSV_COLUMNS, out.splitlines()[1].split(",")))
+    p = real(calls[0])
+    assert [cells[c] for c in ("v", "k", "lambda", "mu")] == [str(x) for x in p.as_tuple()]
 
 
 def test_verify_etf_from_file(capsys, tmp_path):

@@ -182,7 +182,7 @@ try:
 except ValueError:
     print("ValueError")
 # a bijection that is not an isomorphism: vertices 0 and 1 swapped
-iso._search = lambda rows_g, rows_h, col_g, col_h: [1, 0] + list(range(2, len(rows_g)))
+iso._search = lambda *args: [1, 0] + list(range(2, len(args[0])))
 try:
     print(iso.find_isomorphism(p9, p9))
 except RuntimeError:

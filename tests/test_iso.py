@@ -10,17 +10,22 @@ The numpy refinement and pair-count multiset match pure-Python reference
 copies (one popcount per vertex and class, one per pair) on relabeled SRGs,
 random graphs, non-equitable colourings, mismatched histograms and sizes
 across the 64-bit word boundaries; the unpruned reference search refines
-with the reference copy, so it shares no code with the numpy path.
+with the reference copy and checks its leaf pair by pair, so it shares no
+code with the numpy path.  The K4 count array matches a per-pair count, and
+the search's K4 profile a per-common-neighbour popcount, on random graphs
+whose order or edge count crosses a 64-bit word boundary and on Paley(49)
+and Peisert(49).
 """
 
 from itertools import combinations
 import random
 
+import numpy as np
 import pytest
 
 from rank3etf import iso
 from rank3etf.families import build
-from rank3etf.graphs import Graph, common_neighbour_counts, srg_params
+from rank3etf.graphs import Graph, common_neighbour_counts, k4_counts, srg_params, unpack_rows
 from rank3etf.iso import find_isomorphism, isomorphic, k4_pair_multiset
 
 
@@ -160,9 +165,55 @@ def test_pair_count_multiset_matches_pair_scan():
     for g in graphs:
         c = common_neighbour_counts(g.rows)
         assert c.tolist() == [[(a & b).bit_count() for b in g.rows] for a in g.rows]
-        got = iso._pair_count_multiset(g)
+        got = iso._pair_multiset(unpack_rows(g.rows, g.n), c)
         assert got == _plain_pair_counts(g), g.n
         assert all(type(x) is int for key, m in got.items() for x in key + (m,))
+
+
+def _naive_k4_counts(g):
+    "reference: E[i][j], the edges inside N(i) & N(j), counted pair by pair"
+    nb = [set(g.neighbors(v)) for v in range(g.n)]
+    inside = lambda c: sum(1 for a, b in combinations(sorted(c), 2) if b in nb[a])
+    return [[inside(nb[i] & nb[j]) for j in range(g.n)] for i in range(g.n)]
+
+
+def _k4_count_graphs(rng):
+    "random graphs across 64-bit word edges of n^2 and of the edge count, and two SRGs"
+    graphs = [_rand_graph(rng, n) for n in (0, 1, 7, 8, 9, 63, 64, 65) for _ in range(2)]
+    for m in (63, 64, 65, 128, 129):
+        edges = rng.sample(list(combinations(range(24), 2)), m)
+        graphs.append(Graph(24, edges, "%d edges" % m))
+    return graphs + [build("Paley", 49), build("Peisert", 49)]
+
+
+def test_k4_counts_match_naive_count():
+    for g in _k4_count_graphs(random.Random(2027)):
+        e = k4_counts(unpack_rows(g.rows, g.n))
+        assert e.dtype == np.int64 and e.shape == (g.n, g.n)
+        assert e.tolist() == _naive_k4_counts(g), (g.n, g.label)
+
+
+def _reference_profile(rows, col, u):
+    "reference: the search's K4 profile of u with one popcount per common neighbour"
+    ru = rows[u]
+    out = []
+    for v, rv in enumerate(rows):
+        c = ru & rv
+        inside = sum((rows[s] & c).bit_count() for s in range(len(rows)) if c >> s & 1) >> 1
+        out.append((col[v], (ru >> v) & 1, inside))
+    return sorted(out)
+
+
+def test_profile_matches_reference():
+    rng = random.Random(2028)
+    for g in _k4_count_graphs(rng):
+        adj = unpack_rows(g.rows, g.n)
+        e = k4_counts(adj)
+        for u in rng.sample(range(g.n), min(g.n, 4)):
+            col = [rng.randrange(3) for _ in range(g.n)]
+            got = iso._profile(adj, e, col, u)
+            assert got == _reference_profile(g.rows, col, u), (g.n, g.label, u)
+            assert all(type(x) is int for t in got for x in t)
 
 
 def test_k4_pair_multiset_separates_paley_peisert():
@@ -251,13 +302,25 @@ def test_refine_matches_reference():
     split = 0  # refinements that split a class, so ran more than one round
     for rows_g, rows_h, col_g, col_h in _refine_cases(rng):
         want = _reference_refine(rows_g, rows_h, col_g, col_h)
-        got = iso._refine(rows_g, rows_h, col_g, col_h)
+        n = len(col_g)
+        got = iso._refine(unpack_rows(rows_g, n), unpack_rows(rows_h, n), col_g, col_h)
         assert got == want, (len(col_g), col_g[:8], col_h[:8])
         if got is not None:
             assert all(type(c) is int for c in got[0] + got[1])
             split += len(set(got[0])) > len(set(col_g))
         results[want is not None] += 1
     assert results[True] >= 60 and results[False] >= 60 and split >= 20, (results, split)
+
+
+def _verify(rows_g, rows_h, perm):
+    "reference: i ~ j iff perm[i] ~ perm[j], pair by pair"
+    n = len(perm)
+    for i in range(n):
+        pi = perm[i]
+        for j in range(i + 1, n):
+            if (rows_g[i] >> j) & 1 != (rows_h[pi] >> perm[j]) & 1:
+                return False
+    return True
 
 
 def _plain_search(rows_g, rows_h, col_g, col_h, nodes):
@@ -275,7 +338,7 @@ def _plain_search(rows_g, rows_h, col_g, col_h, nodes):
     if not split:
         where = {c: v for v, c in enumerate(col_h)}
         perm = [where[c] for c in col_g]
-        return perm if iso._verify(rows_g, rows_h, perm) else None
+        return perm if _verify(rows_g, rows_h, perm) else None
     _, c = min(split)
     u = col_g.index(c)
     for w in range(n):
@@ -349,13 +412,13 @@ def test_profile_pruning_matches_unpruned_search(monkeypatch):
     profiles, nodes = [], []
     real_profile, real_search = iso._profile, iso._search
 
-    def counting_profile(rows, col, u):
-        profiles.append(u)
-        return real_profile(rows, col, u)
+    def counting_profile(*args):
+        profiles.append(args[-1])
+        return real_profile(*args)
 
-    def counting_search(rows_g, rows_h, col_g, col_h):
+    def counting_search(*args):
         nodes.append(1)
-        return real_search(rows_g, rows_h, col_g, col_h)
+        return real_search(*args)
 
     monkeypatch.setattr(iso, "_profile", counting_profile)
     monkeypatch.setattr(iso, "_search", counting_search)
