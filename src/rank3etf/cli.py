@@ -18,13 +18,14 @@ import io
 import json
 import sys
 
-from .families import build, expected_params, family_info
-from .frames import embedding_gram, gram_to_json, verify_etf, vo_vectors
+from .families import build, family_info
+from .frames import embedding_gram, entry_strings, gram_to_json, verify_etf, vo_vectors
 from .graphs import Graph, NotStronglyRegular, srg_params
 from .tables import (
     EXPERIMENT_IDS,
     CertificationFailure,
     ReportRow,
+    embedding_row,
     generate_table,
     run_experiment,
 )
@@ -155,15 +156,13 @@ def cmd_verify_srg(args):
 
 
 def cmd_verify_etf(args):
-    g = _load_graph(args)
-    # for a family, build has certified srg_params(g) equal to the closed form
-    p = srg_params(g) if args.input else expected_params(args.family, args.size)
-    cert = verify_etf(embedding_gram(g))
-    name, size = (g.label or "input", None) if args.input else (args.family, args.size)
-    row = ReportRow(
-        name, size, p.v, p.k, p.lam, p.mu,
-        cert.M, cert.N, cert.alpha_sq, cert.status, "experiment",
-    )
+    if args.family and not args.input:
+        row = embedding_row(args.family, args.size, "experiment")
+    else:
+        g = _load_graph(args)
+        p, cert = srg_params(g), verify_etf(embedding_gram(g))
+        row = ReportRow(g.label or "input", None, *p.as_tuple(), cert.M, cert.N,
+                        cert.alpha_sq, cert.status, "experiment")
     _emit(_render_rows([row], args.format), args.output)
     return 0 if row.status == "ETF" else 1
 
@@ -221,15 +220,14 @@ def cmd_export_vectors(args):
         raise ValueError("export-vectors supports: %s" % ", ".join(kinds))
     build(args.family, args.size)  # build's size check and vertex bound cover the 4^n columns
     mat = vo_vectors(args.size, kinds[args.family])
+    flat = entry_strings(mat)
     payload = {
         "family": args.family,
         "size": args.size,
         "N": mat.rows,
         "M": mat.cols,
         "D": mat.D,
-        "entries": [
-            [mat[i, j].serialize() for j in range(mat.cols)] for i in range(mat.rows)
-        ],
+        "entries": [flat[i : i + mat.cols] for i in range(0, len(flat), mat.cols)],
     }
     _emit(json.dumps(payload, separators=(",", ":")), args.output)
     return 0

@@ -5,33 +5,31 @@ parameters.
 FAMILIES is the one place a family is declared.  Its row holds check_size
 (raises ValueError on a size outside the family's range; None for a family
 that takes no size), table (the report table listing it, 0 for none),
-params (the closed-form SrgParams at size n) and build (the graph at size
-n).  expected_params and build are lookups behind one size check; build
-labels the graph "family:n" and certifies it against params.
-
-Vertex sets come from the packed tables of char-2 quadratic spaces
-(nonsingular vectors, singular vectors, hyperplanes of a given type, or
-whole vector spaces), from finite fields (difference graphs on square
-classes or on the exponent classes j = 0, 1 mod 4 of a fixed primitive
-element), from small combinatorics (2-subsets, grids, Fano flags), or from
-the weight-7 words of the binary quadratic-residue code of length 23.
+params (the closed-form SrgParams at size n) and build (the boolean
+adjacency array at size n, its diagonal ignored).  expected_params and
+build are lookups behind one size check; build clears the diagonal, packs
+the rows into a Graph labelled "family:n" and certifies it against params.
 A mismatch with params raises, it is never a warning.
 
-Adjacency conventions: orthogonality families join distinct vectors with
-B(x, y) = 0 (their "_comp" variants join on B != 0); hyperplane families
-over GF(4) join hyperplanes whose intersection is degenerate ("_comp":
-nondegenerate), read off the popcount of the AND of their singular-vector
-masks by the count rule proved in _no_gf4; affine families join x, y with
-q(x + y) = 0 ("_comp": nonzero).  Vertex order is the enumeration order of
-the underlying object, so builds are deterministic.
+Each builder is one whole-array rule over the enumeration order of its
+object, so builds are deterministic: the polar form B of a char-2
+quadratic space on its nonsingular or singular vectors (x ~ y iff
+B(x, y) = 0, "_comp": B != 0), or the form q on a whole space (q(x + y)
+= 0, "_comp": nonzero); popcounts of ANDed singular-vector masks for the
+GF(4) hyperplanes (a degenerate meet, "_comp": nondegenerate, by the
+count rule proved in _no_gf4); differences in a connection set of a
+finite field (the squares, or the exponent classes j = 0, 1 mod 4 of a
+fixed primitive element); and incidence products or block assignments
+for 2-subsets, grids, Fano flags and the weight-7 words of the binary
+quadratic-residue code of length 23.
 """
 
-from itertools import combinations
+import numpy as np
 
 from .bounds import effective_bound
 from .fields import field
-from .graphs import Graph, SrgParams, srg_params
-from .quadspaces import standard_singular_count, standard_space
+from .graphs import Graph, SrgParams, and_counts, pack_rows, srg_params
+from .quadspaces import polar_values, standard_singular_count, standard_space
 
 BUILD_VERTEX_BOUND = 1000
 
@@ -39,20 +37,11 @@ BUILD_VERTEX_BOUND = 1000
 # -- builders ------------------------------------------------------------------
 
 
-def _graph_from_rule(verts, adj):
-    edges = [
-        (i, j) for i in range(len(verts)) for j in range(i + 1, len(verts))
-        if adj(verts[i], verts[j])
-    ]
-    return Graph(len(verts), edges)
-
-
 def _polar_gf2(n, kind, q_values, polar):
     "nonzero x in GF(2)^2n with q(x) in q_values; x ~ y iff B(x, y) = polar"
-    sp = standard_space(2, 2 * n, kind)
-    qt = sp.q_table()
-    verts = [x for x in range(1, 4**n) if qt[x] in q_values]
-    return _graph_from_rule(verts, lambda x, y: qt[x ^ y] ^ qt[x] ^ qt[y] == polar)
+    qt = standard_space(2, 2 * n, kind).q_table()
+    verts = np.array([x for x in range(1, 4**n) if qt[x] in q_values])
+    return polar_values(np.array(qt, dtype=np.uint8), verts, verts) == polar
 
 
 def _no_gf4(n, keep, complemented):
@@ -77,25 +66,32 @@ def _no_gf4(n, keep, complemented):
         if c not in kinds and c != tangent:
             raise ValueError("hyperplane with %d singular vectors fits no class" % c)
     hps = [m for m in masks if kinds.get(m.bit_count()) == keep]
+    meets = and_counts(hps, q ** (2 * n))  # the masks index the singular vectors
     parabolic = standard_singular_count(q, 2 * n - 1, "parabolic") + 1
     gap = q**n - q ** (n - 1)
-    allowed = {parabolic, parabolic + gap, parabolic - gap}
-
-    def adj(a, b):
-        c = (a & b).bit_count()
-        if c not in allowed:
-            raise ValueError("intersection with %d singular vectors fits no class" % c)
-        return (c == parabolic) == complemented
-
-    return _graph_from_rule(hps, adj)
+    fits = (meets == parabolic) | (meets == parabolic + gap) | (meets == parabolic - gap)
+    bad = meets[np.triu(~fits, 1)]  # row-major, so bad[0] is the first pair's count
+    if len(bad):
+        raise ValueError("intersection with %d singular vectors fits no class" % bad[0])
+    return (meets == parabolic) == complemented
 
 
 def _vo(n, kind, complemented):
-    sp = standard_space(2, 2 * n, kind)
-    qt = sp.q_table()
-    verts = list(range(4**n))
-    want_zero = not complemented
-    return _graph_from_rule(verts, lambda x, y: (qt[x ^ y] == 0) == want_zero)
+    "all of GF(2)^2n; x ~ y iff q(x + y) = 0, or != 0 when complemented"
+    qt = np.array(standard_space(2, 2 * n, kind).q_table(), dtype=np.uint8)
+    xs = np.arange(4**n)
+    return (qt[xs[:, None] ^ xs] == 0) != complemented
+
+
+def _cayley(f, conn):
+    "x ~ y iff x - y lies in conn; the index of x - y is formed digit by digit"
+    diff = np.zeros((f.q, f.q), dtype=np.min_scalar_type(max(f.q, 2 * f.p)))
+    for t in reversed(range(f.e)):
+        d = np.array([f.to_vec(x)[t] for x in range(f.q)], dtype=diff.dtype)
+        diff = diff * f.p + (d[:, None] + (f.p - d)) % f.p
+    in_conn = np.zeros(f.q, dtype=bool)
+    in_conn[list(conn)] = True
+    return in_conn[diff]
 
 
 def _paley(q):
@@ -103,76 +99,64 @@ def _paley(q):
     sq = f.squares()
     if f.neg(1) not in sq:  # q = 1 mod 4 makes the difference graph undirected
         raise ValueError("-1 is not a square in GF(%d): Paley needs q = 1 mod 4" % q)
-    return _graph_from_rule(list(range(q)), lambda x, y: f.sub(x, y) in sq)
+    return _cayley(f, sq)
 
 
 def _peisert(q):
     f = field(q)
-    conn = set()
-    x = 1
-    for j in range(q - 1):
-        if j % 4 in (0, 1):
-            conn.add(x)
-        x = f.mul(x, f.g)
+    conn = {x for x in range(1, q) if f.log(x) % 4 in (0, 1)}  # g^j, j = 0, 1 mod 4
     if f.neg(1) not in conn:  # -1 = g^((q-1)/2) with (q-1)/2 = 0 mod 4
         raise ValueError("-1 is outside the Peisert connection set of GF(%d)" % q)
-    return _graph_from_rule(list(range(q)), lambda x, y: f.sub(x, y) in conn)
+    return _cayley(f, conn)
 
 
 def _triangular(n):
-    verts = list(combinations(range(n), 2))
-    return _graph_from_rule(verts, lambda a, b: bool(set(a) & set(b)))
+    "2-subsets of range(n) in lexicographic order, adjacent iff they meet"
+    i, j = np.triu_indices(n, 1)
+    b = (i[:, None] == np.arange(n)) | (j[:, None] == np.arange(n))  # subsets x points
+    return b @ b.T
 
 
 def _lattice(m):
-    verts = [(i, j) for i in range(m) for j in range(m)]
-    return _graph_from_rule(verts, lambda a, b: a[0] == b[0] or a[1] == b[1])
+    "cells (i, j) in row-major order, adjacent iff they share a row or a column"
+    i, j = np.divmod(np.arange(m * m), m)
+    b = np.hstack([i[:, None] == np.arange(m), j[:, None] == np.arange(m)])  # cells x lines
+    return b @ b.T
 
 
 def fano_flags():
     "points 0..6, lines {i, i+1, i+3} mod 7, and the 21 incident pairs"
     points = list(range(7))
     lines = [frozenset({i, (i + 1) % 7, (i + 3) % 7}) for i in range(7)]
-    if any(len(l1 & l2) != 1 for l1, l2 in combinations(lines, 2)):
+    inc = np.array([[p in l for p in points] for l in lines], dtype=np.int64)
+    meets = inc @ inc.T
+    np.fill_diagonal(meets, 1)
+    if (meets != 1).any():
         raise ValueError("two Fano lines do not meet in one point")
-    flags = [(p, l) for l in lines for p in sorted(l)]
-    if len(flags) != 21:
-        raise ValueError("%d Fano flags, expected 21" % len(flags))
-    if any(sum(1 for l in lines if p in l) != 3 for p in points):
+    if (inc.sum(axis=0) != 3).any():  # so there are 7 * 3 = 21 flags
         raise ValueError("a Fano point is not on three lines")
-    return points, lines, flags
+    return points, lines, [(p, l) for l in lines for p in sorted(l)]
+
+
+_PT, _LN, _FG = slice(1, 8), slice(8, 15), slice(15, 36)  # G2(2) vertices after inf
 
 
 def _g2_comp():
+    """inf, the 7 points, the 7 lines, the 21 flags (p, l); inf ~ flags, points and
+    lines are cliques, p ~ l iff p is on l, (p, l) ~ the points off l and the lines
+    missing p, and two flags iff they share p or l or neither's p is on the other's l"""
     points, lines, flags = fano_flags()
-    verts = (
-        [("inf",)]
-        + [("pt", p) for p in points]
-        + [("ln", i) for i in range(7)]
-        + [("fl", i) for i in range(21)]
-    )
-
-    def adj(u, w):
-        if u[0] > w[0]:
-            u, w = w, u
-        # kinds sort as fl < inf < ln < pt
-        if (u[0], w[0]) == ("fl", "fl"):
-            (p1, l1), (p2, l2) = flags[u[1]], flags[w[1]]
-            if p1 == p2 or l1 == l2:
-                return True
-            return p1 not in l2 and p2 not in l1
-        if (u[0], w[0]) == ("fl", "inf"):
-            return True
-        if (u[0], w[0]) == ("fl", "ln"):
-            return flags[u[1]][0] not in lines[w[1]]
-        if (u[0], w[0]) == ("fl", "pt"):
-            return w[1] not in flags[u[1]][1]
-        if (u[0], w[0]) == ("ln", "pt"):
-            return w[1] in lines[u[1]]
-        # inf-ln, inf-pt are non-edges; pt-pt and ln-ln are cliques
-        return u[0] == w[0]
-
-    return _graph_from_rule(verts, adj)
+    inc = np.array([[p in l for l in lines] for p in points])  # [point, line]
+    fp = np.array([p for p, _ in flags])
+    fl = np.array([lines.index(l) for _, l in flags])
+    a = np.zeros((36, 36), dtype=bool)
+    a[_PT, _PT] = a[_LN, _LN] = a[0, _FG] = True
+    a[_PT, _LN] = inc
+    a[_PT, _FG] = ~inc[:, fl]
+    a[_LN, _FG] = ~inc[fp].T
+    on = inc[fp[:, None], fl]  # the point of flag f is on the line of flag g
+    a[_FG, _FG] = (fp[:, None] == fp) | (fl[:, None] == fl) | ~(on | on.T)
+    return a | a.T
 
 
 def _poly_gcd_gf2(a, b):
@@ -201,31 +185,30 @@ def golay_heptads():
     heptads = sorted(w for w in words if w.bit_count() == 7)
     if len(heptads) != 253:
         raise ValueError("%d weight-7 words, expected 253" % len(heptads))
-    cover = {}
-    for w in heptads:
-        pts = [i for i in range(23) if (w >> i) & 1]
-        for four in combinations(pts, 4):
-            if four in cover:
-                raise ValueError("4-set %r covered twice" % (four,))
-            cover[four] = w
-    if len(cover) != 8855:  # C(23, 4): a Steiner system S(4, 7, 23)
-        raise ValueError("heptads cover %d 4-sets, expected 8855" % len(cover))
+    # 253 C(7, 4) = C(23, 4), so heptads meeting pairwise in at most 3 points
+    # cover every 4-set exactly once: a Steiner system S(4, 7, 23)
+    h = np.array([[w >> i & 1 for i in range(23)] for w in heptads], dtype=np.int64)
+    meets = h @ h.T
+    np.fill_diagonal(meets, 0)
+    if meets.max() > 3:
+        raise ValueError("two heptads share a 4-set")
     return [frozenset(i for i in range(23) if (w >> i) & 1) for w in heptads]
 
 
 def _m22_comp():
+    "the 176 heptads missing point 0, adjacent iff they meet in 3 points"
     blocks = [h for h in golay_heptads() if 0 not in h]
     if len(blocks) != 176:
         raise ValueError("%d blocks, expected 176" % len(blocks))
-    pair_counts = {}
-    for b in blocks:
-        for two in combinations(sorted(b), 2):
-            pair_counts[two] = pair_counts.get(two, 0) + 1
-    if set(pair_counts.values()) != {16}:  # 2-(22, 7, 16) design
+    b = np.array([[p in h for p in range(1, 23)] for h in blocks], dtype=np.int64)
+    pairs, meets = b.T @ b, b @ b.T  # blocks through two points, points on two blocks
+    np.fill_diagonal(pairs, 16)
+    np.fill_diagonal(meets, 1)
+    if (pairs != 16).any():  # 2-(22, 7, 16) design
         raise ValueError("blocks are not a 2-(22, 7, 16) design")
-    if any(len(b1 & b2) not in (1, 3) for b1, b2 in combinations(blocks, 2)):
+    if ((meets != 1) & (meets != 3)).any():
         raise ValueError("two blocks meet in neither 1 nor 3 points")
-    return _graph_from_rule(blocks, lambda a, b: len(a & b) == 3)
+    return meets == 3
 
 
 def _check_paley_size(q):
@@ -382,8 +365,10 @@ def build(family, size=None):
     cap = effective_bound(BUILD_VERTEX_BOUND)
     if want.v > cap:
         raise ValueError("%d vertices exceeds the build bound %d" % (want.v, cap))
-    g = FAMILIES[family]["build"](size)
-    g.label = family if size is None else "%s:%d" % (family, size)
+    a = FAMILIES[family]["build"](size)
+    np.fill_diagonal(a, False)
+    g = Graph.from_rows(pack_rows(a), family if size is None else "%s:%d" % (family, size))
+    del a  # only the rows stay alive through srg_params
     got = srg_params(g)
     if got != want:
         raise ValueError("%s built (%d,%d,%d,%d), expected (%d,%d,%d,%d)" % (

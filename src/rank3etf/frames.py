@@ -31,7 +31,7 @@ import numpy as np
 from .graphs import Graph, spectrum, srg_params
 from .matrices import ExactMatrix, mat_mul, mat_rank
 from .qext import QuadExt, sqrt_int
-from .quadspaces import standard_space
+from .quadspaces import polar_values, standard_space
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,7 @@ def vo_vectors(n, kind):
     want = 2 ** (n - 1) * (2**n + (-1 if kind == "plus" else 1))
     if N != want:
         raise ValueError("%d nonsingular vectors, expected %d" % (N, want))
-    codes = qt[points[:, None] ^ xs] ^ qt[xs] ^ qt[points][:, None]  # B(x, z)
+    codes = polar_values(qt, points, xs)  # B(x, z)
     plus = sqrt_int(N).inverse()
     return ExactMatrix.from_codes(codes, (plus, -plus))
 
@@ -203,21 +203,24 @@ def _frac_str(x):
     return "%d/%d" % (x.numerator, x.denominator)
 
 
+def entry_strings(m, *index):
+    "serialized entries of m, row-major or at index arrays; each distinct one serialized once"
+    keys = list(zip(m.A[index].ravel().tolist(), m.B[index].ravel().tolist()))
+    text = {k: QuadExt(Fraction(k[0], m.den), Fraction(k[1], m.den), m.D).serialize()
+            for k in set(keys)}
+    return [text[k] for k in keys]
+
+
 def gram_to_json(gm, cert=None):
     if cert is None:
         cert = verify_etf(gm)
     m = gm.entries
-    i, j = np.triu_indices(gm.M)  # row-major upper triangle
-    keys = list(zip(m.A[i, j].tolist(), m.B[i, j].tolist()))
-    text = {k: QuadExt(Fraction(k[0], m.den), Fraction(k[1], m.den), m.D).serialize()
-            for k in set(keys)}
-    entries = [text[k] for k in keys]
     return json.dumps(
         {
             "M": gm.M,
             "N": cert.N,
             "D": m.D,
-            "entries": entries,
+            "entries": entry_strings(m, *np.triu_indices(gm.M)),  # row-major upper triangle
             "certificate": {
                 "status": cert.status,
                 "M": cert.M,

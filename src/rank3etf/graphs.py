@@ -49,6 +49,12 @@ def unpack_rows(rows, n):
     return np.unpackbits(packed, axis=1, count=n, bitorder="little")
 
 
+def pack_rows(a):
+    "the rows of a 0/1 array as integers, bit j of row i set iff a[i, j]; inverts unpack_rows"
+    packed = np.packbits(a, axis=1, bitorder="little")
+    return [int.from_bytes(r.tobytes(), "little") for r in packed]
+
+
 def _and_popcounts(words):
     "P[i, j] = popcount(words[i] & words[j]) as int64, summed over the 64-bit words"
     n = len(words)
@@ -58,11 +64,16 @@ def _and_popcounts(words):
     return c
 
 
+def and_counts(masks, nbits):
+    "P[i, j] = popcount(masks[i] & masks[j]) as int64, for masks below 2^nbits"
+    nwords = (nbits + 63) // 64
+    buf = b"".join(m.to_bytes(8 * nwords, "little") for m in masks)
+    return _and_popcounts(np.frombuffer(buf, dtype="<u8").reshape(len(masks), nwords))
+
+
 def common_neighbour_counts(rows):
     "C[i, j] = |N(i) & N(j)| as an int64 numpy array, from popcounts of 64-bit words"
-    nwords = (len(rows) + 63) // 64
-    buf = b"".join(r.to_bytes(8 * nwords, "little") for r in rows)
-    return _and_popcounts(np.frombuffer(buf, dtype="<u8").reshape(len(rows), nwords))
+    return and_counts(rows, len(rows))
 
 
 def k4_counts(adj):

@@ -15,13 +15,16 @@ Only characteristic 2 is supported, which is all the graph builders use;
 an odd q raises ValueError.  The whole space packs into integers (e bits
 per coordinate, coordinate 0 lowest): vector addition is XOR, and
 B(x, y) = qt[x^y] ^ qt[x] ^ qt[y] with a precomputed table qt of form
-values, which is what the graph builders iterate over.
+values, which polar_values evaluates on whole arrays of packed vectors.
 
-hyperplane_singular_masks gives one bitmask over the packed vectors per
-hyperplane functional, marking the singular vectors of its kernel.  The
-kernels come from per-coordinate bit-planes, so the singular count of a
-hyperplane, or of the intersection of two, is a single popcount.
+hyperplane_singular_masks gives one bitmask per hyperplane functional: bit
+i is set iff the i-th singular vector (packed-index order, zero first) lies
+in the kernel.  The kernels come from per-coordinate bit-planes, so the
+singular count of a hyperplane, or of the intersection of two, is a single
+popcount.
 """
+
+import numpy as np
 
 from .fields import Field, field
 
@@ -32,21 +35,9 @@ _KINDS = ("plus", "minus", "parabolic")
 
 def _anisotropic_delta(fld):
     "first delta in index order with x^2 + xy + delta y^2 anisotropic"
+    # y = 0 leaves x^2 != 0, and y != 0 scales to y = 1: t^2 + t + delta != 0
     for delta in range(1, fld.q):
-        ok = True
-        for x in range(fld.q):
-            for y in range(fld.q):
-                if x == 0 and y == 0:
-                    continue
-                v = fld.add(
-                    fld.add(fld.mul(x, x), fld.mul(x, y)), fld.mul(delta, fld.mul(y, y))
-                )
-                if v == 0:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(fld.add(fld.add(fld.mul(t, t), t), delta) for t in range(fld.q)):
             return delta
     raise AssertionError("no anisotropic binary form")  # impossible over a finite field
 
@@ -57,6 +48,11 @@ def _check_type(dim, kind):
         raise ValueError("kind must be one of %s, not %r" % (", ".join(_KINDS), kind))
     if not (dim >= 1 and dim % 2 == 1 if kind == "parabolic" else dim >= 2 and dim % 2 == 0):
         raise ValueError("no nondegenerate %s form in dimension %r" % (kind, dim))
+
+
+def polar_values(qt, xs, ys):
+    "the array B(x, y) = qt[x^y] ^ qt[x] ^ qt[y], x in xs (rows), y in ys; qt a numpy table"
+    return qt[xs[:, None] ^ ys] ^ qt[xs][:, None] ^ qt[ys]
 
 
 def standard_singular_count(q, dim, kind):
@@ -129,20 +125,21 @@ class QuadraticSpace:
     def hyperplane_singular_masks(self):
         """
         One mask per functional a, taken in packed-index order of a with
-        first nonzero coordinate 1: bit x is set iff sum a_j x_j = 0 and
-        q(x) = 0, the zero vector included.
+        first nonzero coordinate 1: bit i is set iff the i-th singular
+        vector x in packed-index order (the zero vector first) has
+        sum a_j x_j = 0.
         """
         f, e, dim = self.field, self.field.e, self.dim
         qt = self.q_table()
-        n = len(qt)
-        singular = sum(1 << x for x, v in enumerate(qt) if v == 0)
-        # planes[j][t]: the vectors whose coordinate j has bit t set
+        singular = [x for x, v in enumerate(qt) if v == 0]
+        full = (1 << len(singular)) - 1
+        # planes[j][t]: the singular vectors whose coordinate j has bit t set
         planes = [
-            [sum(1 << x for x in range(n) if (x >> (e * j + t)) & 1) for t in range(e)]
+            [sum(1 << i for i, x in enumerate(singular) if x >> (e * j + t) & 1) for t in range(e)]
             for j in range(dim)
         ]
         masks = []
-        for a in range(1, n):
+        for a in range(1, len(qt)):
             coords = self.unpack(a)
             if next(c for c in coords if c) != 1:
                 continue
@@ -157,7 +154,7 @@ class QuadraticSpace:
                         if (f.mul(c, 1 << t) >> b) & 1:
                             plane ^= planes[j][t]
                 value_bits |= plane
-            masks.append(singular & ~value_bits)
+            masks.append(full & ~value_bits)
         return masks
 
     def __repr__(self):

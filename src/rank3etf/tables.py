@@ -123,7 +123,7 @@ def embedding_row(family, size, provenance="table3"):
     return row
 
 
-def descendant_row(family, size, provenance="table4"):
+def descendant_row(family, size):
     g = build(family, size)
     p = expected_params(family, size)  # build has certified srg_params(g) equal to it
     if p.k != 2 * p.mu:
@@ -132,7 +132,7 @@ def descendant_row(family, size, provenance="table4"):
     sp = spectrum(p)
     row = ReportRow(
         family, size, p.v, p.k, p.lam, p.mu, cert.M, cert.N, cert.alpha_sq,
-        cert.status, provenance,
+        cert.status, "table4",
     )
     if not cert.is_etf:
         raise CertificationFailure(row, "descendant Gram did not certify as ETF")

@@ -15,8 +15,8 @@ blocks through i, j are the z in rows[i] XOR rows[j], complemented when
 i ~ j, with bits i and j cleared.  So the pair degree is s = d_i + d_j -
 2 |N(i) & N(j)|, the popcount of the XOR, when i is not adjacent to j
 (bits i and j of the XOR are clear), and n - s when i ~ j (both are set,
-and the complement clears them); pair_degree_multiset reads s off one
-numpy popcount matrix.
+and the complement clears them).  pair_degree_multiset, block_count and
+is_regular read s off one n x n array built from one numpy popcount matrix.
 
 TwoGraph.from_masks takes a triple system T as pair masks, masks[i][j] the
 bitmask of the z making {i, j, z} a block, and checks it exactly, for every
@@ -106,18 +106,22 @@ class TwoGraph:
                     yield (i, j, k)
 
     def block_count(self):
-        return sum(d * c for d, c in self.pair_degree_multiset().items()) // 3
+        return int(self._pair_degrees().sum()) // 6  # each block counted at 6 (i, j)
 
     def pair_degree(self, i, j):
         return self._pair_mask(i, j).bit_count()
 
-    def pair_degree_multiset(self):
-        "multiset of the pair degrees over i < j; see the module docstring"
+    def _pair_degrees(self):
+        "the n x n int64 array of pair degrees, 0 on the diagonal; see the module docstring"
         rows = self.rep.rows
-        i, j = np.triu_indices(self.n, 1)
-        c = common_neighbour_counts(rows)  # the degrees on its diagonal
-        s = c[i, i] + c[j, j] - 2 * c[i, j]
-        s = np.where(unpack_rows(rows, self.n)[i, j], self.n - s, s)
+        c = common_neighbour_counts(rows)
+        deg = c.diagonal()
+        s = deg[:, None] + deg - 2 * c
+        return np.where(unpack_rows(rows, self.n), self.n - s, s)
+
+    def pair_degree_multiset(self):
+        "multiset of the pair degrees over i < j"
+        s = self._pair_degrees()[np.triu_indices(self.n, 1)]
         vals, counts = np.unique(s, return_counts=True)
         return dict(zip(vals.tolist(), counts.tolist()))
 
@@ -148,12 +152,12 @@ def two_graph_of_gram(gm):
 
 
 def is_regular(t):
-    "the constant pair degree a; raises NotRegular with a witness pair"
-    a = t.pair_degree(0, 1)
-    for i in range(t.n):
-        for j in range(i + 1, t.n):
-            if t.pair_degree(i, j) != a:
-                raise NotRegular((i, j))
+    "the constant pair degree a; raises NotRegular with the first other pair in row-major order"
+    s = t._pair_degrees()
+    a = int(s[0, 1])
+    bad = np.argwhere(np.triu(s != a, 1))
+    if len(bad):
+        raise NotRegular(tuple(bad[0].tolist()))
     return a
 
 

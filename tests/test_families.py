@@ -2,7 +2,9 @@
 Family builders: every builder certifies its own parameters, so these tests
 pin the closed forms, the size validation, the combinatorial substrates
 (Fano flags, weight-7 Golay words), known coincidences between families,
-and the vertex-count guard.
+and the vertex-count guard.  The rows of every menu graph match frozen
+digests, the Paley and Peisert builds match a Field.sub pair rule, and
+corrupted Golay blocks or GF(4) masks raise ValueError.
 """
 
 import hashlib
@@ -11,6 +13,7 @@ from itertools import combinations
 
 import pytest
 
+from rank3etf import families
 from rank3etf.families import (
     FAMILIES,
     FAMILY_IDS,
@@ -20,8 +23,10 @@ from rank3etf.families import (
     fano_flags,
     golay_heptads,
 )
+from rank3etf.fields import field
 from rank3etf.graphs import srg_params
 from rank3etf.iso import find_isomorphism
+from rank3etf.quadspaces import QuadraticSpace
 from rank3etf.tables import TABLE3_MENU, TABLE4_MENU
 
 # smallest member of every family, with its frozen quadruple
@@ -138,19 +143,139 @@ def test_build_bound_env_override(monkeypatch):
             build("Paley", 9)
 
 
-# row digests of the GF(4) hyperplane graphs, frozen from the builder that
-# classified every hyperplane and every pair by explicit restriction
-GF4_ROW_DIGESTS = {
+# SHA-256 of repr(rows) for every size of TABLE3_MENU and TABLE4_MENU, the
+# Triangular and Lattice sizes the tests build, and the larger Paley and
+# Peisert graphs, frozen from the builders that joined one vertex pair at a
+# time through a Python predicate; the GF(4) hyperplane rows go back further,
+# to the builder that classified every hyperplane and every pair by explicit
+# restriction
+ROW_DIGESTS = {
+    ("NOplus2n_2", 3): "154d567bb88900a45b57a160a71b019003e58b07fdc1e99ce449fda4fb1601be",
+    ("NOplus2n_2", 4): "feae05f2fa604ebdbfa2dea5096afeb112ef3e25ed44180bc5f2f1d8731c54d0",
+    ("NOplus2n_2", 5): "733ad70b843e743a0c3fb36c90ef82312e1db06668c489db700921228e63d959",
+    ("NOminus2n_2_comp", 2): "001ee8a5442e53b16a2ef35ca980313bb9431e6f0ef6e3f70d50a910fa3c3609",
+    ("NOminus2n_2_comp", 3): "6ce5acadc2f7b2980b4f1187140915200bd9cf6445429a5920d31ca8d6657b09",
+    ("NOminus2n_2_comp", 4): "3c079d3cd9077ae90ee8f382d310be59aa3bae4e8cb994a1acec487f365e43b6",
     ("NOplusOdd_4", 1): "cb492b2f5212250c5c99ce913f7e56e38e1da78ce497a82f3c8a1c524b4b2bda",
     ("NOplusOdd_4", 2): "d9fe24fcf07582379b320c376925df4ae53dda9af51f7406a117b1e941f77b4f",
     ("NOminusOdd_4_comp", 2): "4bf6560decb939b1825bd98b5648bd7ba0a13dec0895438d545043abaf895502",
+    ("VOplus", 2): "00001549384991df95d5d310bafa95628200c6886e64ab63eb03ce0b97508170",
+    ("VOplus", 3): "cade37c738d914eab25feb9e77d4211a6e186d5352d656568d05818e163e59dd",
+    ("VOminus_comp", 2): "beeb3711ed81aba144efe223e1df62f68b7265e6eb3b3b63ce4155e7f290bf39",
+    ("VOminus_comp", 3): "0b8479a4780a155f6d013607f0d4eebf716e44e5d486b3e3f4fcd8aad7b0479b",
+    ("G2_2_comp", None): "3deae8af2ea5df91048a163f4890ae9407f1705d60e70b52c729d3cae8294b83",
+    ("M22_comp", None): "a760e656065aecdffcc88dcc3ea82a3d0d6667ad2fbf62b259547140c477df8e",
+    ("Sp2n_2", 2): "ffc5268e8a189628c63b979337cc1f10a0eb38016587898316b89eda3ea1b36f",
+    ("Sp2n_2", 3): "2afe47f03d85dd9fb1fb7731c26da3f5d6a7cf19f24b9dda9c18a93a1af01d0b",
+    ("Oplus2n_2", 2): "2cf96e960a35b6c45f7cd9882ff4161cc158b8ca7881d240032f38217cc9f85e",
+    ("Oplus2n_2", 3): "21f96ddafda221ed3758f7a37acb342a9f7ba3f147eaad9af3c18d5b0ccf5d1c",
+    ("Ominus2n_2", 3): "ef5beb34183e7de8841a402f03d09e4afbc7ade75e797113973a1a3b80d30877",
+    ("Paley", 5): "41c557332d4da21288f9dfe43a365ccfe712af1d2cc7646a5df938a25037fd4b",
+    ("Paley", 9): "043b7232566277e57a61e1ee4612cd780c06e4fbe392db0e1f42ef9c830f45d4",
+    ("Paley", 13): "e2d74dd8f57ad53eac77eed69db21eaa9099f38334fb0520613e9f11763833d0",
+    ("Paley", 17): "52a9d0710d21539536d19a2b1fe32f4b7108c660f3e1134ba9a79c1bb3e8329b",
+    ("Paley", 25): "fa9c60d8d7086095f3c77b4e72db7e364587701d9f16b5e8caa527a78f6aa90b",
+    ("Paley", 29): "55cbdfd00e92f5b6bb680844a1044a5dbce7ff089b2e91e865fd211470563400",
+    ("Peisert", 9): "0b43ba5c68633d708659786d8701b34af04af52326a2e6294cea1c0f01994f41",
+    ("Peisert", 49): "364bf653e1d33714a4afaf7ef267068b47550d48af5380d305ad546768eed4ce",
+    ("Triangular", 5): "4fdb8dbea5d8135bdc299e956a0bf9ccc6e0082404df025ad71a241cf658a71d",
+    ("Triangular", 6): "4be571eec68f8e322c1b08912d9d0810cf4ce4c630e2d0cee4948842e9c13e54",
+    ("Triangular", 7): "04c78990d3f5b911aa8b3e94e977180cb9a8f518d9fd19795d510197bb2939bd",
+    ("Triangular", 8): "ccf4f6b11c40c2a6cd9b2c5f3b13b8a9426ba46c9d873b5c0299b3abd7decb41",
+    ("Lattice", 3): "043b7232566277e57a61e1ee4612cd780c06e4fbe392db0e1f42ef9c830f45d4",
+    ("Lattice", 4): "4083eb6ec93235c79a630a7a95e965200499973788688708ac33cd97f8a7b94b",
+    ("Lattice", 5): "ce26b8d2c45cd855fcae6dbf61a114160c114c9eea158c70319bee664637b74a",
+    ("Paley", 81): "7f759600a9d9a488763dd671e70121046c69308aa9ef9f7bc2593dd277765149",
+    ("Paley", 121): "7d6b3956f235977a658b558cb07a7e22a2c5de930f426db6c2ca2ea5feb54846",
+    ("Paley", 125): "ccb0dc2a612e71e008a0a887772bd8d39c1abf29efeedb98f01ba09aa2899c29",
+    ("Peisert", 81): "5e30d1cdb609ed24d159b471a9bfb51cea5e300a9df5347b2a0e6a03aba04e1b",
+    ("Peisert", 121): "bdccef7bc32f0f02cbdab4365ef817ae60f3d20af1b66e43a0d210be19214a9a",
 }
+
+GF4_FAMILIES = ("NOplusOdd_4", "NOminusOdd_4_comp")
+
+
+def _row_digest(fam, size):
+    return hashlib.sha256(repr(build(fam, size).rows).encode()).hexdigest()
 
 
 def test_gf4_hyperplane_graphs_match_frozen_rows():
-    for (fam, size), digest in GF4_ROW_DIGESTS.items():
-        rows = build(fam, size).rows
-        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+    for (fam, size), digest in ROW_DIGESTS.items():
+        if fam in GF4_FAMILIES:
+            assert _row_digest(fam, size) == digest, (fam, size)
+
+
+def test_family_graphs_match_frozen_rows():
+    menus = {(f, s) for f, sizes in TABLE3_MENU + TABLE4_MENU for s in sizes}
+    assert menus <= set(ROW_DIGESTS)
+    for (fam, size), digest in ROW_DIGESTS.items():
+        if fam not in GF4_FAMILIES:
+            assert _row_digest(fam, size) == digest, (fam, size)
+
+
+def _difference_graph_rows(f, conn):
+    "reference: the pair rule x ~ y iff Field.sub(x, y) lies in conn"
+    rows = [0] * f.q
+    for x in range(f.q):
+        for y in range(x + 1, f.q):
+            if f.sub(x, y) in conn:
+                rows[x] |= 1 << y
+                rows[y] |= 1 << x
+    return tuple(rows)
+
+
+def test_paley_peisert_match_the_pair_rule():
+    # e = 1, 2 and 3 for Paley, e = 2 and 4 for Peisert; the Peisert
+    # connection set is recomputed from the powers of the primitive element
+    for q in (5, 13, 9, 25, 49, 81, 125):
+        f = field(q)
+        assert build("Paley", q).rows == _difference_graph_rows(f, f.squares()), q
+    for q in (9, 49, 81):
+        f = field(q)
+        conn, x = set(), 1
+        for j in range(q - 1):
+            if j % 4 in (0, 1):
+                conn.add(x)
+            x = f.mul(x, f.g)
+        assert build("Peisert", q).rows == _difference_graph_rows(f, conn), q
+
+
+def test_corrupted_golay_blocks_raise(monkeypatch):
+    heptads = golay_heptads()
+    b0 = next(h for h in heptads if 0 not in h)
+    monkeypatch.setattr(families, "golay_heptads", lambda: [h for h in heptads if h != b0])
+    with pytest.raises(ValueError, match="175 blocks, expected 176"):
+        build("M22_comp")
+    # one point of a block moved: some pairs of points lie in 15 or 17 blocks
+    moved = b0 - {max(b0)} | {next(p for p in range(1, 23) if p not in b0)}
+    monkeypatch.setattr(
+        families, "golay_heptads", lambda: [moved if h == b0 else h for h in heptads]
+    )
+    with pytest.raises(ValueError, match="not a 2-"):
+        build("M22_comp")
+
+
+def test_corrupted_gf4_masks_raise(monkeypatch):
+    real = QuadraticSpace.hyperplane_singular_masks
+
+    def dropped(sp):  # one singular vector fewer: a count no hyperplane class has
+        masks = real(sp)
+        masks[0] &= masks[0] - 1
+        return masks
+
+    def moved(sp):  # a hyperbolic mask keeps its count of 7 with one vector moved
+        masks = real(sp)
+        i = next(k for k, m in enumerate(masks) if m.bit_count() == 7)
+        clear = next(c for c in range(16) if not masks[i] >> c & 1)
+        masks[i] ^= 1 << (masks[i].bit_length() - 1) | 1 << clear
+        return masks
+
+    monkeypatch.setattr(QuadraticSpace, "hyperplane_singular_masks", dropped)
+    with pytest.raises(ValueError, match="hyperplane with .* fits no class"):
+        build("NOplusOdd_4", 1)
+    monkeypatch.setattr(QuadraticSpace, "hyperplane_singular_masks", moved)
+    with pytest.raises(ValueError, match="intersection with .* fits no class"):
+        build("NOplusOdd_4", 1)
 
 
 def test_fano_flags():

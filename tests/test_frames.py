@@ -203,7 +203,7 @@ except RuntimeError:
         "False",
         "ETF 16 6 1/9",
         "NotTight",
-        # frozen NOplusOdd_4 2 rows, as in test_families.GF4_ROW_DIGESTS
+        # frozen NOplusOdd_4 2 rows, as in test_families.ROW_DIGESTS
         "d9fe24fcf07582379b320c376925df4ae53dda9af51f7406a117b1e941f77b4f",
     ] + ["ValueError"] * 21 + ["ZeroDivisionError"] * 2 + ["ValueError"] * 5 + ["RuntimeError"]
 

@@ -6,13 +6,15 @@ multiplicities, and a rank 3 eigenmatrix pair with denominator-5 entries.
 Parameter sets that pass SrgParams but have no valid spectrum raise.
 Graph.from_rows rejects exactly what a reference pair scan rejects, with
 the same first offending vertex or pair, and srg_params gives the results
-and messages of the pair loop it replaced.
+and messages of the pair loop it replaced.  pack_rows inverts unpack_rows,
+and and_counts matches a plain popcount, across the byte and word edges.
 """
 
 import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rank3etf.families import build
@@ -20,10 +22,14 @@ from rank3etf.graphs import (
     Graph,
     NotStronglyRegular,
     SrgParams,
+    and_counts,
     bits,
+    common_neighbour_counts,
     eigenmatrices,
+    pack_rows,
     spectrum,
     srg_params,
+    unpack_rows,
 )
 from rank3etf.matrices import ExactMatrix, mat_mul
 from rank3etf.tables import TABLE3_MENU, TABLE4_MENU
@@ -111,6 +117,31 @@ def test_bits():
     assert list(bits(0)) == []
     assert list(bits(0b1011001)) == [0, 3, 4, 6]
     assert list(bits(1 << 200)) == [200]
+
+
+def test_pack_rows_inverts_unpack_rows():
+    rng = random.Random(31)
+    for width in (0, 1, 7, 8, 9, 63, 64, 65):
+        for n in (0, 1, 5):
+            rows = [rng.getrandbits(width) if width else 0 for _ in range(n)]
+            a = unpack_rows(rows, width)
+            assert a.shape == (n, width) and a.dtype == np.uint8
+            assert a.tolist() == [[r >> j & 1 for j in range(width)] for r in rows]
+            assert pack_rows(a) == rows and pack_rows(a.astype(bool)) == rows
+            assert all(type(r) is int for r in pack_rows(a))
+
+
+def test_and_counts_match_naive_popcounts():
+    rng = random.Random(32)
+    for nbits in (0, 1, 63, 64, 65, 127, 128, 129, 200):
+        masks = [rng.getrandbits(nbits) if nbits else 0 for _ in range(7)]
+        masks[0] = (1 << nbits) - 1  # every word full
+        got = and_counts(masks, nbits)
+        assert got.dtype == np.int64
+        assert got.tolist() == [[(a & b).bit_count() for b in masks] for a in masks]
+    assert and_counts([], 70).shape == (0, 0)
+    g = _petersen()
+    assert np.array_equal(common_neighbour_counts(g.rows), and_counts(g.rows, g.n))
 
 
 def test_json_round_trip():

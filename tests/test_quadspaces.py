@@ -1,17 +1,20 @@
 """
 Quadratic spaces over small fields of characteristic 2: singular-vector
-counts against the classical formulas, the packed polar form, packed
-tables, and hyperplane singular masks checked by direct field computation.
+counts against the classical formulas, the packed polar form and its
+whole-array evaluation, packed tables, and hyperplane singular masks
+(indexed by the singular vectors) checked by direct field computation.
 """
 
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from rank3etf.fields import field
 from rank3etf.quadspaces import (
     QuadraticSpace,
+    polar_values,
     standard_singular_count,
     standard_space,
 )
@@ -64,6 +67,16 @@ def test_polar_is_bilinear_and_symmetric():
             assert polar(cx, y) == f.mul(c, polar(x, y))
 
 
+def test_polar_values_match_the_packed_polar_form():
+    for q, dim, kind in ((2, 4, "minus"), (4, 3, "parabolic"), (2, 6, "plus")):
+        sp = standard_space(q, dim, kind)
+        qt = sp.q_table()
+        xs, ys = np.arange(len(qt)), np.arange(len(qt))[::-3]
+        got = polar_values(np.array(qt, dtype=np.uint8), xs, ys)
+        assert got.shape == (len(xs), len(ys))
+        assert got.tolist() == [[qt[x ^ y] ^ qt[x] ^ qt[y] for y in ys] for x in xs]
+
+
 def test_pack_unpack_and_q_table():
     sp = standard_space(4, 3, "parabolic")
     qt = sp.q_table()
@@ -90,15 +103,18 @@ def test_hyperplane_singular_masks_gf4():
         a for a in range(1, 4**3) if next(c for c in sp.unpack(a) if c) == 1
     ]
     assert len(functionals) == len(masks) == 21
+    # bit i stands for the i-th singular vector in packed order, zero first
+    singular = [x for x in range(4**3) if sp.q_of(sp.unpack(x)) == 0]
+    assert len(singular) == 16 and singular[0] == 0
     for a, mask in zip(functionals, masks):
         coords = sp.unpack(a)
         want = 0
-        for x in range(4**3):
+        for i, x in enumerate(singular):
             dot = 0
             for c, xj in zip(coords, sp.unpack(x)):
                 dot = f.add(dot, f.mul(c, xj))
-            if dot == 0 and sp.q_of(sp.unpack(x)) == 0:
-                want |= 1 << x
+            if dot == 0:
+                want |= 1 << i
         assert mask == want
 
 

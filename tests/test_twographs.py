@@ -8,8 +8,8 @@ with witnesses, and the switching-equivalence decision with its (vertex,
 bijection) witness verified by hand.  The K4 invariant filter leaves every
 witness as the plain search loop finds it, and refutes K1+Paley(q) vs
 K1+Peisert(q) for q = 49, 81 and 121 with one search.  The numpy pair-degree
-multiset matches a plain scan of the pair masks, across the 64-bit word
-boundaries, and the sign graph read off the numerator arrays matches
+multiset, block count and is_regular verdict match a plain scan of the pair
+masks, across the 64-bit word boundaries, and the sign graph read off the numerator arrays matches
 QuadExt.sign entry by entry.
 """
 
@@ -354,6 +354,21 @@ def test_pair_degree_multiset_matches_pair_scan():
         got = t.pair_degree_multiset()
         assert got == want, g.n
         assert all(type(x) is int for x in list(got) + list(got.values()))
+        assert t.block_count() == sum(d * c for d, c in want.items()) // 3
+        if g.n < 2:
+            continue
+        # is_regular against the same scan: the degree of (0, 1), or the first
+        # pair in row-major order whose degree differs from it
+        a = t.pair_degree(0, 1)
+        first = next(
+            ((i, j) for i, j in combinations(range(g.n), 2) if t.pair_degree(i, j) != a), None
+        )
+        if first is None:
+            assert is_regular(t) == a and type(is_regular(t)) is int
+        else:
+            with pytest.raises(NotRegular) as e:
+                is_regular(t)
+            assert e.value.args == (first,) and all(type(x) is int for x in first)
 
 
 def _unfiltered_witness(g, h):
