@@ -50,6 +50,17 @@ could not have returned a bijection, and the first one found is the one the
 unpruned search finds.  The K4 arrays of g and h are computed at the first
 failed branch and shared by the rest of the search, so a search that
 succeeds on its first branch at every node never computes them.
+
+find_isomorphism(g, h, fixed=((u, w), ...)) searches only for bijections
+with perm[u] == w for each pair.  Each pair gets its own fresh colour,
+shared by g and h, and the search starts from that colouring in place of
+one class.  Nothing else changes: refinement only splits classes, so the
+fixed pairs stay singleton classes of equal colour down every branch, and
+the profile pruning stays sound, as its proof only uses that the colour ids
+of g and h are shared.  The final guard also checks every fixed pair.  With
+g = h this is a search for an automorphism sending u to w;
+refined_colours(g), the refinement of g alone, gives the same colour to
+vertices of one orbit, so a pair of different colours needs no search.
 """
 
 import numpy as np
@@ -142,8 +153,20 @@ def _search(adj_g, adj_h, col_g, col_h, k4):
     return None
 
 
-def find_isomorphism(g, h, bound=ISO_VERTEX_BOUND):
-    "a vertex bijection perm with i ~ j iff perm[i] ~ perm[j], or None"
+def refined_colours(g):
+    "the colour refinement of g alone, from one class: vertices of one orbit share a colour"
+    adj = unpack_rows(g.rows, g.n)
+    return _refine(adj, adj, [0] * g.n, [0] * g.n)[0]
+
+
+def find_isomorphism(g, h, bound=ISO_VERTEX_BOUND, fixed=()):
+    """
+    A vertex bijection perm with i ~ j iff perm[i] ~ perm[j] and perm[u] == w
+    for every pair (u, w) in fixed, or None.
+    """
+    for vs, n in (([u for u, _ in fixed], g.n), ([w for _, w in fixed], h.n)):
+        if len(set(vs)) != len(vs) or not all(0 <= v < n for v in vs):
+            raise ValueError("fixed pairs need distinct vertices in range: %r" % (fixed,))
     if g.n != h.n:
         return None
     if g.n > effective_bound(bound):
@@ -155,10 +178,15 @@ def find_isomorphism(g, h, bound=ISO_VERTEX_BOUND):
         adj_h, common_neighbour_counts(h.rows)
     ):
         return None
-    perm = _search(adj_g, adj_h, [0] * g.n, [0] * h.n, [])
+    # each fixed pair gets its own fresh colour, shared by g and h
+    col_g, col_h = [0] * g.n, [0] * h.n
+    for c, (u, w) in enumerate(fixed, 1):
+        col_g[u] = col_h[w] = c
+    perm = _search(adj_g, adj_h, col_g, col_h, [])
     # a guard independent of the search: a bijection with i ~ j iff perm[i] ~ perm[j]
     if perm is not None and (
         sorted(perm) != list(range(g.n))
+        or any(perm[u] != w for u, w in fixed)
         or not np.array_equal(
             unpack_rows(g.rows, g.n), unpack_rows(h.rows, h.n)[np.ix_(perm, perm)]
         )

@@ -41,24 +41,39 @@ returned.  Mismatched pair-degree multisets decide NotEquivalent without
 any search (they also cover block counts, as the degrees sum to 3 blocks).
 
 Once the search at w = 0 has failed, the loop expects a refutation, and it
-skips every w whose descendant has a K4 pair multiset (iso.k4_pair_multiset)
-different from that of the descendant of G at 0.  The multiset is a graph
-isomorphism invariant, so a mismatch proves that descendant is not
-isomorphic, and the skipped w could not have given a witness: the first w
-that does, and its bijection, are the same as without the filter.  It costs
-a few numpy passes over the descendant (graphs.k4_counts), and a positive
-decision found at w = 0 never computes it.  The failed search at w = 0 is
-not exhaustive either: find_isomorphism prunes its branches by the K4
-profile of one vertex, a row of the same count array (see the iso
-docstring), so for K1+Paley(q) vs K1+Peisert(q) it refutes every branch
-after the first.
+skips two kinds of w.  First, every w whose descendant has a K4 pair
+multiset (iso.k4_pair_multiset) different from that of the descendant of G
+at 0.  The multiset is a graph isomorphism invariant, so a mismatch proves
+that descendant is not isomorphic.  Second, every w in the orbit of a
+refuted w under the automorphisms of H found so far.  An automorphism s of
+H maps the member of the switching class isolating x onto the one isolating
+s(x), so the descendants at x and s(x) are isomorphic: all of an orbit is
+refuted with one of its vertices.  To find the orbits, a w that has the
+same refined colour (iso.refined_colours) as a refuted r gets one search
+for an automorphism of H sending r to w (find_isomorphism with the fixed
+pair (r, w)), in place of building and filtering its descendant; if it
+succeeds, the cycles of the automorphism are merged into the orbits, kept
+as a union-find over the vertices of H.  A vertex is searched at most once
+this way, and the first failed automorphism search ends them for the call,
+so an H whose colour classes are coarser than its orbits (a rigid regular H,
+say) pays one failed search, not one per pair of vertices; the orbits
+already found still skip their vertices.  No skipped w could have given a witness, and the first
+w that does is reached and searched by the same call as without the skips,
+so the witness (w, bijection) is unchanged.  None of this runs before the
+search at w = 0 has failed, so a positive decision found there pays nothing
+for it.  The failed search at w = 0 is not exhaustive either:
+find_isomorphism prunes its branches by the K4 profile of one vertex, a row
+of the same count array (see the iso docstring).  For K1+Paley(q) vs
+K1+Peisert(q), w = 0 is the isolated vertex of K1+Peisert(q): its search
+refutes every branch after the first, the K4 multiset refutes w = 1, and a
+few automorphism searches put every other point into the orbit of 1.
 """
 
 import numpy as np
 
 from .bounds import effective_bound
 from .graphs import Graph, bits, common_neighbour_counts, srg_params, unpack_rows
-from .iso import find_isomorphism, k4_pair_multiset
+from .iso import find_isomorphism, k4_pair_multiset, refined_colours
 
 SWITCHING_VERTEX_BOUND = 140
 
@@ -181,25 +196,53 @@ def switching_equivalent(g, h, bound=SWITCHING_VERTEX_BOUND):
     """
     A witness (w, perm) mapping the descendant of g at 0 onto the descendant
     of h at w, or None; graphs are equivalent iff their two-graphs are
-    isomorphic, and every isomorphism shows up this way.
+    isomorphic, and every isomorphism shows up this way.  Raises ValueError
+    on unequal vertex counts, on graphs over the bound, and on 0 vertices,
+    which have no descendant.
     """
     if g.n != h.n:
         raise ValueError("vertex counts differ: %d vs %d" % (g.n, h.n))
     cap = effective_bound(bound)
     if g.n > cap:
         raise ValueError("%d vertices exceeds the switching bound %d" % (g.n, cap))
+    if g.n == 0:
+        raise ValueError("switching needs at least one vertex")
     tg, th = two_graph_of(g), two_graph_of(h)
     if tg.pair_degree_multiset() != th.pair_degree_multiset():
         return None
     g0 = tg.descendant_graph(0)
-    key = None  # k4_pair_multiset(g0), once a search has failed
+    key = colours = None  # k4_pair_multiset(g0) and refined_colours(h), once a search has failed
+    reps = {}  # refined colour -> the first refuted w of that colour
+    orbits = True  # until an automorphism search fails
+    parent = list(range(h.n))  # union-find over h's vertices: orbits of the automorphisms found
+    dead = [False] * h.n  # at a root: its orbit holds a refuted w
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
     for w in range(h.n):
-        hw = th.descendant_graph(w)
-        if key is not None and k4_pair_multiset(hw) != key:
+        if dead[root(w)]:
             continue
-        perm = find_isomorphism(g0, hw)
-        if perm is not None:
-            return (w, perm)
+        r = reps.get(colours[w]) if orbits and reps else None
+        if r is not None:
+            sigma = find_isomorphism(h, h, fixed=((r, w),))
+            if sigma is not None:
+                for a, b in enumerate(sigma):  # merge the cycles of sigma
+                    a, b = root(a), root(b)
+                    if a != b:
+                        parent[b] = a
+                        dead[a] |= dead[b]
+                continue  # w is now in the orbit of r
+            orbits = False
+        hw = th.descendant_graph(w)
+        if key is None or k4_pair_multiset(hw) == key:
+            perm = find_isomorphism(g0, hw)
+            if perm is not None:
+                return (w, perm)
         if key is None:
-            key = k4_pair_multiset(g0)
+            key, colours = k4_pair_multiset(g0), refined_colours(h)
+        reps.setdefault(colours[w], w)
+        dead[root(w)] = True
     return None

@@ -14,7 +14,10 @@ with the reference copy and checks its leaf pair by pair, so it shares no
 code with the numpy path.  The K4 count array matches a per-pair count, and
 the search's K4 profile a per-common-neighbour popcount, on random graphs
 whose order or edge count crosses a 64-bit word boundary and on Paley(49)
-and Peisert(49).
+and Peisert(49).  A search with fixed vertex pairs returns what the
+reference search returns from the same fresh colours, keeps every pair,
+rejects bad pairs, and finds an automorphism 0 -> w of Peisert(49) for
+every w.
 """
 
 from itertools import combinations
@@ -27,6 +30,7 @@ from rank3etf import iso
 from rank3etf.families import build
 from rank3etf.graphs import Graph, common_neighbour_counts, k4_counts, srg_params, unpack_rows
 from rank3etf.iso import find_isomorphism, isomorphic, k4_pair_multiset
+from rank3etf.tables import _k1_plus
 
 
 def _shrikhande():
@@ -454,3 +458,61 @@ def test_paley_peisert_49_refuted_without_exhaustive_search(monkeypatch):
     monkeypatch.setattr(iso, "_search", lambda *args: nodes.append(1) or real_search(*args))
     assert find_isomorphism(build("Paley", 49), build("Peisert", 49)) is None
     assert len(nodes) == 3  # the unpruned search visits 1,226
+
+
+def test_fixed_pairs_are_kept():
+    rng = random.Random(6161)
+    cases = []
+    for fam, size in (("Paley", 13), ("Peisert", 9), ("Triangular", 6), ("Lattice", 4)):
+        g = build(fam, size)
+        cases += [(g, _relabeled(rng, g)) for _ in range(2)]
+    cases += [(g, _relabeled(rng, g)) for g in _triangular_and_chang()]
+    for _ in range(8):
+        g = _rand_graph(rng, rng.randint(2, 14))
+        cases.append((g, _relabeled(rng, g)))
+    found = {True: 0, False: 0}
+    for g, h in cases:
+        for k in (1, 1, 2, 3):
+            us = rng.sample(range(g.n), min(k, g.n))
+            fixed = tuple(zip(us, rng.sample(range(h.n), len(us))))
+            perm = find_isomorphism(g, h, fixed=fixed)
+            # the reference search, started from the same fresh colours
+            cg, ch = [0] * g.n, [0] * h.n
+            for c, (u, w) in enumerate(fixed, 1):
+                cg[u] = ch[w] = c
+            assert perm == _plain_search(g.rows, h.rows, cg, ch, [])
+            if perm is not None:
+                _check_bijection(g, h, perm)
+                assert all(perm[u] == w for u, w in fixed)
+            found[perm is not None] += 1
+    assert min(found.values()) >= 10, found
+
+
+def test_fixed_pairs_on_paley_and_peisert():
+    # K1+Paley(9): the isolated vertex 0 cannot go to a point
+    k1 = _k1_plus(build("Paley", 9))
+    assert find_isomorphism(k1, k1, fixed=((0, 3),)) is None
+    assert find_isomorphism(k1, k1, fixed=((0, 0), (1, 3)))[:2] == [0, 3]
+    # Peisert(49) is vertex-transitive
+    p = build("Peisert", 49)
+    for w in range(49):
+        perm = find_isomorphism(p, p, fixed=((0, w),))
+        assert perm is not None and perm[0] == w
+
+
+def test_fixed_pairs_are_checked(monkeypatch):
+    p9 = build("Paley", 9)
+    for fixed in (((9, 0),), ((0, -1),), ((0, 1), (0, 2)), ((0, 1), (2, 1))):
+        with pytest.raises(ValueError, match="fixed"):
+            find_isomorphism(p9, p9, fixed=fixed)
+    # the identity is an automorphism, but it does not send 0 to 1
+    monkeypatch.setattr(iso, "_search", lambda *args: list(range(9)))
+    with pytest.raises(RuntimeError):
+        find_isomorphism(p9, p9, fixed=((0, 1),))
+
+
+def test_refined_colours_split_by_orbit():
+    k1 = _k1_plus(build("Paley", 9))
+    assert iso.refined_colours(k1) == [0] + [1] * 9
+    assert iso.refined_colours(build("Peisert", 49)) == [0] * 49
+    assert iso.refined_colours(Graph(0, [])) == []

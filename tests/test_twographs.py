@@ -5,9 +5,11 @@ triple systems, and a corrupted 64-vertex two-graph), equality of the stored
 members against a brute-force odd-triple reference, switching invariance
 (the defining property), descendants as isolate-and-delete, regularity
 with witnesses, and the switching-equivalence decision with its (vertex,
-bijection) witness verified by hand.  The K4 invariant filter leaves every
-witness as the plain search loop finds it, and refutes K1+Paley(q) vs
-K1+Peisert(q) for q = 49, 81 and 121 with one search.  The numpy pair-degree
+bijection) witness verified by hand.  The K4 invariant filter and the
+automorphism-orbit skips leave every witness as the plain search loop finds
+it, also when every automorphism search is made to fail, and refute
+K1+Paley(q) vs K1+Peisert(q) for q = 49 and 121 with one descendant search
+and at most three automorphism searches.  The numpy pair-degree
 multiset, block count and is_regular verdict match a plain scan of the pair
 masks, across the 64-bit word boundaries, and the sign graph read off the numerator arrays matches
 QuadExt.sign entry by entry.
@@ -23,7 +25,7 @@ import pytest
 from rank3etf.families import build
 from rank3etf.frames import GramMatrix, descendant_gram, embedding_gram
 from rank3etf.graphs import Graph, srg_params
-from rank3etf.iso import find_isomorphism
+from rank3etf.iso import ISO_VERTEX_BOUND, find_isomorphism
 from rank3etf.matrices import ExactMatrix
 from rank3etf.qext import QuadExt
 from rank3etf.tables import _k1_plus
@@ -382,24 +384,99 @@ def _unfiltered_witness(g, h):
     return None
 
 
-def test_filtered_witness_matches_plain_search():
-    # random two-graphs have few automorphisms, so the search at w = 0
-    # usually fails and the filter picks among the remaining w
-    rng = random.Random(4711)
-    late = 0
-    for _ in range(30):
-        g = _rand_graph(rng, rng.randint(6, 14))
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        h = g.switch([v for v in range(g.n) if rng.random() < 0.5]).relabel(perm)
-        res = switching_equivalent(g, h)
-        assert res is not None and res == _unfiltered_witness(g, h)
-        late += res[0] > 0
-    assert late >= 10
+def _switched_relabeled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.switch([v for v in range(g.n) if rng.random() < 0.5]).relabel(perm)
+
+
+def _chang_class():
+    "T(8) and the three Chang graphs, all (28, 12, 6, 4) and in one switching class"
+    # T(8) switched on the vertices (pairs of K8) of a perfect matching, an
+    # 8-cycle, and a 3-cycle plus a 5-cycle of K8
+    t8 = build("Triangular", 8)  # vertices are the pairs in lexicographic order
+    pairs = list(combinations(range(8), 2))
+    matching = [(0, 1), (2, 3), (4, 5), (6, 7)]
+    cycle8 = [(i, (i + 1) % 8) for i in range(8)]
+    cycles35 = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (6, 7), (3, 7)]
+    return [t8] + [
+        t8.switch([pairs.index(tuple(sorted(e))) for e in s]) for s in (matching, cycle8, cycles35)
+    ]
 
 
 def _paley_peisert(q):
     return _k1_plus(build("Paley", q)), _k1_plus(build("Peisert", q))
+
+
+def _witness_cases():
+    "(g, h, equivalent): graphs with rich or no automorphisms, and refutations"
+    rng = random.Random(4711)
+    cases = []
+    for _ in range(30):  # few automorphisms: the search at w = 0 usually fails
+        g = _rand_graph(rng, rng.randint(6, 14))
+        cases.append((g, _switched_relabeled(rng, g), True))
+    chang = _chang_class()
+    cases += [(chang[0], _switched_relabeled(rng, g), True) for g in chang]
+    for q in (9, 49, 81):
+        a, b = _paley_peisert(q)
+        cases += [(a, b, q == 9), (b, a, q == 9)]  # Paley(9) is Peisert(9)
+    # 2C3 + C6: regular and not vertex-transitive, so refinement leaves its two
+    # orbits in one colour class and an automorphism search can fail
+    h = Graph(12, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+              + [(6 + i, 6 + (i + 1) % 6) for i in range(6)])
+    cases += [(_switched_relabeled(rng, h), h, True) for _ in range(100)]
+    return cases
+
+
+def _recording_searches(monkeypatch, fail_automorphisms):
+    "log each automorphism search of switching_equivalent as found or not"
+    log = []
+
+    def search(g, h, bound=ISO_VERTEX_BOUND, fixed=()):
+        perm = None if fixed and fail_automorphisms else find_isomorphism(g, h, bound, fixed)
+        if fixed:
+            log.append(perm is not None)
+        return perm
+
+    monkeypatch.setattr(rank3etf.twographs, "find_isomorphism", search)
+    return log
+
+
+def _witness_counts(monkeypatch, fail_automorphisms):
+    "check every witness against the plain loop; count late witnesses, fallbacks and orbits"
+    log = _recording_searches(monkeypatch, fail_automorphisms)
+    late = fallback = orbits = 0
+    for g, h, equivalent in _witness_cases():
+        log.clear()
+        res = switching_equivalent(g, h)
+        assert (res is not None) == equivalent, (g.rows, h.rows)
+        assert res == _unfiltered_witness(g, h), (g.rows, h.rows)
+        late += res is not None and res[0] > 0
+        fallback += False in log
+        orbits += True in log
+        assert log.count(False) <= 1  # one failed automorphism search per decision
+    return late, fallback, orbits
+
+
+def test_filtered_witness_matches_plain_search(monkeypatch):
+    # the orbits and the K4 filter skip only w whose descendant is isomorphic
+    # to a refuted one, or fails the K4 count: the witness is unchanged
+    late, fallback, orbits = _witness_counts(monkeypatch, False)
+    assert late >= 40 and fallback >= 20 and orbits >= 20, (late, fallback, orbits)
+
+
+def test_witness_matches_plain_search_when_automorphism_searches_fail(monkeypatch):
+    # the first automorphism search of each decision fails, and the loop goes
+    # on with the K4 filter and the orbits known so far (none)
+    late, fallback, orbits = _witness_counts(monkeypatch, True)
+    assert late >= 40 and fallback >= 20 and orbits == 0, (late, fallback, orbits)
+
+
+def test_switching_equivalent_needs_a_vertex():
+    with pytest.raises(ValueError, match="at least one vertex"):
+        switching_equivalent(Graph(0, []), Graph(0, []))
+    assert switching_equivalent(Graph(1, []), Graph(1, [])) == (0, [])
+    assert switching_equivalent(Graph(2, [(0, 1)]), Graph(2, [])) == (0, [0])
 
 
 def test_paley_vs_peisert(monkeypatch):
@@ -409,13 +486,21 @@ def test_paley_vs_peisert(monkeypatch):
     assert switching_equivalent(*_paley_peisert(81)) is None
     searches = []
 
-    def counting(g, h):
-        searches.append(h.n)
-        return find_isomorphism(g, h)
+    def counting(g, h, bound=ISO_VERTEX_BOUND, fixed=()):
+        searches.append((h.n, fixed))
+        return find_isomorphism(g, h, bound, fixed)
 
     monkeypatch.setattr(rank3etf.twographs, "find_isomorphism", counting)
-    assert switching_equivalent(*_paley_peisert(49)) is None
-    assert searches == [49]  # w = 0 only: the K4 counts refute the other 49 w
+    for q in (49, 121):
+        searches.clear()
+        assert switching_equivalent(*_paley_peisert(q)) is None
+        # one descendant search, at w = 0, the isolated vertex of K1+Peisert(q):
+        # the K4 counts refute w = 1, and automorphisms of K1+Peisert(q) that
+        # send 1 to another point put every point into the orbit of 1
+        assert [n for n, fixed in searches if not fixed] == [q]
+        auto = [(n, fixed) for n, fixed in searches if fixed]
+        assert 1 <= len(auto) <= 3
+        assert all(n == q + 1 and r == 1 for n, ((r, w),) in auto)
 
 
 def test_paley_vs_peisert_121():
