@@ -40,8 +40,8 @@ BUILD_VERTEX_BOUND = 1000
 def _polar_gf2(n, kind, q_values, polar):
     "nonzero x in GF(2)^2n with q(x) in q_values; x ~ y iff B(x, y) = polar"
     qt = standard_space(2, 2 * n, kind).q_table()
-    verts = np.array([x for x in range(1, 4**n) if qt[x] in q_values])
-    return polar_values(np.array(qt, dtype=np.uint8), verts, verts) == polar
+    verts = np.flatnonzero(np.isin(qt[1:], q_values)) + 1
+    return polar_values(qt, verts, verts) == polar
 
 
 def _no_gf4(n, keep, complemented):
@@ -78,7 +78,7 @@ def _no_gf4(n, keep, complemented):
 
 def _vo(n, kind, complemented):
     "all of GF(2)^2n; x ~ y iff q(x + y) = 0, or != 0 when complemented"
-    qt = np.array(standard_space(2, 2 * n, kind).q_table(), dtype=np.uint8)
+    qt = standard_space(2, 2 * n, kind).q_table()
     xs = np.arange(4**n)
     return (qt[xs[:, None] ^ xs] == 0) != complemented
 

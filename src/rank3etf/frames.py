@@ -179,7 +179,7 @@ def vo_vectors(n, kind):
     if n < 2:
         raise ValueError("vo_vectors needs n >= 2 for a primitive graph, not %r" % (n,))
     sp = standard_space(2, 2 * n, "plus" if kind == "plus" else "minus")
-    qt = np.array(sp.q_table(), dtype=np.uint8)
+    qt = sp.q_table()
     points = np.flatnonzero(qt)  # q(0) = 0, so z = 0 is never among them
     xs = np.arange(4**n)
     N = len(points)

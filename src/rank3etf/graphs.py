@@ -56,12 +56,13 @@ def pack_rows(a):
 
 
 def _and_popcounts(words):
-    "P[i, j] = popcount(words[i] & words[j]) as int64, summed over the 64-bit words"
-    n = len(words)
-    c = np.zeros((n, n), dtype=np.int64)
+    """P[i, j] = popcount(words[i] & words[j]) as int64, summed over the 64-bit
+    words in the narrowest dtype that holds 64 * nwords, the largest count"""
+    n, nwords = words.shape
+    c = np.zeros((n, n), dtype=np.min_scalar_type(64 * nwords))
     for w in words.T:
         c += np.bitwise_count(w[:, None] & w[None, :])
-    return c
+    return c.astype(np.int64)
 
 
 def and_counts(masks, nbits):

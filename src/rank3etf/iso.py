@@ -26,6 +26,8 @@ Cheap invariants run first: order, degree multiset, and the multiset of
 (adjacency, common-neighbour count) over all vertex pairs, read off one
 numpy popcount matrix (graphs.common_neighbour_counts), which separates
 strongly regular graphs with different (lambda, mu) without any search.
+An automorphism search, h is g, skips them (they agree by construction)
+and unpacks the rows once for both sides of the search.
 
 A finer invariant, k4_pair_multiset, adds to each pair key the number of
 edges inside the common neighbourhood N(i) & N(j): the K4 count of the
@@ -171,13 +173,15 @@ def find_isomorphism(g, h, bound=ISO_VERTEX_BOUND, fixed=()):
         return None
     if g.n > effective_bound(bound):
         raise ValueError("graph too large for isomorphism search")
-    if sorted(r.bit_count() for r in g.rows) != sorted(r.bit_count() for r in h.rows):
-        return None
-    adj_g, adj_h = unpack_rows(g.rows, g.n), unpack_rows(h.rows, h.n)
-    if _pair_multiset(adj_g, common_neighbour_counts(g.rows)) != _pair_multiset(
-        adj_h, common_neighbour_counts(h.rows)
-    ):
-        return None
+    adj_g = adj_h = unpack_rows(g.rows, g.n)
+    # an automorphism search (h is g) skips the invariants: they agree by construction
+    if h is not g:
+        if sorted(r.bit_count() for r in g.rows) != sorted(r.bit_count() for r in h.rows):
+            return None
+        adj_h = unpack_rows(h.rows, h.n)
+        cn_g, cn_h = common_neighbour_counts(g.rows), common_neighbour_counts(h.rows)
+        if _pair_multiset(adj_g, cn_g) != _pair_multiset(adj_h, cn_h):
+            return None
     # each fixed pair gets its own fresh colour, shared by g and h
     col_g, col_h = [0] * g.n, [0] * h.n
     for c, (u, w) in enumerate(fixed, 1):

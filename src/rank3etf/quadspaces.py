@@ -16,12 +16,16 @@ an odd q raises ValueError.  The whole space packs into integers (e bits
 per coordinate, coordinate 0 lowest): vector addition is XOR, and
 B(x, y) = qt[x^y] ^ qt[x] ^ qt[y] with a precomputed table qt of form
 values, which polar_values evaluates on whole arrays of packed vectors.
+q_table builds qt for all q^dim vectors at once from one q x q
+multiplication table of GF(q): the coordinates are read as arrays and the
+terms c x_i x_j are looked up in the table and XORed together.
 
 hyperplane_singular_masks gives one bitmask per hyperplane functional: bit
 i is set iff the i-th singular vector (packed-index order, zero first) lies
-in the kernel.  The kernels come from per-coordinate bit-planes, so the
-singular count of a hyperplane, or of the intersection of two, is a single
-popcount.
+in the kernel.  The kernels come from per-coordinate bit-planes of the
+singular vectors, packed into 64-bit words and XORed for all functionals
+at once, so the singular count of a hyperplane, or of the intersection of
+two, is a single popcount.
 """
 
 import numpy as np
@@ -48,6 +52,11 @@ def _check_type(dim, kind):
         raise ValueError("kind must be one of %s, not %r" % (", ".join(_KINDS), kind))
     if not (dim >= 1 and dim % 2 == 1 if kind == "parabolic" else dim >= 2 and dim % 2 == 0):
         raise ValueError("no nondegenerate %s form in dimension %r" % (kind, dim))
+
+
+def _mul_table(fld):
+    "the q x q multiplication table of fld as a numpy uint8 array, from q^2 Field.mul calls"
+    return np.array([[fld.mul(a, b) for b in range(fld.q)] for a in range(fld.q)], dtype=np.uint8)
 
 
 def polar_values(qt, xs, ys):
@@ -111,16 +120,25 @@ class QuadraticSpace:
         return tuple((idx >> (e * j)) & mask for j in range(self.dim))
 
     def q_table(self):
-        "q values indexed by packed vector"
+        "q values indexed by packed vector, as a cached read-only numpy uint8 array"
         if self._qt is None:
-            n = self.field.q**self.dim
+            f, e, dim = self.field, self.field.e, self.dim
+            n = f.q**dim
             if n > AMBIENT_BOUND:
                 raise ValueError("%d vectors exceeds the ambient bound %d" % (n, AMBIENT_BOUND))
-            self._qt = [self.q_of(self.unpack(i)) for i in range(n)]
+            mul = _mul_table(f)
+            idx = np.arange(n)
+            x = [((idx >> (e * j)) & (f.q - 1)).astype(np.uint8) for j in range(dim)]
+            qt = np.zeros(n, dtype=np.uint8)
+            for (i, j), c in self.coeffs.items():
+                qt ^= mul[c, mul[x[i], x[j]]]
+            qt.flags.writeable = False
+            self._qt = qt
         return self._qt
 
     def count_singular(self):
-        return self.q_table().count(0) - 1
+        qt = self.q_table()
+        return int(np.count_nonzero(qt == 0)) - 1
 
     def hyperplane_singular_masks(self):
         """
@@ -130,32 +148,31 @@ class QuadraticSpace:
         sum a_j x_j = 0.
         """
         f, e, dim = self.field, self.field.e, self.dim
-        qt = self.q_table()
-        singular = [x for x, v in enumerate(qt) if v == 0]
-        full = (1 << len(singular)) - 1
-        # planes[j][t]: the singular vectors whose coordinate j has bit t set
-        planes = [
-            [sum(1 << i for i, x in enumerate(singular) if x >> (e * j + t) & 1) for t in range(e)]
-            for j in range(dim)
-        ]
-        masks = []
-        for a in range(1, len(qt)):
-            coords = self.unpack(a)
-            if next(c for c in coords if c) != 1:
-                continue
-            # multiplication by a_j is GF(2)-linear on the bits of x_j, so
-            # bit b of sum a_j x_j is the XOR of the planes of those bits t
-            # with bit b set in a_j * 2^t
-            value_bits = 0
-            for b in range(e):
-                plane = 0
-                for j, c in enumerate(coords):
-                    for t in range(e):
-                        if (f.mul(c, 1 << t) >> b) & 1:
-                            plane ^= planes[j][t]
-                value_bits |= plane
-            masks.append(full & ~value_bits)
-        return masks
+        singular = np.flatnonzero(self.q_table() == 0)
+        # planes[j*e + t]: the singular vectors whose coordinate j has bit t
+        # set, as little-endian 64-bit words (bit i for the i-th vector)
+        nwords = (len(singular) + 63) // 64
+        planes = np.zeros((dim * e, 8 * nwords), dtype=np.uint8)
+        planes[:, : (len(singular) + 7) // 8] = np.packbits(
+            (singular >> np.arange(dim * e)[:, None]) & 1, axis=1, bitorder="little"
+        )
+        planes = planes.view("<u8")
+        # the functionals in packed order, kept when the first nonzero coordinate is 1
+        a = np.arange(1, f.q**dim)
+        coords = (a[:, None] >> (e * np.arange(dim))) & (f.q - 1)
+        coords = coords[coords[np.arange(len(a)), np.argmax(coords != 0, axis=1)] == 1]
+        # multiplication by a_j is GF(2)-linear on the bits of x_j, so bit b
+        # of sum a_j x_j is the XOR of the planes of those bits t with bit b
+        # set in a_j * 2^t, read at column j*e + t of scaled
+        scaled = _mul_table(f)[coords[:, :, None], 1 << np.arange(e)].reshape(len(coords), -1)
+        value_bits = np.zeros((len(coords), nwords), dtype="<u8")
+        for b in range(e):
+            plane = np.zeros_like(value_bits)
+            for k in range(dim * e):
+                plane ^= planes[k] * ((scaled[:, k, None] >> b) & 1)
+            value_bits |= plane
+        full = (1 << len(singular)) - 1  # value_bits lies inside full: XOR complements it
+        return [full ^ int.from_bytes(r.tobytes(), "little") for r in value_bits]
 
     def __repr__(self):
         return "QuadraticSpace(%r, dim=%d, %s)" % (self.field, self.dim, self.kind)

@@ -140,6 +140,13 @@ def test_and_counts_match_naive_popcounts():
         assert got.dtype == np.int64
         assert got.tolist() == [[(a & b).bit_count() for b in masks] for a in masks]
     assert and_counts([], 70).shape == (0, 0)
+    # all-ones words at the edges of the narrow accumulator: 192 and 65472
+    # fit 8 and 16 bits, 256 and 65536 do not
+    for nwords in (3, 4, 1023, 1024):
+        masks = [(1 << 64 * nwords) - 1, (1 << 64 * nwords - 1) - 1, 0]
+        got = and_counts(masks, 64 * nwords)
+        assert got.dtype == np.int64
+        assert got.tolist() == [[(a & b).bit_count() for b in masks] for a in masks]
     g = _petersen()
     assert np.array_equal(common_neighbour_counts(g.rows), and_counts(g.rows, g.n))
 

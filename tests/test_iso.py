@@ -17,7 +17,8 @@ whose order or edge count crosses a 64-bit word boundary and on Paley(49)
 and Peisert(49).  A search with fixed vertex pairs returns what the
 reference search returns from the same fresh colours, keeps every pair,
 rejects bad pairs, and finds an automorphism 0 -> w of Peisert(49) for
-every w.
+every w.  An automorphism search (h is g) computes no pair counts, unpacks
+the rows once for the search and returns what a copy of g would.
 """
 
 from itertools import combinations
@@ -516,3 +517,36 @@ def test_refined_colours_split_by_orbit():
     assert iso.refined_colours(k1) == [0] + [1] * 9
     assert iso.refined_colours(build("Peisert", 49)) == [0] * 49
     assert iso.refined_colours(Graph(0, [])) == []
+
+
+def test_automorphism_search_pays_the_invariants_once(monkeypatch):
+    # h is g: no degree or pair-count comparison, one unpack for the search
+    # and two in the final guard
+    calls = {"cnc": 0, "unpack": 0}
+
+    def counted(name, real):
+        return lambda *args: calls.__setitem__(name, calls[name] + 1) or real(*args)
+
+    monkeypatch.setattr(iso, "common_neighbour_counts", counted("cnc", common_neighbour_counts))
+    monkeypatch.setattr(iso, "unpack_rows", counted("unpack", unpack_rows))
+    rng = random.Random(4242)
+    graphs = [build("Paley", 13), build("Peisert", 9), _k1_plus(build("Paley", 9))]
+    graphs += _triangular_and_chang() + [_rand_graph(rng, rng.randint(2, 14)) for _ in range(8)]
+    found = {True: 0, False: 0}
+    for g in graphs:
+        for k in (1, 1, 2):
+            us = rng.sample(range(g.n), min(k, g.n))
+            fixed = tuple(zip(us, rng.sample(range(g.n), len(us))))
+            calls.update(cnc=0, unpack=0)
+            perm = find_isomorphism(g, g, fixed=fixed)
+            assert calls["cnc"] == 0
+            assert calls["unpack"] == (1 if perm is None else 3)
+            # a copy of g pays the invariants and finds the same answer
+            assert find_isomorphism(g, Graph.from_rows(g.rows), fixed=fixed) == perm
+            assert calls["cnc"] == 2
+            cg, ch = [0] * g.n, [0] * g.n
+            for c, (u, w) in enumerate(fixed, 1):
+                cg[u] = ch[w] = c
+            assert perm == _plain_search(g.rows, g.rows, cg, ch, [])
+            found[perm is not None] += 1
+    assert min(found.values()) >= 10, found

@@ -3,16 +3,23 @@ Quadratic spaces over small fields of characteristic 2: singular-vector
 counts against the classical formulas, the packed polar form and its
 whole-array evaluation, packed tables, and hyperplane singular masks
 (indexed by the singular vectors) checked by direct field computation.
+The whole-array form table equals q_of on every vector of each standard
+space up to 4096 vectors; it is read-only, and a space beyond the ambient
+bound raises before numpy is touched.  The packed bit-plane masks equal
+the scalar dot-product rule, and two mask lists are frozen by digest.
 """
 
+import hashlib
 import random
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from rank3etf import quadspaces
 from rank3etf.fields import field
 from rank3etf.quadspaces import (
+    AMBIENT_BOUND,
     QuadraticSpace,
     polar_values,
     standard_singular_count,
@@ -72,7 +79,7 @@ def test_polar_values_match_the_packed_polar_form():
         sp = standard_space(q, dim, kind)
         qt = sp.q_table()
         xs, ys = np.arange(len(qt)), np.arange(len(qt))[::-3]
-        got = polar_values(np.array(qt, dtype=np.uint8), xs, ys)
+        got = polar_values(qt, xs, ys)
         assert got.shape == (len(xs), len(ys))
         assert got.tolist() == [[qt[x ^ y] ^ qt[x] ^ qt[y] for y in ys] for x in xs]
 
@@ -91,31 +98,99 @@ def test_q_table_needs_char_2():
         standard_space(3, 3, "parabolic")
 
 
+def _scalar_masks(sp):
+    "the masks by the scalar dot-product rule, over the singular vectors that q_of finds"
+    f, n = sp.field, sp.field.q**sp.dim
+    functionals = [a for a in range(1, n) if next(c for c in sp.unpack(a) if c) == 1]
+    # bit i stands for the i-th singular vector in packed order, zero first
+    singular = [sp.unpack(x) for x in range(n) if sp.q_of(sp.unpack(x)) == 0]
+    masks = []
+    for a in functionals:
+        coords = sp.unpack(a)
+        want = 0
+        for i, x in enumerate(singular):
+            dot = 0
+            for c, xj in zip(coords, x):
+                dot = f.add(dot, f.mul(c, xj))
+            if dot == 0:
+                want |= 1 << i
+        masks.append(want)
+    return masks
+
+
 def test_hyperplane_singular_masks_gf4():
     # hyperplanes of the 3-dim parabolic space over GF(4): 10 hyperbolic
     # (6 nonzero singular vectors), 6 elliptic (none) and 5 through the
     # nucleus (q^(2n-1) - 1 = 3); counts below include the zero vector
     sp = standard_space(4, 3, "parabolic")
-    f = sp.field
     masks = sp.hyperplane_singular_masks()
     assert Counter(m.bit_count() for m in masks) == {7: 10, 1: 6, 4: 5}
     functionals = [
         a for a in range(1, 4**3) if next(c for c in sp.unpack(a) if c) == 1
     ]
     assert len(functionals) == len(masks) == 21
-    # bit i stands for the i-th singular vector in packed order, zero first
     singular = [x for x in range(4**3) if sp.q_of(sp.unpack(x)) == 0]
     assert len(singular) == 16 and singular[0] == 0
-    for a, mask in zip(functionals, masks):
-        coords = sp.unpack(a)
-        want = 0
-        for i, x in enumerate(singular):
-            dot = 0
-            for c, xj in zip(coords, sp.unpack(x)):
-                dot = f.add(dot, f.mul(c, xj))
-            if dot == 0:
-                want |= 1 << i
-        assert mask == want
+    assert masks == _scalar_masks(sp)
+
+
+def test_masks_match_the_scalar_rule():
+    cases = ((4, 5, "parabolic"), (8, 3, "parabolic"), (2, 6, "plus"), (2, 8, "minus"))
+    for q, dim, kind in cases:
+        sp = standard_space(q, dim, kind)
+        masks = sp.hyperplane_singular_masks()
+        assert all(type(m) is int for m in masks)
+        assert masks == _scalar_masks(sp), (q, dim, kind)
+
+
+def test_masks_frozen_digests():
+    # frozen SHA-256 of repr(masks); the (4, 7) list is the input of the
+    # opt-in NOplusOdd_4 3 build, which takes seconds
+    for dim, count, digest in (
+        (5, 341, "676cd17bfc48c6505d1b955b16f169ee9c28e7343e59149c9aee8b054eadbe7f"),
+        (7, 5461, "18b9a36974c6556b5ff734b1a5ed53f7e4be32d5cd3bb2e02b9c207412397e3b"),
+    ):
+        masks = standard_space(4, dim, "parabolic").hyperplane_singular_masks()
+        assert len(masks) == count
+        assert hashlib.sha256(repr(masks).encode()).hexdigest() == digest
+
+
+def test_q_table_matches_q_of():
+    seen = 0
+    for q in (2, 4, 8):
+        for dim in range(1, 13):
+            for kind in ("plus", "minus", "parabolic"):
+                if q**dim > 4096 or (kind == "parabolic") != (dim % 2 == 1):
+                    continue
+                sp = standard_space(q, dim, kind)
+                qt = sp.q_table()
+                assert qt.dtype == np.uint8 and qt.shape == (q**dim,)
+                assert qt.tolist() == [sp.q_of(sp.unpack(x)) for x in range(q**dim)]
+                seen += 1
+    assert seen == 33
+
+
+def test_q_table_is_read_only_and_cached():
+    sp = standard_space(4, 3, "parabolic")
+    qt = sp.q_table()
+    before = qt.copy()
+    with pytest.raises(ValueError):
+        qt[1] ^= 1
+    assert sp.q_table() is qt and np.array_equal(qt, before)
+
+
+class _NoNumpy:
+    "stands in for numpy and fails on any use"
+
+    def __getattr__(self, name):
+        raise AssertionError("numpy.%s used before the ambient bound was checked" % name)
+
+
+def test_q_table_bound_checked_before_allocation(monkeypatch):
+    assert 2**26 > AMBIENT_BOUND
+    monkeypatch.setattr(quadspaces, "np", _NoNumpy())
+    with pytest.raises(ValueError, match="ambient bound"):
+        standard_space(2, 26, "plus")
 
 
 def test_minus_type_anisotropic_plane():
