@@ -7,11 +7,16 @@ The embedding Gram of a primitive SRG has unit diagonal, s/k on edges and
 (-1-s)/(v-k-1) on non-edges; it always satisfies G^2 = (v/g) G. The frame
 is a real ETF exactly when the two off-diagonal values have one absolute
 value and G^2 = (M/N) G with N = rank G; certification checks both
-identities exactly, each as one whole-array check (proofs in verify_etf),
-and on success checks Welch equality alpha^2 = (M-N)/(N(M-1)).  Both
-conditions are decidable from parameters alone (criteria): equiangularity
-is s/k = -(-1-s)/(v-k-1), and membership of the graph in a regular
-two-graph is v = 2(2k - lambda - mu).
+identities exactly (proofs in verify_etf), and on success checks Welch
+equality alpha^2 = (M-N)/(N(M-1)).  Both conditions are decidable from
+parameters alone (criteria): equiangularity is s/k = -(-1-s)/(v-k-1), and
+membership of the graph in a regular two-graph is v = 2(2k - lambda - mu).
+
+Equiangularity is one whole-array check.  On an equiangular Gram
+G = I + alpha S with alpha != 0, S the Seidel matrix of a graph, tightness
+is the regular two-graph identity: one array of pair degrees and a few
+scalars, with no M x M product.  Only the other Grams, and those failing
+the identity, have G^2 formed and compared.
 
 The Naimark complement (M/(M-N)) (I - (N/M) G) swaps N for M - N and is an
 involution.  For graphs with k = 2 mu, bordering the switched adjacency
@@ -28,7 +33,7 @@ import json
 
 import numpy as np
 
-from .graphs import Graph, spectrum, srg_params
+from .graphs import pair_degrees, spectrum, srg_params
 from .matrices import ExactMatrix, mat_mul, mat_rank
 from .qext import QuadExt, sqrt_int
 from .quadspaces import polar_values, standard_space
@@ -96,22 +101,53 @@ def verify_etf(gm):
     """certify equiangularity and tightness exactly; witnesses are the first
     failing pair in row-major order.
 
-    Tightness is one comparison, G^2 = lambda G with lambda = (G^2)_00 != 0.
-    G / lambda is then idempotent, so its rank is its trace, which is M as
-    GramMatrix has checked the unit diagonal: N = M / lambda, and M / N =
-    lambda, so G^2 = (M/N) G is the comparison already made.  If it fails,
-    no c gives G^2 = c G, since (c G)_00 = c; elimination gives N, and the
-    certificate is NotTight unless it is NotEquiangular.
-
     Equiangularity is entrywise.  Entries share one denominator, so each is
     (a + b sqrt(D)) / den, and e^2 = f^2 iff e = +-f in the field Q(sqrt(D)):
     every off-diagonal (a, b) must be +-(a, b) of entry (0, 1).
+
+    Tightness is G^2 = lambda G with lambda = (G^2)_00 != 0.  G / lambda is
+    then idempotent, so its rank is its trace, which is M as GramMatrix has
+    checked the unit diagonal: N = M / lambda, and M / N = lambda, so
+    G^2 = (M/N) G is the comparison already made.  If it fails, no c gives
+    G^2 = c G, since (c G)_00 = c; elimination gives N, and the certificate
+    is NotTight unless it is NotEquiangular.
+
+    On an equiangular Gram with alpha = G_01 != 0 the comparison is made in
+    the algebra of the Seidel matrix, with no matrix product.  There
+    G = I + alpha S, where S has 0 diagonal and S_ij = -1 exactly on the
+    entries equal to -alpha: a graph whose two-graph has pair degrees a_ij
+    (graphs.pair_degrees).  {i, j, z} is a block iff S_ij S_iz S_jz = -1, so
+    S_iz S_zj = -S_ij on the a_ij such z and S_ij on the other M - 2 - a_ij:
+    (S^2)_ij = S_ij (M - 2 - 2 a_ij) for i != j, and (S^2)_ii = M - 1.  So
+    G^2 = I + 2 alpha S + alpha^2 S^2 has diagonal lambda = 1 + alpha^2 (M - 1)
+    and entry (i, j) equal to alpha S_ij (2 + alpha (M - 2 - 2 a_ij)), and as
+    alpha S_ij != 0, G^2 = lambda G iff 2 + alpha (M - 2 - 2 a_ij) = lambda
+    for every i != j: iff a_ij is one constant a (the two-graph is regular)
+    and 2 + alpha (M - 2 - 2a) = 1 + alpha^2 (M - 1) (Seidel, "A survey of
+    two-graphs", 1976).  When this identity fails, and on every other Gram,
+    the product G^2 is formed and compared as above, so the NotTight
+    witness and the rank come from the matrices themselves.
     """
     m = gm.entries
     M = gm.M
-    sq = mat_mul(m, m)
-    lam = sq[0, 0] if M else QuadExt(0)
-    tight = bool(lam) and sq == m.scale(lam)
+    bad = ()
+    lam = None  # set once the two-graph identity has proved G^2 = lam G
+    if M > 1:
+        a, b = m.A[0, 1], m.B[0, 1]
+        pos, neg = m.A == a, m.A == -a
+        if m.D:  # otherwise B is zero
+            pos &= m.B == b
+            neg &= m.B == -b
+        np.fill_diagonal(neg, False)  # the diagonal 1 is -G_01 when G_01 = -1: no edge
+        bad = np.argwhere(np.triu(~(pos | neg), 1))
+        alpha = m[0, 1]
+        if not len(bad) and alpha:
+            lam = _two_graph_lambda(neg, alpha)
+    tight = lam is not None
+    if not tight:
+        sq = mat_mul(m, m)
+        lam = sq[0, 0] if M else QuadExt(0)
+        tight = bool(lam) and sq == m.scale(lam)
     if tight:
         n = QuadExt(M) / lam  # tr G = M: GramMatrix has checked the unit diagonal
         if not n.is_rational() or n.as_fraction().denominator != 1:
@@ -122,19 +158,15 @@ def verify_etf(gm):
     if not 1 <= N <= M:
         raise ValueError("rank %d outside 1..%d" % (N, M))
     c = Fraction(M, N)
-    if M > 1:
-        a, b = m.A[0, 1], m.B[0, 1]
-        same = ((m.A == a) & (m.B == b)) | ((m.A == -a) & (m.B == -b))
-        bad = np.argwhere(np.triu(~same, 1))
-        if len(bad):
-            witness = ((0, 1), tuple(bad[0].tolist()))
-            return EtfCertificate(M, N, None, c, "NotEquiangular", witness)
+    if len(bad):
+        witness = ((0, 1), tuple(bad[0].tolist()))
+        return EtfCertificate(M, N, None, c, "NotEquiangular", witness)
     if not tight:
         diff = sq - m.scale(c)
         bad = np.argwhere((diff.A != 0) | (diff.B != 0))
         return EtfCertificate(M, N, None, c, "NotTight", tuple(bad[0].tolist()))
     if M > 1:
-        ref = m[0, 1].sq()
+        ref = alpha.sq()
         if not ref.is_rational():
             raise ValueError("squared inner products must be rational")
         alpha_sq = ref.as_fraction()
@@ -143,6 +175,18 @@ def verify_etf(gm):
     else:
         alpha_sq = Fraction(0)
     return EtfCertificate(M, N, alpha_sq, c, "ETF")
+
+
+def _two_graph_lambda(neg, alpha):
+    "lambda with G^2 = lambda G for G = I + alpha S, S = -1 on neg; None if the identity fails"
+    M = len(neg)
+    d = pair_degrees(neg)
+    a = int(d[0, 1])
+    np.fill_diagonal(d, a)  # no pair on the diagonal
+    lam = 1 + alpha.sq() * (M - 1)
+    if (d == a).all() and 2 + alpha * (M - 2 - 2 * a) == lam:
+        return lam
+    return None
 
 
 def naimark(gm, cert=None):

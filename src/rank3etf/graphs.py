@@ -77,6 +77,19 @@ def common_neighbour_counts(rows):
     return and_counts(rows, len(rows))
 
 
+def pair_degrees(adj):
+    """the n x n int64 array of the pair degrees of the two-graph of the graph
+    with 0/1 adjacency array adj, 0 on the diagonal: s = d_i + d_j - 2 |N(i) & N(j)|,
+    and n - s where i ~ j (proof in the twographs docstring)"""
+    n = len(adj)
+    words = np.zeros((n, 8 * ((n + 63) // 64)), dtype=np.uint8)
+    words[:, : (n + 7) // 8] = np.packbits(adj, axis=1, bitorder="little")
+    c = _and_popcounts(words.view("<u8"))  # C[i, j] = |N(i) & N(j)|
+    deg = c.diagonal()
+    s = deg[:, None] + deg - 2 * c
+    return np.where(adj, n - s, s)
+
+
 def k4_counts(adj):
     """E[i, j] = edges inside N(i) & N(j) as int64, from the 0/1 array adj: bit e
     of T[u] is set iff both ends of edge e lie in N(u), so E[i, j] is the

@@ -15,8 +15,11 @@ blocks through i, j are the z in rows[i] XOR rows[j], complemented when
 i ~ j, with bits i and j cleared.  So the pair degree is s = d_i + d_j -
 2 |N(i) & N(j)|, the popcount of the XOR, when i is not adjacent to j
 (bits i and j of the XOR are clear), and n - s when i ~ j (both are set,
-and the complement clears them).  pair_degree_multiset, block_count and
-is_regular read s off one n x n array built from one numpy popcount matrix.
+and the complement clears them).  This holds for every member of the
+switching class, not only the stored one.  pair_degree_multiset,
+block_count and is_regular read s off one n x n array, graphs.pair_degrees,
+built from one numpy popcount matrix; frames.verify_etf reads the same array
+off the entries of an equiangular Gram equal to -G_01.
 
 TwoGraph.from_masks takes a triple system T as pair masks, masks[i][j] the
 bitmask of the z making {i, j, z} a block, and checks it exactly, for every
@@ -72,7 +75,7 @@ few automorphism searches put every other point into the orbit of 1.
 import numpy as np
 
 from .bounds import effective_bound
-from .graphs import Graph, bits, common_neighbour_counts, srg_params, unpack_rows
+from .graphs import Graph, bits, pack_rows, pair_degrees, srg_params, unpack_rows
 from .iso import find_isomorphism, k4_pair_multiset, refined_colours
 
 SWITCHING_VERTEX_BOUND = 140
@@ -127,12 +130,8 @@ class TwoGraph:
         return self._pair_mask(i, j).bit_count()
 
     def _pair_degrees(self):
-        "the n x n int64 array of pair degrees, 0 on the diagonal; see the module docstring"
-        rows = self.rep.rows
-        c = common_neighbour_counts(rows)
-        deg = c.diagonal()
-        s = deg[:, None] + deg - 2 * c
-        return np.where(unpack_rows(rows, self.n), self.n - s, s)
+        "the n x n int64 array of pair degrees, 0 on the diagonal"
+        return pair_degrees(unpack_rows(self.rep.rows, self.n))
 
     def pair_degree_multiset(self):
         "multiset of the pair degrees over i < j"
@@ -158,8 +157,7 @@ def two_graph_of(g):
 
 def sign_graph(gm):
     "edge iff the Gram entry is negative (an obtuse angle)"
-    edges = np.argwhere(np.triu(gm.entries.signs() < 0, 1)).tolist()
-    return Graph(gm.M, edges, gm.label)
+    return Graph.from_rows(pack_rows(gm.entries.signs() < 0), gm.label)
 
 
 def two_graph_of_gram(gm):

@@ -13,11 +13,14 @@ computations rather than read back from the library:
   4. two one-angle failures are rejected with witnesses and violate the
      Welch bound strictly;
   5. the registry isomorphism coincidences hold with explicit bijections;
-  6. every certified Gram satisfies G^2 = (M/N) G exactly, has rank N,
-     Naimark-complements to a certified ETF and back byte-exactly, and
-     carries a regular two-graph invariant under random switching; up to
-     176 points, the N that verify_etf reads off G^2 = lambda G equals the
-     fraction-free elimination rank, for every Gram and its complement;
+  6. every certified Gram satisfies G^2 = (M/N) G exactly, checked here by
+     the matrix product that verify_etf no longer forms on an ETF, has rank
+     N, Naimark-complements to a certified ETF and back byte-exactly, and
+     carries a regular two-graph invariant under random switching; the
+     496-point complement certifies to the certificate its parameters
+     force; up to 176 points, the N that verify_etf reads off the trace
+     equals the fraction-free elimination rank, for every Gram and its
+     complement;
   7. vertex descendants have the predicted parameters and descendant Grams
      restrict back to their source graphs;
   8. the explicit character frames reproduce their embedding Grams;
@@ -293,9 +296,11 @@ def test_criterion_6_corpus_invariants(capsys, corpus3, corpus4):
                 cert2 = verify_etf(nc)
                 assert (cert2.status, cert2.M, cert2.N) == ("ETF", M, M - N)
             else:
-                # too large for elimination here: certify the complement by
-                # the same exact identities with the forced certificate
+                # too large for elimination here: check the complement by the
+                # exact identities with the forced certificate, and certify it
+                # by the two-graph identity, which forms no product
                 cert2 = _forced_complement_cert(cert)
+                assert verify_etf(nc) == cert2
                 a2 = cert2.alpha_sq
                 for i in range(M):
                     row = nc.entries.row(i)

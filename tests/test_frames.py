@@ -3,7 +3,9 @@ ETF certification: parameter criteria, embedding Grams (always rank g with
 G^2 = (v/g) G), exact equiangularity and tightness verdicts with witnesses,
 Welch equality on every ETF, Naimark complements, bordered descendant Grams,
 and explicit character frames matching their Grams entrywise.  verify_etf
-gives the certificates of the Hadamard-square certifier it replaced.
+gives the certificates of the Hadamard-square certifier it replaced, and
+decides every ETF of the table menus by the regular two-graph identity,
+with no matrix product.
 """
 
 import ast
@@ -17,7 +19,7 @@ import sys
 import pytest
 
 import rank3etf
-from rank3etf import families
+from rank3etf import families, frames
 from rank3etf.families import build
 from rank3etf.frames import (
     EtfCertificate,
@@ -36,6 +38,7 @@ from rank3etf.graphs import SrgParams, spectrum, srg_params
 from rank3etf.matrices import ExactMatrix, mat_mul, mat_rank
 from rank3etf.qext import QuadExt
 from rank3etf.tables import TABLE3_MENU, TABLE4_MENU
+from rank3etf.twographs import NotRegular, is_regular, two_graph_of_gram
 
 
 def test_criteria_oracles():
@@ -110,7 +113,8 @@ def test_not_tight_branch():
 
 
 def test_certificate_checks_survive_optimize():
-    # python -O strips every assert; the verdicts, the GF(4) count checks, the
+    # python -O strips every assert; the verdicts (an ETF over Q(sqrt 5) by the
+    # two-graph identity, and a Gram that fails it), the GF(4) count checks, the
     # quadratic-space kind, dimension and form-type checks, the two-graph check,
     # the family construction checks, the isomorphism witness check and the
     # input guards must rest on explicit checks
@@ -132,6 +136,9 @@ print(c.status, c.M, c.N, c.alpha_sq)
 third = Fraction(1, 3)
 m = ExactMatrix.from_rows([[1 if i == j else third for j in range(4)] for i in range(4)])
 print(verify_etf(GramMatrix(m)).status)
+d = descendant_gram(build("Paley", 5))
+c = verify_etf(d)
+print(d.entries.D, c.status, c.M, c.N, c.alpha_sq)
 print(hashlib.sha256(repr(build("NOplusOdd_4", 2).rows).encode()).hexdigest())
 t = two_graph_of(build("VOplus", 2))
 masks = [[sum(1 << z for z in range(16) if t.contains(i, j, z)) for j in range(16)] for i in range(16)]
@@ -203,6 +210,7 @@ except RuntimeError:
         "False",
         "ETF 16 6 1/9",
         "NotTight",
+        "5 ETF 6 3 1/5",
         # frozen NOplusOdd_4 2 rows, as in test_families.ROW_DIGESTS
         "d9fe24fcf07582379b320c376925df4ae53dda9af51f7406a117b1e941f77b4f",
     ] + ["ValueError"] * 21 + ["ZeroDivisionError"] * 2 + ["ValueError"] * 5 + ["RuntimeError"]
@@ -357,11 +365,11 @@ def _reference_verify_etf(gm):
     return EtfCertificate(M, N, alpha_sq, c, "ETF")
 
 
-def _table_grams():
-    "every table Gram up to 176 points"
+def _table_grams(max_points=176):
+    "every table Gram up to max_points points, or every one for None"
     for fam, sizes in TABLE3_MENU:
         for size in sizes:
-            if families.expected_params(fam, size).v <= 176:
+            if max_points is None or families.expected_params(fam, size).v <= max_points:
                 yield embedding_gram(build(fam, size))
     for fam, sizes in TABLE4_MENU:
         for size in sizes:
@@ -409,7 +417,28 @@ def _certify_outcome(certify, gm):
     return repr(cert), cert.status
 
 
-def test_verify_etf_matches_reference():
+def _constant_gram(M, value):
+    "unit diagonal, every off-diagonal entry equal to value"
+    return GramMatrix(ExactMatrix.from_rows(
+        [[1 if i == j else value for j in range(M)] for i in range(M)]))
+
+
+def _tightness_branch(gm, status):
+    "which case of verify_etf's tightness check gm falls in, read off the reference verdict"
+    if status == "NotEquiangular" or status is None:
+        return status
+    if gm.M < 2:
+        return "M < 2"
+    if not gm[0, 1]:
+        return "alpha = 0"
+    try:
+        is_regular(two_graph_of_gram(gm))
+    except NotRegular:
+        return "pair degrees vary"
+    return "identity holds" if status == "ETF" else "identity fails"
+
+
+def test_verify_etf_matches_reference(monkeypatch):
     rng = random.Random(1729)
     corpus = []
     for gm in _table_grams():
@@ -417,28 +446,95 @@ def test_verify_etf_matches_reference():
     corpus += [_signed_relabel(rng, gm) for gm in corpus if gm.M <= 40]
     corpus += [embedding_gram(build("Paley", q)) for q in (61, 73, 89)]
     corpus += list(_random_grams(rng))
+    huge = Fraction(1, 2**64 + 3)  # den > 2^62 stores the Gram as Python ints
+    corpus += [
+        _constant_gram(4, Fraction(1, 3)),  # constant pair degree 0, identity fails
+        _constant_gram(4, huge),
+        _constant_gram(5, -1),  # -J + 2I: its square is not a multiple of it
+        _constant_gram(6, 1),  # J, a (6, 1) ETF
+        GramMatrix(ExactMatrix.identity(5)),  # alpha = 0: a (5, 5) ETF by the product
+        _constant_gram(2, -1),  # M = 2
+        _constant_gram(2, Fraction(1, 2)),
+        _constant_gram(3, QuadExt(0, Fraction(1, 3), 5)),
+        descendant_gram(build("Paley", 5)),  # a (6, 3) ETF over Q(sqrt 5)
+        naimark(descendant_gram(build("Paley", 5))),
+    ]
+    products = []  # the mat_mul calls of one verify_etf
+    real = frames.mat_mul
+    monkeypatch.setattr(frames, "mat_mul", lambda x, y: products.append(x) or real(x, y))
     seen = set()
     for gm in corpus:
+        products.clear()
+        got = _certify_outcome(verify_etf, gm)[0]
         want, status = _certify_outcome(_reference_verify_etf, gm)
-        assert _certify_outcome(verify_etf, gm)[0] == want
-        seen.add((status, gm.entries.D, gm.entries.A.dtype == object))
+        assert got == want
+        branch = _tightness_branch(gm, status)
+        # the two-graph identity decides exactly the ETFs it covers; every
+        # other Gram is decided by the product G^2, as before
+        assert bool(products) == (branch != "identity holds")
+        seen.add((status, branch, gm.entries.D, gm.entries.A.dtype == object))
     # every verdict over Q and over Q(sqrt 5), and both rejections on Python ints
     for status in ("ETF", "NotEquiangular", "NotTight"):
         for D in (0, 5):
-            assert (status, D, False) in seen
+            assert any(key[0] == status and key[2] == D and not key[3] for key in seen)
     for status in ("NotEquiangular", "NotTight"):
-        assert any(key[0] == status and key[2] for key in seen)
+        assert any(key[0] == status and key[3] for key in seen)
+    # every branch of the tightness check; those with alpha != 0 over Q(sqrt 5)
+    # and, where no ETF exists, on Python ints
+    branches = ("M < 2", "alpha = 0", "pair degrees vary", "identity holds", "identity fails")
+    for branch in branches:
+        assert any(key[1] == branch and key[2] == 0 for key in seen), branch
+    for branch in branches[2:]:
+        assert any(key[1] == branch and key[2] == 5 for key in seen), branch
+    for branch in ("pair degrees vary", "identity fails"):
+        assert any(key[1] == branch and key[3] for key in seen), branch
+    assert any(b == "alpha = 0" and s == "ETF" for s, b, _, _ in seen)
 
 
-def test_etf_certificate_builds_only_the_square_and_its_multiple(monkeypatch):
-    gm = embedding_gram(build("NOplus2n_2", 3))
-    shapes = []
-    real = ExactMatrix.__init__
+def _matrix_work(monkeypatch, gm):
+    "verify_etf(gm), the shapes of the ExactMatrix objects it built, and its mat_mul/mat_rank calls"
+    shapes, calls = [], []
+    real_init = ExactMatrix.__init__
 
     def counting(self, A, B, den, D):
         shapes.append(A.shape)
-        real(self, A, B, den, D)
+        real_init(self, A, B, den, D)
 
     monkeypatch.setattr(ExactMatrix, "__init__", counting)
-    assert verify_etf(gm).is_etf
-    assert shapes == [(28, 28)] * 2  # G^2 and lambda G
+    for name in ("mat_mul", "mat_rank"):
+        real = getattr(frames, name)
+        monkeypatch.setattr(
+            frames, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
+        )
+    cert = verify_etf(gm)
+    monkeypatch.undo()
+    return cert, shapes, calls
+
+
+def test_etf_certificate_forms_no_matrix(monkeypatch):
+    etfs = ((embedding_gram(build("NOplus2n_2", 3)), 0), (descendant_gram(build("Paley", 13)), 13))
+    for gm, D in etfs:
+        cert, shapes, calls = _matrix_work(monkeypatch, gm)
+        assert cert.is_etf and gm.entries.D == D
+        assert (shapes, calls) == ([], [])
+    # the rejections still build G^2 and lambda G
+    cert, shapes, calls = _matrix_work(monkeypatch, _constant_gram(4, Fraction(1, 3)))
+    assert cert.status == "NotTight"
+    assert shapes[:2] == [(4, 4)] * 2 and calls == ["mat_mul", "mat_rank"]
+    cert, shapes, calls = _matrix_work(monkeypatch, embedding_gram(build("Sp2n_2", 2)))
+    assert cert.status == "NotEquiangular"
+    assert (shapes, calls) == ([(15, 15)] * 2, ["mat_mul"])  # tight: N is the trace
+
+
+def test_menu_etfs_form_no_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an ETF certificate formed a product or an elimination")
+
+    monkeypatch.setattr(frames, "mat_mul", refuse)
+    monkeypatch.setattr(frames, "mat_rank", refuse)
+    count = 0
+    for gm in _table_grams(max_points=None):  # the 496-point row too
+        cert = verify_etf(gm)
+        assert cert.is_etf and verify_etf(naimark(gm, cert)).is_etf
+        count += 1
+    assert count == 15 + 13

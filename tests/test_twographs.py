@@ -24,7 +24,7 @@ import pytest
 
 from rank3etf.families import build
 from rank3etf.frames import GramMatrix, descendant_gram, embedding_gram
-from rank3etf.graphs import Graph, srg_params
+from rank3etf.graphs import Graph, pair_degrees, srg_params
 from rank3etf.iso import ISO_VERTEX_BOUND, find_isomorphism
 from rank3etf.matrices import ExactMatrix
 from rank3etf.qext import QuadExt
@@ -357,6 +357,10 @@ def test_pair_degree_multiset_matches_pair_scan():
         assert got == want, g.n
         assert all(type(x) is int for x in list(got) + list(got.values()))
         assert t.block_count() == sum(d * c for d, c in want.items()) // 3
+        # graphs.pair_degrees reads the same degrees off g itself, a member of
+        # the switching class other than the stored one with vertex 0 isolated
+        scan = [[t.pair_degree(i, j) if i != j else 0 for j in range(g.n)] for i in range(g.n)]
+        assert pair_degrees(g.adjacency_bits()).tolist() == scan
         if g.n < 2:
             continue
         # is_regular against the same scan: the degree of (0, 1), or the first
