@@ -34,8 +34,8 @@ import json
 import numpy as np
 
 from .graphs import pair_degrees, spectrum, srg_params
-from .matrices import ExactMatrix, mat_mul, mat_rank
-from .qext import QuadExt, sqrt_int
+from .matrices import ExactMatrix, _lincomb, mat_mul, mat_rank
+from .qext import QuadExt, _make, sqrt_int
 from .quadspaces import polar_values, standard_space
 
 
@@ -198,8 +198,11 @@ def naimark(gm, cert=None):
     M, N = cert.M, cert.N
     if N >= M:
         raise ValueError("complement needs N < M")
-    scaled = gm.entries.scale(Fraction(-N, M - N))
-    out = scaled + ExactMatrix.identity(M).scale(Fraction(M, M - N))
+    # (M/(M-N)) I - (N/(M-N)) G with G = (A + B sqrt(D)) / den, as one matrix
+    m = gm.entries
+    eye = np.eye(M, dtype=np.int64)
+    out = ExactMatrix(_lincomb((-N, m.A), (M * m.den, eye)), _lincomb((-N, m.B)),
+                      m.den * (M - N), m.D)
     return GramMatrix(out, gm.label)
 
 
@@ -250,8 +253,7 @@ def _frac_str(x):
 def entry_strings(m, *index):
     "serialized entries of m, row-major or at index arrays; each distinct one serialized once"
     keys = list(zip(m.A[index].ravel().tolist(), m.B[index].ravel().tolist()))
-    text = {k: QuadExt(Fraction(k[0], m.den), Fraction(k[1], m.den), m.D).serialize()
-            for k in set(keys)}
+    text = {k: _make(*k, m.den, m.D).serialize() for k in set(keys)}
     return [text[k] for k in keys]
 
 

@@ -3,7 +3,8 @@ Dense exact matrices over Q(sqrt(D)).
 
 A matrix is stored once, as (A + B*sqrt(D)) / den with integer arrays A
 and B, den > 0 with gcd(den, A, B) = 1, and D = 0 exactly when B is zero.
-Entries are handed out as QuadExt scalars of Python ints.
+Entries are handed out as QuadExt scalars, which store the same form
+(na + nb*sqrt(D)) / den in Python ints.
 
 Storage rule: A (and likewise B) is an np.int64 array exactly when every
 |entry| < 2^62, and otherwise an object array of Python ints.  The rule
@@ -29,13 +30,12 @@ the rank over Q(sqrt(D)).  Pivoting is deterministic: first nonzero entry,
 lowest row index.
 """
 
-from fractions import Fraction
 from math import gcd, lcm
 import operator
 
 import numpy as np
 
-from .qext import QuadExt
+from .qext import QuadExt, _make
 
 _NP_BOUND = 2**62
 
@@ -129,9 +129,9 @@ class ExactMatrix:
         D = 0
         for v in values:
             D = _join(D, v.D)
-        den = lcm(*(x.denominator for v in values for x in (v.a, v.b)))
-        a = _stored(np.array([int(v.a * den) for v in values], dtype=object))
-        b = _stored(np.array([int(v.b * den) for v in values], dtype=object))
+        den = lcm(*(v.den for v in values))
+        a = _stored(np.array([v.na * (den // v.den) for v in values], dtype=object))
+        b = _stored(np.array([v.nb * (den // v.den) for v in values], dtype=object))
         return ExactMatrix(a[codes], b[codes], den, D)
 
     @staticmethod
@@ -159,8 +159,7 @@ class ExactMatrix:
         for key in zip(As, Bs):
             q = made.get(key)
             if q is None:
-                a, b = key
-                q = made[key] = QuadExt(Fraction(a, self.den), Fraction(b, self.den), self.D)
+                q = made[key] = _make(*key, self.den, self.D)
             out.append(q)
         return tuple(out)
 
@@ -228,12 +227,10 @@ class ExactMatrix:
     def scale(self, c):
         c = QuadExt.coerce(c)
         D = _join(self.D, c.D)
-        cd = lcm(c.a.denominator, c.b.denominator)
-        ca, cb = int(c.a * cd), int(c.b * cd)
         return ExactMatrix(
-            _lincomb((ca, self.A), (cb * D, self.B)),
-            _lincomb((cb, self.A), (ca, self.B)),
-            self.den * cd,
+            _lincomb((c.na, self.A), (c.nb * D, self.B)),
+            _lincomb((c.nb, self.A), (c.na, self.B)),
+            self.den * c.den,
             D,
         )
 

@@ -7,12 +7,18 @@ D = 0, conference-graph spectra need D = q, and the 1/sqrt(N) frame scalings
 need the square-free part of N.  Arithmetic is closed as long as the two
 operands agree on D (a rational operand, D = 0, is compatible with anything).
 
-Values are canonical: b = 0 forces D = 0, and D = 1 folds sqrt(1) into the
-rational part, so equality is plain structural equality on (a, b, D).
+A value is stored as (na + nb*sqrt(D)) / den in Python ints, the form of
+matrices.ExactMatrix, with den > 0, gcd(na, nb, den) = 1, and D square-free,
+not 1, and 0 exactly when nb = 0.  So equality is structural equality on
+(na, nb, den, D), and a rational value hashes as its Fraction, like an equal
+int or Fraction.  QuadExt(a, b, D) checks D; results of + - * and inverse
+take an operand's D, so _make only divides out the gcd and fixes signs.
+The parts a and b are handed out as Fractions.
 """
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def squarefree_part(n):
@@ -41,12 +47,31 @@ _RAT = r"(-?\d+)(?:/(\d+))?"
 _SCALAR_RE = re.compile(r"^%s(?:\+%s\*sqrt\((\d+)\))?$" % (_RAT, _RAT))
 
 
+_set = object.__setattr__
+
+
+def _make(na, nb, den, D):
+    """(na + nb*sqrt(D)) / den from ints with den != 0 and D an operand's
+    radical (square-free, not 1); puts the value in lowest terms"""
+    if den < 0:
+        na, nb, den = -na, -nb, -den
+    g = gcd(na, nb, den)
+    if g > 1:
+        na, nb, den = na // g, nb // g, den // g
+    x = object.__new__(QuadExt)
+    _set(x, "na", na)
+    _set(x, "nb", nb)
+    _set(x, "den", den)
+    _set(x, "D", D if nb else 0)
+    return x
+
+
 class QuadExt:
-    "immutable exact scalar a + b*sqrt(D)"
+    "immutable exact scalar (na + nb*sqrt(D)) / den = a + b*sqrt(D)"
 
-    __slots__ = ("a", "b", "D")
+    __slots__ = ("na", "nb", "den", "D")
 
-    def __init__(self, a, b=0, D=0):
+    def __new__(cls, a, b=0, D=0):
         a = Fraction(a)
         b = Fraction(b)
         if D == 1:
@@ -57,12 +82,20 @@ class QuadExt:
             raise ValueError("D must be a square-free non-negative integer: %r" % D)
         if D == 0 and b != 0:
             raise ValueError("a non-zero b needs D > 0")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "D", D)
+        den = lcm(a.denominator, b.denominator)
+        return _make(a.numerator * (den // a.denominator), b.numerator * (den // b.denominator),
+                     den, D)
 
     def __setattr__(self, *_):
         raise AttributeError("QuadExt is immutable")
+
+    @property
+    def a(self):
+        return Fraction(self.na, self.den)
+
+    @property
+    def b(self):
+        return Fraction(self.nb, self.den)
 
     # -- coercion ----------------------------------------------------------
 
@@ -71,29 +104,31 @@ class QuadExt:
         if isinstance(x, QuadExt):
             return x
         if isinstance(x, (int, Fraction)):
-            return QuadExt(x)
+            return _make(x.numerator, 0, x.denominator, 0)
         raise TypeError("cannot coerce %r to QuadExt" % (x,))
 
     def _join(self, other):
         "common D for an arithmetic op, or raise"
-        if self.D == other.D:
+        if self.D == other.D or not other.D:
             return self.D
-        if self.D == 0:
+        if not self.D:
             return other.D
-        if other.D == 0:
-            return self.D
         raise ValueError("incompatible radicals sqrt(%d) vs sqrt(%d)" % (self.D, other.D))
 
     # -- ring ops ----------------------------------------------------------
 
     def __add__(self, other):
         other = QuadExt.coerce(other)
-        return QuadExt(self.a + other.a, self.b + other.b, self._join(other))
+        D = self._join(other)
+        d, e = self.den, other.den
+        if d == e:
+            return _make(self.na + other.na, self.nb + other.nb, d, D)
+        return _make(self.na * e + other.na * d, self.nb * e + other.nb * d, d * e, D)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.D)
+        return _make(-self.na, -self.nb, self.den, self.D)
 
     def __sub__(self, other):
         return self + (-QuadExt.coerce(other))
@@ -104,20 +139,18 @@ class QuadExt:
     def __mul__(self, other):
         other = QuadExt.coerce(other)
         D = self._join(other)
-        return QuadExt(
-            self.a * other.a + self.b * other.b * D,
-            self.a * other.b + self.b * other.a,
-            D,
-        )
+        a, b, c, d = self.na, self.nb, other.na, other.nb
+        return _make(a * c + b * d * D, a * d + b * c, self.den * other.den, D)
 
     __rmul__ = __mul__
 
     def inverse(self):
         "multiplicative inverse; x * x.inverse() == 1 exactly"
-        nrm = self.a * self.a - self.b * self.b * self.D
+        a, b = self.na, self.nb
+        nrm = a * a - b * b * self.D
         if nrm == 0:
             raise ZeroDivisionError("zero has no inverse")
-        return QuadExt(self.a / nrm, -self.b / nrm, self.D)
+        return _make(self.den * a, -self.den * b, nrm, self.D)
 
     def __truediv__(self, other):
         return self * QuadExt.coerce(other).inverse()
@@ -132,7 +165,7 @@ class QuadExt:
 
     def sign(self):
         "-1, 0 or +1 as a real number; exact"
-        a, b = self.a, self.b
+        a, b = self.na, self.nb  # den > 0 does not change the sign
         if b == 0:
             return 0 if a == 0 else (1 if a > 0 else -1)
         if a == 0:
@@ -156,10 +189,13 @@ class QuadExt:
             other = QuadExt.coerce(other)
         except TypeError:
             return NotImplemented
-        return self.a == other.a and self.b == other.b and self.D == other.D
+        return (self.na == other.na and self.nb == other.nb
+                and self.den == other.den and self.D == other.D)
 
     def __hash__(self):
-        return hash((self.a, self.b, self.D))
+        if not self.nb:  # equal ints and Fractions hash alike
+            return hash(Fraction(self.na, self.den))
+        return hash((self.na, self.nb, self.den, self.D))
 
     def __lt__(self, other):
         return (self - QuadExt.coerce(other)).sign() < 0
@@ -174,13 +210,13 @@ class QuadExt:
         return (self - QuadExt.coerce(other)).sign() >= 0
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return self.na != 0 or self.nb != 0
 
     def is_rational(self):
-        return self.b == 0
+        return self.nb == 0
 
     def as_fraction(self):
-        if self.b != 0:
+        if self.nb != 0:
             raise ValueError("irrational value %s" % self)
         return self.a
 
@@ -188,15 +224,17 @@ class QuadExt:
 
     def serialize(self):
         "canonical string, e.g. '15/1' or '0/1+-1/5*sqrt(5)'; bit-exact round-trip"
-        s = "%d/%d" % (self.a.numerator, self.a.denominator)
-        if self.b:
-            s += "+%d/%d*sqrt(%d)" % (self.b.numerator, self.b.denominator, self.D)
+        a = self.a
+        s = "%d/%d" % (a.numerator, a.denominator)
+        if self.nb:
+            b = self.b
+            s += "+%d/%d*sqrt(%d)" % (b.numerator, b.denominator, self.D)
         return s
 
     @staticmethod
     def parse(s):
         m = _SCALAR_RE.match(s.strip())
-        if not m:
+        if not m or any(d is not None and not int(d) for d in m.group(2, 4)):
             raise ValueError("bad scalar string %r" % s)
         an, ad, bn, bd, D = m.groups()
         a = Fraction(int(an), int(ad or 1))
@@ -205,7 +243,7 @@ class QuadExt:
         return QuadExt(a, Fraction(int(bn), int(bd or 1)), int(D))
 
     def __repr__(self):
-        if self.b == 0:
+        if self.nb == 0:
             return "QuadExt(%s)" % (self.a,)
         return "QuadExt(%s, %s, %d)" % (self.a, self.b, self.D)
 

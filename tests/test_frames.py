@@ -16,6 +16,7 @@ from pathlib import Path
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import rank3etf
@@ -255,6 +256,29 @@ def test_naimark_complement():
         naimark(embedding_gram(build("Sp2n_2", 2)))  # not an ETF
 
 
+def _reference_naimark(gm, cert):
+    "the complement as it was built before: G scaled, plus I scaled"
+    M, N = cert.M, cert.N
+    out = gm.entries.scale(Fraction(-N, M - N)) + ExactMatrix.identity(M).scale(Fraction(M, M - N))
+    return GramMatrix(out, gm.label)
+
+
+def test_naimark_matches_reference():
+    corpus = list(_table_grams(max_points=176))  # table3 up to 176 points, every table4 Gram
+    corpus.append(GramMatrix(ExactMatrix.from_rows(  # a (6, 1) ETF whose complement has den 5
+        [[1] * 6 for _ in range(6)])))
+    irrational = 0
+    for gm in corpus:
+        cert = verify_etf(gm)
+        got, want = naimark(gm, cert).entries, _reference_naimark(gm, cert).entries
+        assert (got.den, got.D, got.A.dtype, got.B.dtype) == (want.den, want.D, want.A.dtype,
+                                                               want.B.dtype)
+        assert np.array_equal(got.A, want.A) and np.array_equal(got.B, want.B)
+        assert naimark(naimark(gm, cert)).entries == gm.entries
+        irrational += gm.entries.D != 0
+    assert irrational >= 1  # the Paley descendants over Q(sqrt q)
+
+
 def test_descendant_gram():
     g = build("Sp2n_2", 2)  # (15, 6, 1, 3) has k = 2 mu
     p = srg_params(g)
@@ -321,6 +345,11 @@ def test_gram_json_round_trip():
     assert obj2["certificate"]["status"] == "ETF"
     assert (obj2["M"], obj2["N"]) == (16, 6)
     assert gram_to_json(back2, cert2) == text2  # byte-stable
+    # a zero denominator is a bad scalar string, not a ZeroDivisionError
+    for entry in ("1/0", "1/1+1/0*sqrt(5)"):
+        bad = json.dumps({"M": 1, "entries": [entry]})
+        with pytest.raises(ValueError, match="bad scalar string"):
+            gram_from_json(bad)
 
 
 # -- verify_etf against the certifier it replaced ---------------------------------

@@ -2,15 +2,22 @@
 Field arithmetic in Q(sqrt(D)): ring axioms on random elements, exact sign
 against floating point, serialization round trips, and the integer-sqrt and
 squarefree helpers that anchor the representation.  Bad input raises
-ValueError, and the inverse of zero ZeroDivisionError.
+ValueError, and the inverse of zero ZeroDivisionError.  The integer storage
+(na + nb sqrt(D)) / den is checked against a Fraction-based reference of the
+arithmetic it replaced.
 """
 
 import math
+import os
+from pathlib import Path
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import rank3etf
 from rank3etf.qext import QuadExt, sqrt_int, squarefree_part
 
 
@@ -125,3 +132,194 @@ def test_squarefree_part():
     for n in (0, -4):
         with pytest.raises(ValueError, match="positive"):
             squarefree_part(n)
+
+
+def test_bad_denominators_raise_value_error():
+    for text in ("1/0", "1/1+1/0*sqrt(5)", "0/00", "-3/0+1/2*sqrt(2)"):
+        with pytest.raises(ValueError, match="bad scalar string"):
+            QuadExt.parse(text)
+
+
+def test_equal_values_hash_equal():
+    for q in (3, -7, 0, Fraction(5, 4), Fraction(-1, 3)):
+        x = QuadExt(q)
+        assert x == q and hash(x) == hash(q) == hash(Fraction(q))
+        assert {x: "hit"}.get(q) == "hit" and {q: "hit"}.get(x) == "hit"
+    # equal irrationals reached by different routes
+    x = QuadExt(Fraction(1, 2), Fraction(3, 4), 5)
+    y = QuadExt(2, 3, 5) + QuadExt(-4, -6, 5) * Fraction(3, 8)
+    assert x == y and hash(x) == hash(y)
+    one = QuadExt(1, 1, 5) - QuadExt(0, 1, 5)
+    assert one == 1 and hash(one) == hash(1)
+
+
+# -- the integer storage against the Fraction arithmetic it replaced -------------
+
+
+def _ref(a, b=0, D=0):
+    "reference value (a, b, D) with Fractions, canonical as before: b = 0 forces D = 0"
+    a, b = Fraction(a), Fraction(b)
+    return (a, b, D if b else 0)
+
+
+def _ref_join(x, y):
+    if x[2] and y[2] and x[2] != y[2]:
+        raise ValueError("incompatible radicals")
+    return x[2] or y[2]
+
+
+def _ref_add(x, y):
+    return _ref(x[0] + y[0], x[1] + y[1], _ref_join(x, y))
+
+
+def _ref_neg(x):
+    return _ref(-x[0], -x[1], x[2])
+
+
+def _ref_mul(x, y):
+    D = _ref_join(x, y)
+    return _ref(x[0] * y[0] + x[1] * y[1] * D, x[0] * y[1] + x[1] * y[0], D)
+
+
+def _ref_inverse(x):
+    a, b, D = x
+    nrm = a * a - b * b * D
+    if nrm == 0:
+        raise ZeroDivisionError("zero has no inverse")
+    return _ref(a / nrm, -b / nrm, D)
+
+
+def _ref_sign(x):
+    "sign of a + b sqrt(D) from rational bounds on sqrt(D), independent of QuadExt.sign"
+    a, b, D = x
+    if b == 0:
+        return (a > 0) - (a < 0)
+    S = 10**40
+    r = math.isqrt(D * S * S)  # r / S <= sqrt(D) < (r + 1) / S
+    lo, hi = sorted((Fraction(b * r, S), Fraction(b * (r + 1), S)))
+    if a + lo > 0:
+        return 1
+    if a + hi < 0:
+        return -1
+    raise AssertionError("bounds on sqrt(%d) too loose for %r" % (D, x))
+
+
+def _ref_serialize(x):
+    a, b, D = x
+    s = "%d/%d" % (a.numerator, a.denominator)
+    if b:
+        s += "+%d/%d*sqrt(%d)" % (b.numerator, b.denominator, D)
+    return s
+
+
+def _as_ref(q):
+    "the reference triple of a QuadExt, after checking the stored form is canonical"
+    assert q.den > 0 and math.gcd(q.na, q.nb, q.den) == 1
+    assert (q.D == 0) == (q.nb == 0)
+    assert all(type(v) is int for v in (q.na, q.nb, q.den, q.D))
+    assert (q.a, q.b) == (Fraction(q.na, q.den), Fraction(q.nb, q.den))
+    return (q.a, q.b, q.D)
+
+
+def _operand(rng, D):
+    "a QuadExt with its reference, or an int or Fraction operand with its own"
+    kind = rng.random()
+    if kind < 0.15:
+        n = rng.randint(-9, 9)
+        return n, _ref(n)
+    if kind < 0.3:
+        f = Fraction(rng.randint(-20, 20), rng.randint(1, 15))
+        return f, _ref(f)
+    a = Fraction(rng.randint(-40, 40), rng.randint(1, 30))
+    b = Fraction(rng.randint(-40, 40), rng.randint(1, 30)) if D and kind < 0.9 else 0
+    return QuadExt(a, b, D), _ref(a, b, D)
+
+
+def test_integer_storage_matches_fraction_reference():
+    rng = random.Random(2020)
+    for D in (0, 2, 5, 13, 89):
+        for _ in range(300):
+            (x, rx), (y, ry) = _operand(rng, D), _operand(rng, D)
+            if not isinstance(x, QuadExt):
+                x = QuadExt(x)  # at least one QuadExt operand
+            ops = [
+                (lambda: x + y, lambda: _ref_add(rx, ry)),
+                (lambda: y + x, lambda: _ref_add(ry, rx)),
+                (lambda: x - y, lambda: _ref_add(rx, _ref_neg(ry))),
+                (lambda: y - x, lambda: _ref_add(ry, _ref_neg(rx))),
+                (lambda: x * y, lambda: _ref_mul(rx, ry)),
+                (lambda: y * x, lambda: _ref_mul(ry, rx)),
+                (lambda: -x, lambda: _ref_neg(rx)),
+                (lambda: x.sq(), lambda: _ref_mul(rx, rx)),
+                (lambda: x.inverse(), lambda: _ref_inverse(rx)),
+                (lambda: x / y, lambda: _ref_mul(rx, _ref_inverse(ry))),
+                (lambda: y / x, lambda: _ref_mul(ry, _ref_inverse(rx))),
+                (lambda: abs(x), lambda: _ref_neg(rx) if _ref_sign(rx) < 0 else rx),
+            ]
+            for got, want in ops:
+                try:
+                    expected = want()
+                except ZeroDivisionError:
+                    with pytest.raises(ZeroDivisionError):
+                        got()
+                    continue
+                q = got()
+                assert _as_ref(q) == expected
+                assert q.serialize() == _ref_serialize(expected)
+                assert QuadExt.parse(q.serialize()) == q
+                assert q.sign() == _ref_sign(expected)
+            diff = _ref_sign(_ref_add(rx, _ref_neg(ry)))
+            assert (x < y, x <= y, x > y, x >= y) == (diff < 0, diff <= 0, diff > 0, diff >= 0)
+            assert (x == y) == (rx == ry) and (x != y) == (rx != ry)
+            assert (y == x) == (rx == ry)
+            assert QuadExt(*rx) == x and hash(QuadExt(*rx)) == hash(x)
+
+
+def test_integer_storage_rejects_what_the_reference_rejects():
+    rng = random.Random(2021)
+    for D, E in ((2, 3), (5, 13), (13, 89)):
+        for _ in range(20):
+            x = QuadExt(Fraction(rng.randint(-9, 9), 7), rng.randint(1, 9), D)
+            y = QuadExt(Fraction(rng.randint(-9, 9), 5), rng.randint(-9, -1), E)
+            for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y,
+                       lambda: x < y, lambda: y.inverse() * x):
+                with pytest.raises(ValueError, match="incompatible radicals"):
+                    op()
+    zero = QuadExt(0, 0, 5)
+    assert (zero.na, zero.nb, zero.den, zero.D) == (0, 0, 1, 0)
+    for z in (zero, QuadExt(1, 1, 5) - QuadExt(1, 1, 5), QuadExt(Fraction(3, 4)) * 0):
+        with pytest.raises(ZeroDivisionError, match="zero has no inverse"):
+            z.inverse()
+        with pytest.raises(ZeroDivisionError):
+            QuadExt(2, 1, 5) / z
+    for bad in ((0, 1, 4), (0, 1, 0), (1, Fraction(1, 2), 8), (0, 1, -5)):
+        with pytest.raises(ValueError):
+            QuadExt(*bad)
+
+
+def test_scalar_checks_survive_optimize():
+    # python -O strips asserts: the radical, inverse and parse checks must raise
+    script = """
+from rank3etf.qext import QuadExt
+print(__debug__)
+for bad in (
+    lambda: QuadExt(0, 1, 2) + QuadExt(0, 1, 3),
+    lambda: QuadExt(0, 1, 2) * QuadExt(1, 1, 3),
+    lambda: QuadExt(0, 1, 12),
+    lambda: QuadExt.parse("1/0"),
+    lambda: QuadExt.parse("1/1+1/0*sqrt(5)"),
+    lambda: QuadExt(1, 1, 5) - QuadExt(1, 1, 5),
+):
+    try:
+        print(bad().inverse())
+    except (ValueError, ZeroDivisionError) as err:
+        print(type(err).__name__)
+print(hash(QuadExt(3)) == hash(3), QuadExt(1, 1, 5) * QuadExt(-1, 1, 5))
+"""
+    paths = (str(Path(rank3etf.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == (
+        ["False"] + ["ValueError"] * 5 + ["ZeroDivisionError", "True 4/1"])
