@@ -18,10 +18,8 @@ from .graphs import (
     NotStronglyRegular,
     SrgParams,
     Spectrum,
-    Eigenmatrices,
     srg_params,
     spectrum,
-    eigenmatrices,
 )
 from .iso import find_isomorphism, isomorphic
 from .families import FAMILY_IDS, build, expected_params, family_info
@@ -60,8 +58,8 @@ __version__ = "0.1.0"
 __all__ = [
     "QuadExt", "ExactMatrix", "mat_mul", "mat_rank",
     "Field", "field", "QuadraticSpace", "standard_space",
-    "Graph", "NotStronglyRegular", "SrgParams", "Spectrum", "Eigenmatrices",
-    "srg_params", "spectrum", "eigenmatrices",
+    "Graph", "NotStronglyRegular", "SrgParams", "Spectrum",
+    "srg_params", "spectrum",
     "find_isomorphism", "isomorphic",
     "FAMILY_IDS", "build", "expected_params", "family_info",
     "EtfCertificate", "GramMatrix", "criteria", "descendant_gram",

@@ -67,15 +67,12 @@ def _rows_text(rows):
     return "\n".join(lines)
 
 
-def _rows_csv(rows):
+def _csv(header, rows):
+    "header and rows through csv.writer, quoting what needs it; no final newline"
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(CSV_COLUMNS)
-    for r in rows:
-        d = r.to_dict()
-        w.writerow(
-            ["" if d[c] is None else d[c] for c in CSV_COLUMNS]
-        )
+    w.writerow(header)
+    w.writerows(rows)
     return buf.getvalue().rstrip("\n")
 
 
@@ -83,7 +80,9 @@ def _render_rows(rows, fmt):
     if fmt == "json":
         return json.dumps([r.to_dict() for r in rows], indent=2)
     if fmt == "csv":
-        return _rows_csv(rows)
+        dicts = (r.to_dict() for r in rows)
+        return _csv(CSV_COLUMNS, (["" if d[c] is None else d[c] for c in CSV_COLUMNS]
+                                  for d in dicts))
     return _rows_text(rows)
 
 
@@ -104,12 +103,9 @@ def cmd_list(args):
     if args.format == "json":
         _emit(json.dumps(info, indent=2), args.output)
     elif args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["family", "needs_size", "table"])
-        for row in info:
-            w.writerow([row["family"], row["needs_size"], row["table"] or ""])
-        _emit(buf.getvalue().rstrip("\n"), args.output)
+        _emit(_csv(["family", "needs_size", "table"],
+                   ([r["family"], r["needs_size"], r["table"] or ""] for r in info)),
+              args.output)
     else:
         lines = ["%-24s %-10s %s" % ("family", "needs_size", "table")]
         for row in info:
@@ -142,11 +138,7 @@ def cmd_verify_srg(args):
     if args.format == "json":
         _emit(json.dumps(payload, indent=2), args.output)
     elif args.format == "csv":
-        _emit(
-            "label,v,k,lambda,mu,status\n%s,%d,%d,%d,%d,SRG"
-            % (g.label, p.v, p.k, p.lam, p.mu),
-            args.output,
-        )
+        _emit(_csv(list(payload), [list(payload.values())]), args.output)
     else:
         _emit(
             "%s: SRG(v=%d, k=%d, lambda=%d, mu=%d)" % (g.label, p.v, p.k, p.lam, p.mu),
@@ -187,13 +179,10 @@ def cmd_experiment(args):
     if args.format == "json":
         _emit(json.dumps(report, indent=2), args.output)
     elif args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["id", "pair", "decision", "wall_time"])
-        for c in report["checks"]:
-            w.writerow([report["id"], " vs ".join(c["pair"]), c["decision"],
-                        report["wall_time"]])
-        _emit(buf.getvalue().rstrip("\n"), args.output)
+        _emit(_csv(["id", "pair", "decision", "wall_time"],
+                   ([report["id"], " vs ".join(c["pair"]), c["decision"], report["wall_time"]]
+                    for c in report["checks"])),
+              args.output)
     else:
         lines = []
         for c in report["checks"]:

@@ -9,23 +9,23 @@ identity A^2 = kI + lambda A + mu (J - I - A) on all pairs at once: it
 reads the degrees off the diagonal of one common_neighbour_counts array and
 compares every edge and non-edge count with the first of its class.  On
 failure it raises NotStronglyRegular with the first offending vertex, or the
-first offending pair in row-major order.
+first offending pair in row-major order.  A Graph is certified once: it keeps
+its SrgParams in a slot that every constructor and operation starts empty,
+so a later srg_params call returns them, and a failure is raised afresh.
 
 From (v, k, lambda, mu) the non-principal eigenvalues are the roots
 r > s of xi^2 + (mu - lambda) xi + (mu - k) = 0, exact in Q(sqrt(disc))
 with disc = (lambda - mu)^2 + 4(k - mu); multiplicities f, g follow from
 trace(A) = 0 and must be positive integers (the half-case with irrational
-r forces f = g = (v-1)/2).  eigenmatrices builds the 3x3 first and second
-eigenmatrices P and Q and verifies P Q = v I exactly.
+r forces f = g = (v-1)/2).
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 import json
 
 import numpy as np
 
-from .matrices import ExactMatrix, mat_mul
+from .matrices import ExactMatrix
 from .qext import QuadExt, sqrt_int
 
 
@@ -109,7 +109,7 @@ def k4_counts(adj):
 class Graph:
     "simple undirected graph; rows[i] bit j set iff i ~ j"
 
-    __slots__ = ("n", "rows", "label")
+    __slots__ = ("n", "rows", "label", "_params")
 
     def __init__(self, n, edges, label=""):
         rows = [0] * n
@@ -121,6 +121,7 @@ class Graph:
         self.n = n
         self.rows = tuple(rows)
         self.label = label
+        self._params = None
 
     @staticmethod
     def from_rows(rows, label=""):
@@ -128,6 +129,7 @@ class Graph:
         g.n = len(rows)
         g.rows = tuple(rows)
         g.label = label
+        g._params = None
         mask = (1 << g.n) - 1
         for i, r in enumerate(g.rows):
             if not 0 <= r <= mask or (r >> i) & 1:
@@ -263,7 +265,10 @@ class SrgParams:
 
 
 def srg_params(g):
-    "certify strong regularity on all pairs; primitive SrgParams or NotStronglyRegular"
+    """certify strong regularity on all pairs; primitive SrgParams or
+    NotStronglyRegular.  g keeps the SrgParams, so only its first call certifies."""
+    if g._params is not None:
+        return g._params
     n = g.n
     if n < 4:
         raise NotStronglyRegular("too few vertices: %d" % n)
@@ -291,7 +296,8 @@ def srg_params(g):
         raise NotStronglyRegular("disconnected graph")
     if mu == k:
         raise NotStronglyRegular("disconnected complement (complete multipartite)")
-    return SrgParams(n, k, lam, mu)
+    g._params = SrgParams(n, k, lam, mu)
+    return g._params
 
 
 @dataclass(frozen=True)
@@ -337,34 +343,3 @@ def spectrum(params):
     if QuadExt(k * k) + r.sq() * f + s.sq() * g != QuadExt(v * k):
         raise ValueError("trace of A^2 is not vk")
     return Spectrum(k, r, s, f, g)
-
-
-@dataclass(frozen=True)
-class Eigenmatrices:
-    P: ExactMatrix
-    Q: ExactMatrix
-
-
-def eigenmatrices(params):
-    "first and second eigenmatrices, verified to satisfy P Q = v I"
-    v, k = params.v, params.k
-    sp = spectrum(params)
-    r, s, f, g = sp.r, sp.s, sp.f, sp.g
-    kbar = v - k - 1
-    rbar = QuadExt(-1) - s
-    sbar = QuadExt(-1) - r
-    P = ExactMatrix.from_rows(
-        [[1, QuadExt(k), QuadExt(kbar)], [1, r, sbar], [1, s, rbar]]
-    )
-    ik, ikbar = Fraction(1, k), Fraction(1, kbar)
-    Q = ExactMatrix.from_rows(
-        [
-            [1, f, g],
-            [1, r * (f * ik), s * (g * ik)],
-            [1, sbar * (f * ikbar), rbar * (g * ikbar)],
-        ]
-    )
-    prod = mat_mul(P, Q)
-    if prod != ExactMatrix.identity(3).scale(v):
-        raise ValueError("P Q != v I")
-    return Eigenmatrices(P, Q)

@@ -242,6 +242,10 @@ class QuadExt:
             return QuadExt(a)
         return QuadExt(a, Fraction(int(bn), int(bd or 1)), int(D))
 
+    def __reduce__(self):
+        "copy and pickle through _make, since __setattr__ is blocked"
+        return (_make, (self.na, self.nb, self.den, self.D))
+
     def __repr__(self):
         if self.nb == 0:
             return "QuadExt(%s)" % (self.a,)
@@ -249,10 +253,6 @@ class QuadExt:
 
     def __str__(self):
         return self.serialize()
-
-
-ZERO = QuadExt(0)
-ONE = QuadExt(1)
 
 
 def sqrt_int(n):

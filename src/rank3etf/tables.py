@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import time
 
-from .families import build, expected_params
+from .families import build
 from .frames import descendant_gram, embedding_gram, verify_etf
 from .graphs import Graph, NotStronglyRegular, SrgParams, spectrum, srg_params
 from .iso import find_isomorphism
@@ -96,10 +96,10 @@ class ReportRow:
 
 
 class CertificationFailure(RuntimeError):
-    "a table row failed its certification; carries the offending row"
+    "a table row failed its certification; carries the offending row, or None"
 
     def __init__(self, row, detail):
-        super().__init__("%s: %s" % (row, detail))
+        super().__init__(detail if row is None else "%s: %s" % (row, detail))
         self.row = row
         self.detail = detail
 
@@ -112,7 +112,7 @@ def _sizes(menu_sizes, family, max_n, max_q):
 
 def embedding_row(family, size, provenance="table3"):
     g = build(family, size)
-    p = expected_params(family, size)  # build has certified srg_params(g) equal to it
+    p = srg_params(g)  # the parameters build has certified
     cert = verify_etf(embedding_gram(g))
     row = ReportRow(
         family, size, p.v, p.k, p.lam, p.mu, cert.M, cert.N, cert.alpha_sq,
@@ -125,7 +125,7 @@ def embedding_row(family, size, provenance="table3"):
 
 def descendant_row(family, size):
     g = build(family, size)
-    p = expected_params(family, size)  # build has certified srg_params(g) equal to it
+    p = srg_params(g)  # the parameters build has certified
     if p.k != 2 * p.mu:
         raise CertificationFailure(None, "%s:%s has k != 2 mu" % (family, size))
     cert = verify_etf(descendant_gram(g))

@@ -4,8 +4,9 @@ three output formats, --output file writing, graph JSON round trips through
 build / verify, and the export payloads.
 """
 
+import csv
+import io
 import json
-import sys
 
 import pytest
 
@@ -101,19 +102,34 @@ def test_verify_etf_exit_codes(capsys):
     assert rc == 1 and "NotEquiangular" in out
 
 
-def test_verify_etf_certifies_a_family_graph_twice(capsys, monkeypatch):
-    # once in build against the closed form, once in embedding_gram; the row
-    # reads the parameters build has just certified
-    calls = []
-    real = graphs.srg_params
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("rank3etf.") and getattr(mod, "srg_params", None) is real:
-            monkeypatch.setattr(mod, "srg_params", lambda g: calls.append(g) or real(g))
-    rc, out, _ = run(capsys, "verify-etf", "NOplus2n_2", "3", "--format", "csv")
-    assert rc == 0 and len(calls) == 2
-    cells = dict(zip(CSV_COLUMNS, out.splitlines()[1].split(",")))
-    p = real(calls[0])
-    assert [cells[c] for c in ("v", "k", "lambda", "mu")] == [str(x) for x in p.as_tuple()]
+def test_verify_etf_certifies_its_graph_once(capsys, tmp_path, certifications):
+    # build certifies a family graph against the closed form, verify-etf a
+    # file's graph; the row and embedding_gram read the parameters it keeps
+    path = tmp_path / "g.json"
+    assert run(capsys, "build", "NOplus2n_2", "3", "--output", str(path))[0] == 0
+    for argv in (("NOplus2n_2", "3"), ("--input", str(path))):
+        certifications.clear()
+        rc, out, _ = run(capsys, "verify-etf", *argv, "--format", "csv")
+        assert rc == 0 and len(certifications) == 1, argv
+        cells = dict(zip(CSV_COLUMNS, out.splitlines()[1].split(",")))
+        p = graphs.srg_params(Graph.from_rows(certifications[0]))
+        assert [cells[c] for c in ("v", "k", "lambda", "mu")] == [str(x) for x in p.as_tuple()]
+
+
+def test_csv_quotes_labels(capsys, tmp_path):
+    path = tmp_path / "g.json"
+    g = Graph.from_json(run(capsys, "build", "Paley", "13")[1])
+    g.label = 'my,graph "x"'
+    path.write_text(g.to_json())
+    # Paley(13) is strongly regular, and its embedding is not equiangular
+    for cmd, ncols, code in (("verify-srg", 6, 0), ("verify-etf", len(CSV_COLUMNS), 1)):
+        rc, out, _ = run(capsys, cmd, "--input", str(path), "--format", "csv")
+        assert rc == code
+        header, row = csv.reader(io.StringIO(out))
+        assert len(header) == len(row) == ncols
+        assert row[0] == g.label
+    rc, out, _ = run(capsys, "verify-srg", "Paley", "13", "--format", "csv")
+    assert out == "label,v,k,lambda,mu,status\nPaley:13,13,6,2,3,SRG\n"
 
 
 def test_verify_etf_from_file(capsys, tmp_path):

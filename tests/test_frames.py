@@ -125,7 +125,7 @@ from fractions import Fraction
 from rank3etf.families import build
 from rank3etf.fields import field
 from rank3etf.frames import GramMatrix, descendant_gram, embedding_gram, naimark, verify_etf, vo_vectors
-from rank3etf.graphs import Graph, SrgParams, eigenmatrices, spectrum
+from rank3etf.graphs import Graph, SrgParams, spectrum
 from rank3etf import families, iso
 from rank3etf.matrices import ExactMatrix
 from rank3etf.qext import QuadExt
@@ -164,8 +164,6 @@ for bad in (
     lambda: vo_vectors(1, "plus"),
     lambda: spectrum(SrgParams(7, 3, 1, 1)),
     lambda: spectrum(SrgParams(15, 7, 3, 3)),
-    lambda: eigenmatrices(SrgParams(7, 3, 1, 1)),
-    lambda: eigenmatrices(SrgParams(15, 7, 3, 3)),
     lambda: QuadExt(0, 1, 12),
     lambda: QuadExt(0, 1, 5).as_fraction(),
     lambda: field(9).order(0),
@@ -214,7 +212,7 @@ except RuntimeError:
         "5 ETF 6 3 1/5",
         # frozen NOplusOdd_4 2 rows, as in test_families.ROW_DIGESTS
         "d9fe24fcf07582379b320c376925df4ae53dda9af51f7406a117b1e941f77b4f",
-    ] + ["ValueError"] * 21 + ["ZeroDivisionError"] * 2 + ["ValueError"] * 5 + ["RuntimeError"]
+    ] + ["ValueError"] * 19 + ["ZeroDivisionError"] * 2 + ["ValueError"] * 5 + ["RuntimeError"]
 
 
 def test_no_assert_statements_in_src():

@@ -1,8 +1,8 @@
 """
-Graphs as bitmask rows, SRG certification with rejection witnesses, spectra
-and eigenmatrices.  Oracles: the pentagon (5,2,0,1), the Petersen graph
-(10,3,0,1) with spectrum 3, 1^5, (-2)^4, a conference spectrum with equal
-multiplicities, and a rank 3 eigenmatrix pair with denominator-5 entries.
+Graphs as bitmask rows, SRG certification with rejection witnesses, and
+spectra.  Oracles: the pentagon (5,2,0,1), the Petersen graph (10,3,0,1)
+with spectrum 3, 1^5, (-2)^4, and a conference spectrum with equal
+multiplicities.
 Parameter sets that pass SrgParams but have no valid spectrum raise.
 Graph.from_rows rejects exactly what a reference pair scan rejects, with
 the same first offending vertex or pair, and srg_params gives the results
@@ -25,7 +25,6 @@ from rank3etf.graphs import (
     and_counts,
     bits,
     common_neighbour_counts,
-    eigenmatrices,
     pack_rows,
     spectrum,
     srg_params,
@@ -285,6 +284,34 @@ def test_srg_params_matches_pair_loop():
     }
 
 
+def test_graph_operations_certify_afresh(certifications):
+    # a kept SrgParams would be wrong for switch and delete_vertex, and is not
+    # carried to relabel and complement either
+    g = build("Paley", 13)
+    p = srg_params(g)
+    for h, want in (
+        (g.relabel(list(range(12, -1, -1))), p),
+        (g.complement(), p.complement()),
+        (g.switch([0]), None),
+        (g.delete_vertex(0), None),
+    ):
+        certifications.clear()
+        if want is None:
+            with pytest.raises(NotStronglyRegular):
+                srg_params(h)
+        else:
+            assert srg_params(h) == want
+        assert len(certifications) == 1
+
+
+def test_failed_certification_is_not_kept(certifications):
+    g = _cycle(6)
+    for _ in range(2):
+        with pytest.raises(NotStronglyRegular, match=r"varies on non-edges: pair \(0, 3\)"):
+            srg_params(g)
+    assert len(certifications) == 2
+
+
 def test_srg_params_primitivity_guard():
     with pytest.raises(ValueError, match="primitive"):
         SrgParams(6, 4, 2, 4)  # mu = k
@@ -332,33 +359,6 @@ def test_spectrum_rejects_feasible_looking_parameters():
     ):
         with pytest.raises(ValueError, match=reason):
             spectrum(params)
-        with pytest.raises(ValueError, match=reason):
-            eigenmatrices(params)
-
-
-def test_eigenmatrices_pq_identity():
-    for fam, size in (("Paley", 9), ("Paley", 13), ("Triangular", 7), ("Lattice", 4)):
-        p = srg_params(build(fam, size))
-        em = eigenmatrices(p)
-        assert mat_mul(em.P, em.Q) == ExactMatrix.identity(3).scale(p.v)
-        assert em.P[0, 1] == QuadExt(p.k)
-        assert em.Q[0, 1] == QuadExt(spectrum(p).f)
-
-
-def test_eigenmatrices_fractional_oracle():
-    # (176, 105, 68, 54): eigenvalues 17 and -3, multiplicities 21 and 154;
-    # second eigenmatrix rows (1, 17/5, -22/5) and (1, -27/5, 22/5)
-    em = eigenmatrices(SrgParams(176, 105, 68, 54))
-    want_q = ExactMatrix.from_rows(
-        [
-            [1, 21, 154],
-            [1, Fraction(17, 5), Fraction(-22, 5)],
-            [1, Fraction(-27, 5), Fraction(22, 5)],
-        ]
-    )
-    assert em.Q == want_q
-    want_p = ExactMatrix.from_rows([[1, 105, 70], [1, 17, -18], [1, -3, 2]])
-    assert em.P == want_p
 
 
 def test_adjacency_matrix_squares():

@@ -4,12 +4,15 @@ against floating point, serialization round trips, and the integer-sqrt and
 squarefree helpers that anchor the representation.  Bad input raises
 ValueError, and the inverse of zero ZeroDivisionError.  The integer storage
 (na + nb sqrt(D)) / den is checked against a Fraction-based reference of the
-arithmetic it replaced.
+arithmetic it replaced.  Values copy and pickle through their stored form.
 """
 
+import copy
+import dataclasses
 import math
 import os
 from pathlib import Path
+import pickle
 import random
 import subprocess
 import sys
@@ -18,6 +21,7 @@ from fractions import Fraction
 import pytest
 
 import rank3etf
+from rank3etf.graphs import SrgParams, spectrum
 from rank3etf.qext import QuadExt, sqrt_int, squarefree_part
 
 
@@ -100,6 +104,18 @@ def test_serialize_round_trip():
             assert QuadExt.parse(x.serialize()) == x
     assert QuadExt.parse("1/1") == QuadExt(1)
     assert QuadExt.parse("-1/4+1/4*sqrt(5)") == QuadExt(Fraction(-1, 4), Fraction(1, 4), 5)
+
+
+def test_copy_and_pickle_round_trips():
+    third, sixth = Fraction(2, 3), Fraction(-5, 6)
+    for x in (QuadExt(1, 2, 5), QuadExt(Fraction(-3, 4)), QuadExt(third, sixth, 5)):
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert y == x and (y.na, y.nb, y.den, y.D) == (x.na, x.nb, x.den, x.D)
+            with pytest.raises(AttributeError, match="immutable"):
+                y.na = 0
+    sp = spectrum(SrgParams(13, 6, 2, 3))  # conference: r and s in Q(sqrt(13))
+    assert copy.deepcopy(sp) == sp
+    assert dataclasses.asdict(sp) == {"k": 6, "r": sp.r, "s": sp.s, "f": 6, "g": 6}
 
 
 def test_mixed_radicals_rejected():

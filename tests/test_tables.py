@@ -2,16 +2,16 @@
 Report rows and tables: certified (M, N, M-N, alpha^2) values frozen from
 independent eigenvalue computations, the k = 2 mu gate on descendant rows,
 parameter-only rows at spectrum level, the shared-(M, {N, M-N}) grouping,
-byte-identical reruns, experiment payload structure, and two srg_params
-calls per row.
+byte-identical reruns, experiment payload structure, and one strong-regularity
+certification per built row.
 """
 
 from fractions import Fraction
-import sys
 
 import pytest
 
 from rank3etf import graphs
+from rank3etf.families import build
 from rank3etf.tables import (
     PARAM_ONLY_ROWS,
     CertificationFailure,
@@ -94,29 +94,35 @@ def test_descendant_rows():
         assert row.status == "ETF" and row.provenance == "table4"
 
 
-def test_each_row_certifies_its_graph_twice(monkeypatch):
-    # once in build against the closed form, once in embedding_gram or
-    # descendant_gram; the row reads the parameters build has just certified
-    calls = []
-    real = graphs.srg_params
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("rank3etf.") and getattr(mod, "srg_params", None) is real:
-            monkeypatch.setattr(mod, "srg_params", lambda g: calls.append(g) or real(g))
+def test_each_row_certifies_its_graph_once(certifications):
+    # build certifies against the closed form; the row, embedding_gram and
+    # descendant_gram read the parameters the graph keeps
     for make_row, fam, size in (
         (embedding_row, "VOplus", 2),
         (embedding_row, "M22_comp", None),
         (descendant_row, "Paley", 13),
         (descendant_row, "Sp2n_2", 2),
     ):
-        calls.clear()
+        certifications.clear()
         row = make_row(fam, size)
-        assert len(calls) == 2, (fam, size)
-        assert (row.v, row.k, row.lam, row.mu) == real(calls[0]).as_tuple()
+        assert len(certifications) == 1, (fam, size)
+        g = graphs.Graph.from_rows(certifications[0])
+        assert (row.v, row.k, row.lam, row.mu) == graphs.srg_params(g).as_tuple()
+
+
+def test_tables_certify_each_built_row_once(certifications):
+    rows = generate_table("table3") + generate_table("table4")
+    built = [r for r in rows if r.status != "parameter-only"]
+    assert len(certifications) == len(built) == 28
+    g = build("Paley", 13)
+    assert graphs.srg_params(g) is graphs.srg_params(g)
+    assert len(certifications) == 29
 
 
 def test_descendant_rejects_k_ne_2mu():
-    with pytest.raises(CertificationFailure, match="k != 2 mu"):
+    with pytest.raises(CertificationFailure) as e:
         descendant_row("VOplus", 2)  # k = 9, mu = 6
+    assert str(e.value) == "VOplus:2 has k != 2 mu" and e.value.row is None
 
 
 def test_param_only_rows():
