@@ -58,15 +58,13 @@ def _no_gf4(n, keep, complemented):
     # popcount of a & b decides degeneracy exactly.
     q = 4
     sp = standard_space(q, 2 * n + 1, "parabolic")
-    masks = sp.hyperplane_singular_masks()
-    kinds = {standard_singular_count(q, 2 * n, k) + 1: k for k in ("plus", "minus")}
-    tangent = q ** (2 * n - 1)
-    for m in masks:
-        c = m.bit_count()
-        if c not in kinds and c != tangent:
-            raise ValueError("hyperplane with %d singular vectors fits no class" % c)
-    hps = [m for m in masks if kinds.get(m.bit_count()) == keep]
-    meets = and_counts(hps, q ** (2 * n))  # the masks index the singular vectors
+    words = sp.hyperplane_singular_masks()  # the bits index the singular vectors
+    counts = np.bitwise_count(words).sum(axis=1)
+    kinds = {k: standard_singular_count(q, 2 * n, k) + 1 for k in ("plus", "minus")}
+    bad = counts[~np.isin(counts, [*kinds.values(), q ** (2 * n - 1)])]  # the last: through nu
+    if len(bad):
+        raise ValueError("hyperplane with %d singular vectors fits no class" % bad[0])
+    meets = and_counts(words[counts == kinds[keep]])
     parabolic = standard_singular_count(q, 2 * n - 1, "parabolic") + 1
     gap = q**n - q ** (n - 1)
     fits = (meets == parabolic) | (meets == parabolic + gap) | (meets == parabolic - gap)

@@ -282,8 +282,13 @@ def gram_to_json(gm, cert=None):
 
 def gram_from_json(text):
     obj = json.loads(text)
-    M = obj["M"]
-    vals = [QuadExt.parse(s) for s in obj["entries"]]
+    M = obj.get("M") if isinstance(obj, dict) else None
+    if type(M) is not int or M < 1:  # a JSON true is a bool, not M = 1
+        raise ValueError('Gram JSON needs a positive integer "M"')
+    entries = obj.get("entries")
+    if not (isinstance(entries, list) and all(isinstance(s, str) for s in entries)):
+        raise ValueError('Gram JSON needs an "entries" list of strings')
+    vals = [QuadExt.parse(s) for s in entries]
     want = M * (M + 1) // 2
     if len(vals) != want:
         raise ValueError("%d Gram entries, expected %d for M = %d" % (len(vals), want, M))

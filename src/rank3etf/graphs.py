@@ -3,15 +3,18 @@ Simple graphs as packed adjacency bitmasks, with exact strongly-regular
 certification.
 
 A graph on v vertices stores one integer per vertex whose bit j is the
-adjacency to vertex j, so common-neighbour counts are popcounts of ANDed
-rows and Seidel switching is an XOR.  srg_params certifies the defining
-identity A^2 = kI + lambda A + mu (J - I - A) on all pairs at once: it
-reads the degrees off the diagonal of one common_neighbour_counts array and
-compares every edge and non-edge count with the first of its class.  On
-failure it raises NotStronglyRegular with the first offending vertex, or the
-first offending pair in row-major order.  A Graph is certified once: it keeps
-its SrgParams in a slot that every constructor and operation starts empty,
-so a later srg_params call returns them, and a failure is raised afresh.
+adjacency to vertex j, so Seidel switching is an XOR.  Every popcount
+operand is a 0/1 array packed by pack_words, the one place the word layout
+is written (bit j of a row at bit j % 64 of zero-padded little-endian uint64
+word j // 64), and and_counts(words) is the one popcount kernel.
+srg_params certifies A^2 = kI + lambda A + mu (J - I - A) on all pairs at
+once: it reads the degrees off the diagonal of one common_neighbour_counts
+array and compares every edge and non-edge count with the first of its
+class.  On failure it raises NotStronglyRegular with the first offending
+vertex, or the first offending pair in row-major order.  A Graph is
+certified once: it keeps its SrgParams in a slot that every constructor and
+operation starts empty, so a later srg_params call returns them, and a
+failure is raised afresh.
 
 From (v, k, lambda, mu) the non-principal eigenvalues are the roots
 r > s of xi^2 + (mu - lambda) xi + (mu - k) = 0, exact in Q(sqrt(disc))
@@ -49,15 +52,22 @@ def unpack_rows(rows, n):
     return np.unpackbits(packed, axis=1, count=n, bitorder="little")
 
 
+def pack_words(a):
+    "the rows of a 0/1 array as uint64 words, bit j of row i at bit j % 64 of word j // 64"
+    n, nbits = a.shape
+    words = np.zeros((n, 8 * ((nbits + 63) // 64)), dtype=np.uint8)
+    words[:, : (nbits + 7) // 8] = np.packbits(a, axis=1, bitorder="little")
+    return words.view("<u8")
+
+
 def pack_rows(a):
     "the rows of a 0/1 array as integers, bit j of row i set iff a[i, j]; inverts unpack_rows"
-    packed = np.packbits(a, axis=1, bitorder="little")
-    return [int.from_bytes(r.tobytes(), "little") for r in packed]
+    return [int.from_bytes(r.tobytes(), "little") for r in pack_words(a)]
 
 
-def _and_popcounts(words):
-    """P[i, j] = popcount(words[i] & words[j]) as int64, summed over the 64-bit
-    words in the narrowest dtype that holds 64 * nwords, the largest count"""
+def and_counts(words):
+    """P[i, j] = popcount(words[i] & words[j]) as int64, for rows of uint64 words
+    (pack_words), summed in the narrowest dtype that holds 64 * nwords"""
     n, nwords = words.shape
     c = np.zeros((n, n), dtype=np.min_scalar_type(64 * nwords))
     for w in words.T:
@@ -65,16 +75,9 @@ def _and_popcounts(words):
     return c.astype(np.int64)
 
 
-def and_counts(masks, nbits):
-    "P[i, j] = popcount(masks[i] & masks[j]) as int64, for masks below 2^nbits"
-    nwords = (nbits + 63) // 64
-    buf = b"".join(m.to_bytes(8 * nwords, "little") for m in masks)
-    return _and_popcounts(np.frombuffer(buf, dtype="<u8").reshape(len(masks), nwords))
-
-
-def common_neighbour_counts(rows):
-    "C[i, j] = |N(i) & N(j)| as an int64 numpy array, from popcounts of 64-bit words"
-    return and_counts(rows, len(rows))
+def common_neighbour_counts(adj):
+    "C[i, j] = |N(i) & N(j)| as an int64 numpy array, from the 0/1 adjacency array adj"
+    return and_counts(pack_words(adj))
 
 
 def pair_degrees(adj):
@@ -82,9 +85,7 @@ def pair_degrees(adj):
     with 0/1 adjacency array adj, 0 on the diagonal: s = d_i + d_j - 2 |N(i) & N(j)|,
     and n - s where i ~ j (proof in the twographs docstring)"""
     n = len(adj)
-    words = np.zeros((n, 8 * ((n + 63) // 64)), dtype=np.uint8)
-    words[:, : (n + 7) // 8] = np.packbits(adj, axis=1, bitorder="little")
-    c = _and_popcounts(words.view("<u8"))  # C[i, j] = |N(i) & N(j)|
+    c = and_counts(pack_words(adj))  # C[i, j] = |N(i) & N(j)|
     deg = c.diagonal()
     s = deg[:, None] + deg - 2 * c
     return np.where(adj, n - s, s)
@@ -96,14 +97,12 @@ def k4_counts(adj):
     popcount of T[i] & T[j].  T is packed a block of rows at a time."""
     n = len(adj)
     s, v = np.nonzero(np.triu(adj, 1))  # the m edges, s < v
-    t = np.zeros((n, 8 * ((len(s) + 63) // 64)), dtype=np.uint8)
+    t = np.empty((n, (len(s) + 63) // 64), dtype="<u8")
     step = max(1, (1 << 18) // max(len(s), 1))  # rows per block, about 256 KB each
     for lo in range(0, n, step):
         a = adj[lo : lo + step]
-        t[lo : lo + step, : (len(s) + 7) // 8] = np.packbits(
-            a[:, s] & a[:, v], axis=1, bitorder="little"
-        )
-    return _and_popcounts(t.view("<u8"))
+        t[lo : lo + step] = pack_words(a[:, s] & a[:, v])
+    return and_counts(t)
 
 
 class Graph:
@@ -216,16 +215,19 @@ class Graph:
 
     @staticmethod
     def from_json(text):
-        obj = json.loads(text)
-        if not isinstance(obj, dict) or not isinstance(obj.get("v"), int) or obj["v"] < 0:
+        obj = json.loads(text)  # type(x) is int: a JSON true is a bool, not vertex 1
+        if not isinstance(obj, dict) or type(obj.get("v")) is not int or obj["v"] < 0:
             raise ValueError('graph JSON needs a non-negative integer "v"')
         edges = obj.get("edges")
         if not isinstance(edges, list):
             raise ValueError('graph JSON needs an "edges" list')
         for e in edges:
-            if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
+            if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
                 raise ValueError("bad edge %r" % (e,))
-        return Graph(obj["v"], [tuple(e) for e in edges], obj.get("label", ""))
+        label = obj.get("label", "")
+        if not isinstance(label, str):
+            raise ValueError('graph JSON "label" must be a string')
+        return Graph(obj["v"], [tuple(e) for e in edges], label)
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
@@ -272,13 +274,14 @@ def srg_params(g):
     n = g.n
     if n < 4:
         raise NotStronglyRegular("too few vertices: %d" % n)
-    c = common_neighbour_counts(g.rows)  # the diagonal holds the degrees
+    a = g.adjacency_bits()
+    c = common_neighbour_counts(a)  # the diagonal holds the degrees
     deg = c.diagonal()
     k = int(deg[0])
     uneven = np.flatnonzero(deg != k)
     if len(uneven):
         raise NotStronglyRegular("degree differs at vertex %d" % uneven[0])
-    a = g.adjacency_bits().astype(bool)
+    a = a.astype(bool)
     edges, non_edges = np.triu(a, 1), np.triu(~a, 1)
     # lambda and mu are the counts on the first edge and the first non-edge; a
     # class with no pair reads 0 and is rejected below as complete or edgeless

@@ -35,6 +35,7 @@ Higman-Sims 4-vertex condition, which differs between SRGs with equal
 parameters such as Paley(49) and Peisert(49).  It is read off one exact
 integer array, graphs.k4_counts, and both multisets are one np.unique over
 one integer key per pair, the tuple in mixed radix (np.ravel_multi_index).
+Both counts take the 0/1 arrays, and graphs packs them into words.
 
 The search applies the same count one vertex at a time.  Each graph is
 unpacked once per find_isomorphism call, and the 0/1 arrays serve every
@@ -85,7 +86,7 @@ def _pair_multiset(adj, *counts):
 def k4_pair_multiset(g):
     "multiset of (i ~ j, |N(i) & N(j)|, edges inside N(i) & N(j)) over pairs i < j"
     adj = unpack_rows(g.rows, g.n)
-    return _pair_multiset(adj, common_neighbour_counts(g.rows), k4_counts(adj))
+    return _pair_multiset(adj, common_neighbour_counts(adj), k4_counts(adj))
 
 
 def _refine(adj_g, adj_h, col_g, col_h):
@@ -179,7 +180,7 @@ def find_isomorphism(g, h, bound=ISO_VERTEX_BOUND, fixed=()):
         if sorted(r.bit_count() for r in g.rows) != sorted(r.bit_count() for r in h.rows):
             return None
         adj_h = unpack_rows(h.rows, h.n)
-        cn_g, cn_h = common_neighbour_counts(g.rows), common_neighbour_counts(h.rows)
+        cn_g, cn_h = common_neighbour_counts(adj_g), common_neighbour_counts(adj_h)
         if _pair_multiset(adj_g, cn_g) != _pair_multiset(adj_h, cn_h):
             return None
     # each fixed pair gets its own fresh colour, shared by g and h

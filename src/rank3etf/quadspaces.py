@@ -20,17 +20,18 @@ q_table builds qt for all q^dim vectors at once from one q x q
 multiplication table of GF(q): the coordinates are read as arrays and the
 terms c x_i x_j are looked up in the table and XORed together.
 
-hyperplane_singular_masks gives one bitmask per hyperplane functional: bit
-i is set iff the i-th singular vector (packed-index order, zero first) lies
-in the kernel.  The kernels come from per-coordinate bit-planes of the
-singular vectors, packed into 64-bit words and XORed for all functionals
-at once, so the singular count of a hyperplane, or of the intersection of
-two, is a single popcount.
+hyperplane_singular_masks gives one row of words (graphs.pack_words) per
+hyperplane functional: bit i is set iff the i-th singular vector
+(packed-index order, zero first) lies in the kernel.  The kernels come from
+bit-planes of the singular vectors, packed by pack_words and XORed for all
+functionals at once, so the singular count of a hyperplane is a popcount of
+its row, and that of two meeting ones an entry of graphs.and_counts.
 """
 
 import numpy as np
 
 from .fields import Field, field
+from .graphs import pack_words
 
 AMBIENT_BOUND = 2**24
 
@@ -142,21 +143,16 @@ class QuadraticSpace:
 
     def hyperplane_singular_masks(self):
         """
-        One mask per functional a, taken in packed-index order of a with
-        first nonzero coordinate 1: bit i is set iff the i-th singular
-        vector x in packed-index order (the zero vector first) has
-        sum a_j x_j = 0.
+        One row of words (graphs.pack_words) per functional a, taken in
+        packed-index order of a with first nonzero coordinate 1: bit i is
+        set iff the i-th singular vector x in packed-index order (the zero
+        vector first) has sum a_j x_j = 0.
         """
         f, e, dim = self.field, self.field.e, self.dim
         singular = np.flatnonzero(self.q_table() == 0)
         # planes[j*e + t]: the singular vectors whose coordinate j has bit t
-        # set, as little-endian 64-bit words (bit i for the i-th vector)
-        nwords = (len(singular) + 63) // 64
-        planes = np.zeros((dim * e, 8 * nwords), dtype=np.uint8)
-        planes[:, : (len(singular) + 7) // 8] = np.packbits(
-            (singular >> np.arange(dim * e)[:, None]) & 1, axis=1, bitorder="little"
-        )
-        planes = planes.view("<u8")
+        # set, as words (bit i for the i-th vector)
+        planes = pack_words((singular >> np.arange(dim * e)[:, None]) & 1)
         # the functionals in packed order, kept when the first nonzero coordinate is 1
         a = np.arange(1, f.q**dim)
         coords = (a[:, None] >> (e * np.arange(dim))) & (f.q - 1)
@@ -165,14 +161,14 @@ class QuadraticSpace:
         # of sum a_j x_j is the XOR of the planes of those bits t with bit b
         # set in a_j * 2^t, read at column j*e + t of scaled
         scaled = _mul_table(f)[coords[:, :, None], 1 << np.arange(e)].reshape(len(coords), -1)
-        value_bits = np.zeros((len(coords), nwords), dtype="<u8")
+        value_bits = np.zeros((len(coords), planes.shape[1]), dtype=planes.dtype)
         for b in range(e):
             plane = np.zeros_like(value_bits)
             for k in range(dim * e):
                 plane ^= planes[k] * ((scaled[:, k, None] >> b) & 1)
             value_bits |= plane
-        full = (1 << len(singular)) - 1  # value_bits lies inside full: XOR complements it
-        return [full ^ int.from_bytes(r.tobytes(), "little") for r in value_bits]
+        # value_bits lies inside the bits of the singular vectors: XOR complements it
+        return value_bits ^ pack_words(np.ones((1, len(singular)), dtype=np.uint8))
 
     def __repr__(self):
         return "QuadraticSpace(%r, dim=%d, %s)" % (self.field, self.dim, self.kind)

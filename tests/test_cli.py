@@ -1,16 +1,18 @@
 """
 CLI contract: exit codes (0 success, 1 failed certification, 2 usage), the
-three output formats, --output file writing, graph JSON round trips through
-build / verify, and the export payloads.
+three output formats, --output file writing (an unwritable path is a usage
+error), graph JSON round trips through build / verify, and the export
+payloads.
 """
 
 import csv
+import dataclasses
 import io
 import json
 
 import pytest
 
-from rank3etf import graphs
+from rank3etf import graphs, tables
 from rank3etf.cli import CSV_COLUMNS, main
 from rank3etf.frames import gram_from_json
 from rank3etf.graphs import Graph
@@ -224,6 +226,25 @@ def test_output_files_end_with_newline(capsys, tmp_path):
         "--output", str(path))
     text = path.read_text()
     assert text.endswith("\n") and not text.endswith("\n\n")
+
+
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    path = tmp_path / "no-such-dir" / "x.txt"
+    for argv in (("list",), ("build", "Paley", "9"), ("verify-srg", "Paley", "9")):
+        rc, out, err = run(capsys, *argv, "--output", str(path))
+        assert rc == 2 and out == "", argv
+        assert err.startswith("error: cannot write %s: " % path), (argv, err)
+
+
+def test_table_certification_failure_exits_1(capsys, monkeypatch):
+    real = tables.verify_etf
+    monkeypatch.setattr(
+        tables, "verify_etf", lambda gm: dataclasses.replace(real(gm), status="NotTight")
+    )
+    rc, out, err = run(capsys, "table3")
+    assert rc == 1 and out == ""
+    assert err.startswith("certification failure: ") and err.count("\n") == 1
+    assert err.endswith("embedding did not certify as ETF\n")
 
 
 def test_argparse_usage_exits(capsys):

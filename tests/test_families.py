@@ -11,6 +11,7 @@ import hashlib
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from rank3etf import families
@@ -258,17 +259,20 @@ def test_corrupted_golay_blocks_raise(monkeypatch):
 def test_corrupted_gf4_masks_raise(monkeypatch):
     real = QuadraticSpace.hyperplane_singular_masks
 
+    # NOplusOdd_4 1 has 16 singular vectors: one 64-bit word per hyperplane
     def dropped(sp):  # one singular vector fewer: a count no hyperplane class has
-        masks = real(sp)
-        masks[0] &= masks[0] - 1
-        return masks
+        words = real(sp)
+        words[0, 0] &= words[0, 0] - np.uint64(1)
+        return words
 
     def moved(sp):  # a hyperbolic mask keeps its count of 7 with one vector moved
-        masks = real(sp)
-        i = next(k for k, m in enumerate(masks) if m.bit_count() == 7)
-        clear = next(c for c in range(16) if not masks[i] >> c & 1)
-        masks[i] ^= 1 << (masks[i].bit_length() - 1) | 1 << clear
-        return masks
+        words = real(sp)
+        assert words.shape[1] == 1
+        i = np.flatnonzero(np.bitwise_count(words[:, 0]) == 7)[0]
+        w = int(words[i, 0])
+        clear = next(c for c in range(16) if not w >> c & 1)
+        words[i, 0] ^= np.uint64(1 << (w.bit_length() - 1) | 1 << clear)
+        return words
 
     monkeypatch.setattr(QuadraticSpace, "hyperplane_singular_masks", dropped)
     with pytest.raises(ValueError, match="hyperplane with .* fits no class"):

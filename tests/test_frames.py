@@ -227,6 +227,24 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
+def test_word_layout_is_written_only_in_graphs():
+    # graphs.pack_words packs every popcount operand; no other module may
+    # spell out the bytes or the dtype of its words
+    banned = {"packbits", "unpackbits", "frombuffer", "to_bytes", "from_bytes", "<u8"}
+    pkg = Path(rank3etf.__file__).resolve().parent
+    found = [
+        (path.name, node.lineno)
+        for path in sorted(pkg.glob("*.py"))
+        if path.name != "graphs.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and node.id in banned
+        or isinstance(node, ast.Attribute) and node.attr in banned
+        or isinstance(node, ast.alias) and node.name in banned
+        or isinstance(node, ast.Constant) and node.value in banned
+    ]
+    assert found == []
+
+
 def test_welch_bound_is_strict_off_etf():
     # max squared inner product strictly above (M-N)/(N(M-1)) for a non-ETF
     g = build("Triangular", 7)
@@ -348,6 +366,27 @@ def test_gram_json_round_trip():
         bad = json.dumps({"M": 1, "entries": [entry]})
         with pytest.raises(ValueError, match="bad scalar string"):
             gram_from_json(bad)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"M":-1,"entries":[]}',  # not a 0 x 0 Gram
+        '{"M":0,"entries":[]}',  # a 0 x 0 Gram has no rank to certify
+        '{"M":true,"entries":["1"]}',  # true is not M = 1
+        '{"entries":[]}',
+        '{"M":"2","entries":["1","0","1"]}',
+        '{"M":1,"entries":[1]}',
+        '{"M":1,"entries":"1"}',
+        '{"M":1}',
+        '{"M":2,"entries":["1"]}',
+        "[1]",
+        "{not json",
+    ],
+)
+def test_gram_from_json_rejects_malformed_documents(text):
+    with pytest.raises(ValueError):
+        gram_from_json(text)
 
 
 # -- verify_etf against the certifier it replaced ---------------------------------

@@ -7,7 +7,8 @@ Parameter sets that pass SrgParams but have no valid spectrum raise.
 Graph.from_rows rejects exactly what a reference pair scan rejects, with
 the same first offending vertex or pair, and srg_params gives the results
 and messages of the pair loop it replaced.  pack_rows inverts unpack_rows,
-and and_counts matches a plain popcount, across the byte and word edges.
+pack_words lays the rows out bit for bit as 64-bit words, and and_counts
+matches a plain popcount, across the byte and word edges.
 """
 
 import json
@@ -26,6 +27,7 @@ from rank3etf.graphs import (
     bits,
     common_neighbour_counts,
     pack_rows,
+    pack_words,
     spectrum,
     srg_params,
     unpack_rows,
@@ -118,9 +120,17 @@ def test_bits():
     assert list(bits(1 << 200)) == [200]
 
 
+def _words(masks, nbits):
+    "the masks as rows of uint64 words, word w holding bits 64w .. 64w + 63"
+    nwords = (nbits + 63) // 64
+    return np.array(
+        [[m >> 64 * w & (1 << 64) - 1 for w in range(nwords)] for m in masks], dtype=np.uint64
+    ).reshape(len(masks), nwords)
+
+
 def test_pack_rows_inverts_unpack_rows():
     rng = random.Random(31)
-    for width in (0, 1, 7, 8, 9, 63, 64, 65):
+    for width in range(66):
         for n in (0, 1, 5):
             rows = [rng.getrandbits(width) if width else 0 for _ in range(n)]
             a = unpack_rows(rows, width)
@@ -128,26 +138,31 @@ def test_pack_rows_inverts_unpack_rows():
             assert a.tolist() == [[r >> j & 1 for j in range(width)] for r in rows]
             assert pack_rows(a) == rows and pack_rows(a.astype(bool)) == rows
             assert all(type(r) is int for r in pack_rows(a))
+            for b in (a, a.astype(bool)):
+                w = pack_words(b)
+                assert w.dtype == np.uint64 and w.shape == (n, (width + 63) // 64)
+                assert np.array_equal(w, _words(rows, width))
 
 
 def test_and_counts_match_naive_popcounts():
     rng = random.Random(32)
-    for nbits in (0, 1, 63, 64, 65, 127, 128, 129, 200):
+    for nbits in (0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 200):
         masks = [rng.getrandbits(nbits) if nbits else 0 for _ in range(7)]
         masks[0] = (1 << nbits) - 1  # every word full
-        got = and_counts(masks, nbits)
+        got = and_counts(_words(masks, nbits))
         assert got.dtype == np.int64
         assert got.tolist() == [[(a & b).bit_count() for b in masks] for a in masks]
-    assert and_counts([], 70).shape == (0, 0)
+    assert and_counts(_words([], 70)).shape == (0, 0)
     # all-ones words at the edges of the narrow accumulator: 192 and 65472
     # fit 8 and 16 bits, 256 and 65536 do not
     for nwords in (3, 4, 1023, 1024):
         masks = [(1 << 64 * nwords) - 1, (1 << 64 * nwords - 1) - 1, 0]
-        got = and_counts(masks, 64 * nwords)
+        got = and_counts(_words(masks, 64 * nwords))
         assert got.dtype == np.int64
         assert got.tolist() == [[(a & b).bit_count() for b in masks] for a in masks]
     g = _petersen()
-    assert np.array_equal(common_neighbour_counts(g.rows), and_counts(g.rows, g.n))
+    c = common_neighbour_counts(g.adjacency_bits())
+    assert np.array_equal(c, and_counts(_words(g.rows, g.n)))
 
 
 def test_json_round_trip():
@@ -155,6 +170,26 @@ def test_json_round_trip():
     h = Graph.from_json(g.to_json())
     assert h == g and h.label == g.label
     assert json.loads(g.to_json())["v"] == 10
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"v":4,"edges":[[true,2],[2,3],[3,0],[0,true]]}',  # true is not vertex 1
+        '{"v":true,"edges":[]}',
+        '{"v":-1,"edges":[]}',
+        '{"v":2.0,"edges":[]}',
+        '{"v":3}',
+        '{"v":3,"edges":[[0,1.0]]}',
+        '{"v":3,"edges":[[0,1,2]]}',
+        '{"v":3,"edges":[],"label":5}',  # complement() would call 5.endswith
+        "[3]",
+        "{not json",
+    ],
+)
+def test_from_json_rejects_malformed_documents(text):
+    with pytest.raises(ValueError):
+        Graph.from_json(text)
 
 
 def test_srg_params_oracles():

@@ -168,9 +168,10 @@ def test_pair_count_multiset_matches_pair_scan():
     graphs = [_rand_graph(rng, n) for n in (0, 1, 2, 63, 64, 65, 127, 128, 129) for _ in range(3)]
     graphs += [build("M22_comp", None), build("NOminus2n_2_comp", 4), _shrikhande()]
     for g in graphs:
-        c = common_neighbour_counts(g.rows)
+        adj = unpack_rows(g.rows, g.n)
+        c = common_neighbour_counts(adj)
         assert c.tolist() == [[(a & b).bit_count() for b in g.rows] for a in g.rows]
-        got = iso._pair_multiset(unpack_rows(g.rows, g.n), c)
+        got = iso._pair_multiset(adj, c)
         assert got == _plain_pair_counts(g), g.n
         assert all(type(x) is int for key, m in got.items() for x in key + (m,))
 

@@ -5,8 +5,9 @@ whole-array evaluation, packed tables, and hyperplane singular masks
 (indexed by the singular vectors) checked by direct field computation.
 The whole-array form table equals q_of on every vector of each standard
 space up to 4096 vectors; it is read-only, and a space beyond the ambient
-bound raises before numpy is touched.  The packed bit-plane masks equal
-the scalar dot-product rule, and two mask lists are frozen by digest.
+bound raises before numpy is touched.  The bit-plane masks, rows of 64-bit
+words read back as integers, equal the scalar dot-product rule, and two
+mask lists are frozen by digest.
 """
 
 import hashlib
@@ -118,12 +119,17 @@ def _scalar_masks(sp):
     return masks
 
 
+def _mask_ints(words):
+    "each row of uint64 words as one integer, word w at bits 64w .. 64w + 63"
+    return [sum(int(x) << 64 * w for w, x in enumerate(row)) for row in words]
+
+
 def test_hyperplane_singular_masks_gf4():
     # hyperplanes of the 3-dim parabolic space over GF(4): 10 hyperbolic
     # (6 nonzero singular vectors), 6 elliptic (none) and 5 through the
     # nucleus (q^(2n-1) - 1 = 3); counts below include the zero vector
     sp = standard_space(4, 3, "parabolic")
-    masks = sp.hyperplane_singular_masks()
+    masks = _mask_ints(sp.hyperplane_singular_masks())
     assert Counter(m.bit_count() for m in masks) == {7: 10, 1: 6, 4: 5}
     functionals = [
         a for a in range(1, 4**3) if next(c for c in sp.unpack(a) if c) == 1
@@ -138,9 +144,10 @@ def test_masks_match_the_scalar_rule():
     cases = ((4, 5, "parabolic"), (8, 3, "parabolic"), (2, 6, "plus"), (2, 8, "minus"))
     for q, dim, kind in cases:
         sp = standard_space(q, dim, kind)
-        masks = sp.hyperplane_singular_masks()
-        assert all(type(m) is int for m in masks)
-        assert masks == _scalar_masks(sp), (q, dim, kind)
+        words = sp.hyperplane_singular_masks()
+        nsingular = sp.count_singular() + 1
+        assert words.dtype == np.uint64 and words.shape[1] == (nsingular + 63) // 64
+        assert _mask_ints(words) == _scalar_masks(sp), (q, dim, kind)
 
 
 def test_masks_frozen_digests():
@@ -150,7 +157,7 @@ def test_masks_frozen_digests():
         (5, 341, "676cd17bfc48c6505d1b955b16f169ee9c28e7343e59149c9aee8b054eadbe7f"),
         (7, 5461, "18b9a36974c6556b5ff734b1a5ed53f7e4be32d5cd3bb2e02b9c207412397e3b"),
     ):
-        masks = standard_space(4, dim, "parabolic").hyperplane_singular_masks()
+        masks = _mask_ints(standard_space(4, dim, "parabolic").hyperplane_singular_masks())
         assert len(masks) == count
         assert hashlib.sha256(repr(masks).encode()).hexdigest() == digest
 
