@@ -7,6 +7,7 @@ every default bound when set).
 import os
 
 ENV_VAR = "ETF_RANK3_MAX_VERTICES"
+BUILD_VERTEX_BOUND = 1000  # family builds and graph JSON input
 
 
 def effective_bound(default):

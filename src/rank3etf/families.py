@@ -7,8 +7,8 @@ FAMILIES is the one place a family is declared.  Its row holds check_size
 that takes no size), table (the report table listing it, 0 for none),
 params (the closed-form SrgParams at size n) and build (the boolean
 adjacency array at size n, its diagonal ignored).  expected_params and
-build are lookups behind one size check; build clears the diagonal, packs
-the rows into a Graph labelled "family:n" and certifies it against params.
+build are lookups behind one size check; build clears the diagonal, hands
+the array to a Graph labelled "family:n" and certifies it against params.
 A mismatch with params raises, it is never a warning.
 
 Each builder is one whole-array rule over the enumeration order of its
@@ -26,12 +26,10 @@ quadratic-residue code of length 23.
 
 import numpy as np
 
-from .bounds import effective_bound
+from .bounds import BUILD_VERTEX_BOUND, effective_bound
 from .fields import field
-from .graphs import Graph, SrgParams, and_counts, pack_rows, srg_params
+from .graphs import Graph, SrgParams, and_counts, srg_params
 from .quadspaces import polar_values, standard_singular_count, standard_space
-
-BUILD_VERTEX_BOUND = 1000
 
 
 # -- builders ------------------------------------------------------------------
@@ -365,8 +363,7 @@ def build(family, size=None):
         raise ValueError("%d vertices exceeds the build bound %d" % (want.v, cap))
     a = FAMILIES[family]["build"](size)
     np.fill_diagonal(a, False)
-    g = Graph.from_rows(pack_rows(a), family if size is None else "%s:%d" % (family, size))
-    del a  # only the rows stay alive through srg_params
+    g = Graph.from_adjacency(a, family if size is None else "%s:%d" % (family, size))
     got = srg_params(g)
     if got != want:
         raise ValueError("%s built (%d,%d,%d,%d), expected (%d,%d,%d,%d)" % (

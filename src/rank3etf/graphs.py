@@ -1,9 +1,14 @@
 """
-Simple graphs as packed adjacency bitmasks, with exact strongly-regular
-certification.
+Simple graphs on read-only 0/1 adjacency arrays, with exact
+strongly-regular certification.
 
-A graph on v vertices stores one integer per vertex whose bit j is the
-adjacency to vertex j, so Seidel switching is an XOR.  Every popcount
+A Graph on v vertices holds its v x v uint8 adjacency array, copied on
+construction and marked read-only, and every other module reads that array
+through adjacency_bits().  Each operation is one whole-array expression:
+Seidel switching on S is an XOR with s_i XOR s_j for the 0/1 indicator s
+of S, and the complement an XOR with J - I.  Rows of Python integers, bit j
+of rows[i] set iff i ~ j, exist only at the edges: Graph.rows packs them on
+each access and Graph.from_rows unpacks them.  Every popcount
 operand is a 0/1 array packed by pack_words, the one place the word layout
 is written (bit j of a row at bit j % 64 of zero-padded little-endian uint64
 word j // 64), and and_counts(words) is the one popcount kernel.
@@ -14,7 +19,7 @@ class.  On failure it raises NotStronglyRegular with the first offending
 vertex, or the first offending pair in row-major order.  A Graph is
 certified once: it keeps its SrgParams in a slot that every constructor and
 operation starts empty, so a later srg_params call returns them, and a
-failure is raised afresh.
+failure is raised afresh; the array they certify cannot change under them.
 
 From (v, k, lambda, mu) the non-principal eigenvalues are the roots
 r > s of xi^2 + (mu - lambda) xi + (mu - k) = 0, exact in Q(sqrt(disc))
@@ -28,20 +33,13 @@ import json
 
 import numpy as np
 
+from .bounds import BUILD_VERTEX_BOUND, effective_bound
 from .matrices import ExactMatrix
 from .qext import QuadExt, sqrt_int
 
 
 class NotStronglyRegular(ValueError):
     "raised with a human-readable reason and an offending vertex pair if any"
-
-
-def bits(mask):
-    "indices of the set bits of mask, lowest first"
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def unpack_rows(rows, n):
@@ -106,106 +104,107 @@ def k4_counts(adj):
 
 
 class Graph:
-    "simple undirected graph; rows[i] bit j set iff i ~ j"
+    "simple undirected graph on its read-only 0/1 uint8 adjacency array"
 
-    __slots__ = ("n", "rows", "label", "_params")
+    __slots__ = ("n", "_a", "label", "_params")
 
     def __init__(self, n, edges, label=""):
-        rows = [0] * n
+        a = np.zeros((n, n), dtype=np.uint8)
         for i, j in edges:
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise ValueError("bad edge (%r, %r)" % (i, j))
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        self.n = n
-        self.rows = tuple(rows)
+            a[i, j] = a[j, i] = 1
+        self._store(a, label)
+
+    @staticmethod
+    def from_adjacency(a, label=""):
+        "the graph on a read-only uint8 copy of the square symmetric 0/1 array a"
+        g = Graph.__new__(Graph)
+        g._store(a, label)
+        return g
+
+    def _store(self, a, label):
+        "check that a is a square symmetric 0/1 array with a zero diagonal, and keep a copy"
+        a = np.asarray(a)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError("adjacency array of shape %r is not square" % (a.shape,))
+        stray = ((a != 0) & (a != 1)).any(axis=1) | (a.diagonal() != 0)
+        if stray.any():
+            raise ValueError("loop or stray bit at %d" % np.flatnonzero(stray)[0])
+        asym = a != a.T
+        if asym.any():
+            bad = np.argwhere(np.triu(asym, 1))  # row-major, so bad[0] is the first pair
+            raise ValueError("asymmetric pair (%d, %d)" % tuple(bad[0]))
+        self.n = len(a)
+        self._a = a.astype(np.uint8)  # a copy, so no caller can change the graph
+        self._a.flags.writeable = False
         self.label = label
         self._params = None
 
     @staticmethod
     def from_rows(rows, label=""):
-        g = Graph.__new__(Graph)
-        g.n = len(rows)
-        g.rows = tuple(rows)
-        g.label = label
-        g._params = None
-        mask = (1 << g.n) - 1
-        for i, r in enumerate(g.rows):
-            if not 0 <= r <= mask or (r >> i) & 1:
+        "the graph whose rows[i] has bit j set iff i ~ j"
+        n = len(rows)
+        for i, r in enumerate(rows):
+            if not 0 <= r < 1 << n or (r >> i) & 1:
                 raise ValueError("loop or stray bit at %d" % i)
-        a = g.adjacency_bits()
-        asym = a != a.T
-        if asym.any():
-            bad = np.argwhere(np.triu(asym, 1))  # row-major, so bad[0] is the first pair
-            raise ValueError("asymmetric pair (%d, %d)" % tuple(bad[0]))
-        return g
+        return Graph.from_adjacency(unpack_rows(rows, n), label)
+
+    @property
+    def rows(self):
+        "the adjacency as a tuple of integers, bit j of rows[i] set iff i ~ j"
+        return tuple(pack_rows(self._a))
 
     def adj(self, i, j):
-        return (self.rows[i] >> j) & 1 == 1
+        return bool(self._a[i, j])
 
     def degree(self, i):
-        return self.rows[i].bit_count()
+        return int(self._a[i].sum())
 
     def edge_count(self):
-        return sum(r.bit_count() for r in self.rows) // 2
+        return int(self._a.sum()) // 2
 
     def edges(self):
-        for i in range(self.n):
-            for j in bits(self.rows[i] >> (i + 1) << (i + 1)):
-                yield (i, j)
+        "the pairs i < j with i ~ j, in row-major order"
+        i, j = np.nonzero(np.triu(self._a, 1))
+        return zip(i.tolist(), j.tolist())
 
     def neighbors(self, i):
-        yield from bits(self.rows[i])
+        return np.flatnonzero(self._a[i]).tolist()
+
+    def _vertex(self, x):
+        if not 0 <= x < self.n:
+            raise ValueError("vertex %r outside 0..%d" % (x, self.n - 1))
+        return x
 
     def complement(self):
-        mask = (1 << self.n) - 1
-        rows = [mask ^ r ^ (1 << i) for i, r in enumerate(self.rows)]
         lab = self.label
         lab = lab[:-5] if lab.endswith("_comp") else (lab + "_comp" if lab else "")
-        return Graph.from_rows(rows, lab)
+        return Graph.from_adjacency(self._a ^ ~np.eye(self.n, dtype=bool), lab)
 
     def switch(self, subset):
         "Seidel switching: flip all edges between subset and its complement"
-        smask = 0
-        for i in subset:
-            if not 0 <= i < self.n:
-                raise ValueError("vertex %r outside 0..%d" % (i, self.n - 1))
-            smask |= 1 << i
-        cmask = ((1 << self.n) - 1) ^ smask
-        rows = [
-            r ^ (cmask if (smask >> i) & 1 else smask) for i, r in enumerate(self.rows)
-        ]
-        return Graph.from_rows(rows, self.label)
+        s = np.zeros(self.n, dtype=np.uint8)
+        s[[self._vertex(i) for i in subset]] = 1
+        return Graph.from_adjacency(self._a ^ s[:, None] ^ s, self.label)
 
     def delete_vertex(self, x):
-        if not 0 <= x < self.n:
-            raise ValueError("vertex %r outside 0..%d" % (x, self.n - 1))
-        low = (1 << x) - 1
-        rows = []
-        for i, r in enumerate(self.rows):
-            if i == x:
-                continue
-            rows.append((r & low) | ((r >> (x + 1)) << x))
-        return Graph.from_rows(rows, self.label)
+        x = self._vertex(x)
+        return Graph.from_adjacency(np.delete(np.delete(self._a, x, 0), x, 1), self.label)
 
     def relabel(self, perm):
         "perm[i] is the new name of old vertex i"
         if sorted(perm) != list(range(self.n)):
             raise ValueError("not a permutation of 0..%d" % (self.n - 1))
-        rows = [0] * self.n
-        for i, r in enumerate(self.rows):
-            nr = 0
-            for j in bits(r):
-                nr |= 1 << perm[j]
-            rows[perm[i]] = nr
-        return Graph.from_rows(rows, self.label)
+        old = np.argsort(perm)  # old[perm[i]] == i
+        return Graph.from_adjacency(self._a[np.ix_(old, old)], self.label)
 
     def adjacency_bits(self):
-        "the 0/1 adjacency matrix as a numpy uint8 array, unpacked from the rows"
-        return unpack_rows(self.rows, self.n)
+        "the read-only 0/1 adjacency matrix as a numpy uint8 array, not a copy"
+        return self._a
 
     def adjacency_matrix(self):
-        return ExactMatrix.from_codes(self.adjacency_bits(), (0, 1))
+        return ExactMatrix.from_codes(self._a, (0, 1))
 
     def to_json(self):
         return json.dumps(
@@ -218,6 +217,9 @@ class Graph:
         obj = json.loads(text)  # type(x) is int: a JSON true is a bool, not vertex 1
         if not isinstance(obj, dict) or type(obj.get("v")) is not int or obj["v"] < 0:
             raise ValueError('graph JSON needs a non-negative integer "v"')
+        cap = effective_bound(BUILD_VERTEX_BOUND)  # before the v x v array is allocated
+        if obj["v"] > cap:
+            raise ValueError("%d vertices exceeds the build bound %d" % (obj["v"], cap))
         edges = obj.get("edges")
         if not isinstance(edges, list):
             raise ValueError('graph JSON needs an "edges" list')
@@ -230,10 +232,10 @@ class Graph:
         return Graph(obj["v"], [tuple(e) for e in edges], label)
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
+        return isinstance(other, Graph) and np.array_equal(self._a, other._a)
 
     def __hash__(self):
-        return hash((self.n, self.rows))
+        return hash((self.n, self._a.tobytes()))
 
     def __repr__(self):
         return "Graph(n=%d, edges=%d%s)" % (

@@ -26,8 +26,8 @@ Cheap invariants run first: order, degree multiset, and the multiset of
 (adjacency, common-neighbour count) over all vertex pairs, read off one
 numpy popcount matrix (graphs.common_neighbour_counts), which separates
 strongly regular graphs with different (lambda, mu) without any search.
-An automorphism search, h is g, skips them (they agree by construction)
-and unpacks the rows once for both sides of the search.
+An automorphism search, h is g, skips them (they agree by construction),
+and its two sides share one adjacency array and one K4 array.
 
 A finer invariant, k4_pair_multiset, adds to each pair key the number of
 edges inside the common neighbourhood N(i) & N(j): the K4 count of the
@@ -37,9 +37,9 @@ integer array, graphs.k4_counts, and both multisets are one np.unique over
 one integer key per pair, the tuple in mixed radix (np.ravel_multi_index).
 Both counts take the 0/1 arrays, and graphs packs them into words.
 
-The search applies the same count one vertex at a time.  Each graph is
-unpacked once per find_isomorphism call, and the 0/1 arrays serve every
-refinement, leaf check and profile.  At a node with refined colourings
+The search applies the same count one vertex at a time.  The stored 0/1
+arrays (Graph.adjacency_bits) of the two graphs serve every refinement,
+leaf check and profile.  At a node with refined colourings
 col_g, col_h, once the first target w of the individualized vertex u has
 failed, it computes the K4 profile of u, the sorted multiset of (col_g[v],
 u ~ v, edges inside N(u) & N(v)) over all v: row u of the adjacency and of
@@ -69,7 +69,7 @@ vertices of one orbit, so a pair of different colours needs no search.
 import numpy as np
 
 from .bounds import effective_bound
-from .graphs import common_neighbour_counts, k4_counts, unpack_rows
+from .graphs import common_neighbour_counts, k4_counts
 
 ISO_VERTEX_BOUND = 300
 
@@ -85,7 +85,7 @@ def _pair_multiset(adj, *counts):
 
 def k4_pair_multiset(g):
     "multiset of (i ~ j, |N(i) & N(j)|, edges inside N(i) & N(j)) over pairs i < j"
-    adj = unpack_rows(g.rows, g.n)
+    adj = g.adjacency_bits()
     return _pair_multiset(adj, common_neighbour_counts(adj), k4_counts(adj))
 
 
@@ -151,14 +151,15 @@ def _search(adj_g, adj_h, col_g, col_h, k4):
             return perm
         if prof is None:
             if not k4:
-                k4 += k4_counts(adj_g), k4_counts(adj_h)
+                e = k4_counts(adj_g)
+                k4 += e, (e if adj_h is adj_g else k4_counts(adj_h))
             prof = _profile(adj_g, k4[0], col_g, u)
     return None
 
 
 def refined_colours(g):
     "the colour refinement of g alone, from one class: vertices of one orbit share a colour"
-    adj = unpack_rows(g.rows, g.n)
+    adj = g.adjacency_bits()
     return _refine(adj, adj, [0] * g.n, [0] * g.n)[0]
 
 
@@ -174,12 +175,11 @@ def find_isomorphism(g, h, bound=ISO_VERTEX_BOUND, fixed=()):
         return None
     if g.n > effective_bound(bound):
         raise ValueError("graph too large for isomorphism search")
-    adj_g = adj_h = unpack_rows(g.rows, g.n)
+    adj_g, adj_h = g.adjacency_bits(), h.adjacency_bits()
     # an automorphism search (h is g) skips the invariants: they agree by construction
     if h is not g:
-        if sorted(r.bit_count() for r in g.rows) != sorted(r.bit_count() for r in h.rows):
+        if not np.array_equal(np.sort(adj_g.sum(axis=1)), np.sort(adj_h.sum(axis=1))):
             return None
-        adj_h = unpack_rows(h.rows, h.n)
         cn_g, cn_h = common_neighbour_counts(adj_g), common_neighbour_counts(adj_h)
         if _pair_multiset(adj_g, cn_g) != _pair_multiset(adj_h, cn_h):
             return None
@@ -188,13 +188,11 @@ def find_isomorphism(g, h, bound=ISO_VERTEX_BOUND, fixed=()):
     for c, (u, w) in enumerate(fixed, 1):
         col_g[u] = col_h[w] = c
     perm = _search(adj_g, adj_h, col_g, col_h, [])
-    # a guard independent of the search: a bijection with i ~ j iff perm[i] ~ perm[j]
+    # a guard independent of the search, on the stored arrays: i ~ j iff perm[i] ~ perm[j]
     if perm is not None and (
         sorted(perm) != list(range(g.n))
         or any(perm[u] != w for u, w in fixed)
-        or not np.array_equal(
-            unpack_rows(g.rows, g.n), unpack_rows(h.rows, h.n)[np.ix_(perm, perm)]
-        )
+        or not np.array_equal(adj_g, adj_h[np.ix_(perm, perm)])
     ):
         raise RuntimeError("the search returned a bijection that is not an isomorphism")
     return perm

@@ -10,16 +10,17 @@ unique (Seidel, "A survey of two-graphs", 1976): members differ by a switch
 on some S, or on its complement, which flips the same pairs, so take 0 not
 in S; the switch flips {0, v} for v in S, so if both isolate 0, S is empty.
 Equal two-graphs have equal members, as a graph with 0 isolated has the
-block {0, i, j} iff i ~ j, so two-graph equality is row equality.  The
-blocks through i, j are the z in rows[i] XOR rows[j], complemented when
-i ~ j, with bits i and j cleared.  So the pair degree is s = d_i + d_j -
-2 |N(i) & N(j)|, the popcount of the XOR, when i is not adjacent to j
-(bits i and j of the XOR are clear), and n - s when i ~ j (both are set,
-and the complement clears them).  This holds for every member of the
-switching class, not only the stored one.  pair_degree_multiset,
-block_count and is_regular read s off one n x n array, graphs.pair_degrees,
-built from one numpy popcount matrix; frames.verify_etf reads the same array
-off the entries of an equiangular Gram equal to -G_01.
+block {0, i, j} iff i ~ j, so two-graph equality is adjacency equality.
+With A the 0/1 adjacency array, the blocks through i, j are the z with
+A[i, z] XOR A[j, z] XOR A[i, j] = 1, an O(n) row that is 0 at z = i and
+z = j, as A has a zero diagonal.  So the pair degree is the sum of
+A[i] XOR A[j], s = d_i + d_j - 2 |N(i) & N(j)|, when i is not adjacent to
+j, and n - s when i ~ j (entries i and j of the XOR are 1, and the
+complement clears them).  This holds for every member of the switching
+class, not only the stored one.  pair_degree_multiset, block_count and
+is_regular read s off one n x n array, graphs.pair_degrees, built from one
+numpy popcount matrix; frames.verify_etf reads the same array off the
+entries of an equiangular Gram equal to -G_01.
 
 TwoGraph.from_masks takes a triple system T as pair masks, masks[i][j] the
 bitmask of the z making {i, j, z} a block, and checks it exactly, for every
@@ -75,7 +76,7 @@ few automorphism searches put every other point into the orbit of 1.
 import numpy as np
 
 from .bounds import effective_bound
-from .graphs import Graph, bits, pack_rows, pair_degrees, srg_params, unpack_rows
+from .graphs import Graph, pack_rows, pair_degrees, srg_params
 from .iso import find_isomorphism, k4_pair_multiset, refined_colours
 
 SWITCHING_VERTEX_BOUND = 140
@@ -102,36 +103,35 @@ class TwoGraph:
             (i, j) for i in range(1, n) for j in range(i + 1, n) if masks[0][i] >> j & 1
         ]
         t = TwoGraph(Graph(n, edges))
-        if masks != [[t._pair_mask(i, j) for j in range(n)] for i in range(n)]:
+        if masks != [pack_rows(t._pair_rows(i)) for i in range(n)]:
             raise ValueError("not a two-graph: the masks fail the two-graph axiom")
         return t
 
-    def _pair_mask(self, i, j):
-        "bitmask of the z making {i, j, z} a block"
-        rows = self.rep.rows
-        m = rows[i] ^ rows[j]
-        if (rows[i] >> j) & 1:
-            m ^= (1 << self.n) - 1
-        return m & ~((1 << i) | (1 << j))
+    def _pair_rows(self, i):
+        "the n x n 0/1 array whose row j marks the z making {i, j, z} a block"
+        a = self.rep.adjacency_bits()
+        return a ^ a[i] ^ a[i][:, None]
 
     def contains(self, i, j, k):
-        return (self._pair_mask(i, j) >> k) & 1 == 1
+        a = self.rep.adjacency_bits()
+        return bool(a[i, k] ^ a[j, k] ^ a[i, j])
 
     def blocks(self):
+        "the blocks (i, j, k), i < j < k, in lexicographic order"
         for i in range(self.n):
-            for j in range(i + 1, self.n):
-                for k in bits(self._pair_mask(i, j) >> (j + 1) << (j + 1)):
-                    yield (i, j, k)
+            j, k = np.nonzero(np.triu(self._pair_rows(i)[i + 1 :, i + 1 :], 1))
+            yield from zip([i] * len(j), (j + i + 1).tolist(), (k + i + 1).tolist())
 
     def block_count(self):
         return int(self._pair_degrees().sum()) // 6  # each block counted at 6 (i, j)
 
     def pair_degree(self, i, j):
-        return self._pair_mask(i, j).bit_count()
+        a = self.rep.adjacency_bits()
+        return int(np.count_nonzero(a[i] ^ a[j] ^ a[i, j]))  # row j of _pair_rows(i), O(n)
 
     def _pair_degrees(self):
         "the n x n int64 array of pair degrees, 0 on the diagonal"
-        return pair_degrees(unpack_rows(self.rep.rows, self.n))
+        return pair_degrees(self.rep.adjacency_bits())
 
     def pair_degree_multiset(self):
         "multiset of the pair degrees over i < j"
@@ -157,7 +157,7 @@ def two_graph_of(g):
 
 def sign_graph(gm):
     "edge iff the Gram entry is negative (an obtuse angle)"
-    return Graph.from_rows(pack_rows(gm.entries.signs() < 0), gm.label)
+    return Graph.from_adjacency(gm.entries.signs() < 0, gm.label)
 
 
 def two_graph_of_gram(gm):

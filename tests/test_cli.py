@@ -1,8 +1,8 @@
 """
 CLI contract: exit codes (0 success, 1 failed certification, 2 usage), the
 three output formats, --output file writing (an unwritable path is a usage
-error), graph JSON round trips through build / verify, and the export
-payloads.
+error), graph JSON round trips through build / verify, graph JSON over the
+build bound rejected before any array is made, and the export payloads.
 """
 
 import csv
@@ -95,6 +95,27 @@ def test_bad_graph_input_exits_2(capsys, tmp_path):
             rc, out, err = run(capsys, cmd, "--input", str(path))
             assert rc == 2 and out == "", (cmd, name)
             assert err.startswith("error: cannot read graph"), (cmd, name, err)
+
+
+def test_huge_graph_input_exits_2_before_allocating(capsys, tmp_path, monkeypatch):
+    # a 10**6 x 10**6 adjacency array would need a terabyte: the build bound
+    # rejects the document before any array is made
+    monkeypatch.delenv("ETF_RANK3_MAX_VERTICES", raising=False)
+    path = tmp_path / "huge.json"
+    path.write_text('{"v": 1000000, "edges": [[0, 1]]}')
+    for cmd in ("verify-srg", "verify-etf"):
+        rc, out, err = run(capsys, cmd, "--input", str(path))
+        assert rc == 2 and out == "", cmd
+        assert err.startswith("error: cannot read graph") and "exceeds the build bound 1000" in err
+    # the environment variable moves the bound both ways, as it does for build
+    path.write_text('{"v": 1001, "edges": [[0, 1]]}')
+    monkeypatch.setenv("ETF_RANK3_MAX_VERTICES", "1001")
+    rc, out, _ = run(capsys, "verify-srg", "--input", str(path))
+    assert rc == 1 and "degree differs at vertex" in out
+    path.write_text(Graph(9, [(i, (i + 1) % 9) for i in range(9)]).to_json())
+    monkeypatch.setenv("ETF_RANK3_MAX_VERTICES", "8")
+    rc, _, err = run(capsys, "verify-srg", "--input", str(path))
+    assert rc == 2 and "9 vertices exceeds the build bound 8" in err
 
 
 def test_verify_etf_exit_codes(capsys):

@@ -1,6 +1,6 @@
 """
-Graphs as bitmask rows, SRG certification with rejection witnesses, and
-spectra.  Oracles: the pentagon (5,2,0,1), the Petersen graph (10,3,0,1)
+Graphs on read-only 0/1 arrays, SRG certification with rejection witnesses,
+and spectra.  Oracles: the pentagon (5,2,0,1), the Petersen graph (10,3,0,1)
 with spectrum 3, 1^5, (-2)^4, and a conference spectrum with equal
 multiplicities.
 Parameter sets that pass SrgParams but have no valid spectrum raise.
@@ -8,7 +8,10 @@ Graph.from_rows rejects exactly what a reference pair scan rejects, with
 the same first offending vertex or pair, and srg_params gives the results
 and messages of the pair loop it replaced.  pack_rows inverts unpack_rows,
 pack_words lays the rows out bit for bit as 64-bit words, and and_counts
-matches a plain popcount, across the byte and word edges.
+matches a plain popcount, across the byte and word edges.  Every Graph
+operation gives what the int-row code it replaced gives, on random graphs
+across the word edges, and no write through adjacency_bits() or to the
+array a graph was built from reaches the graph or its kept SrgParams.
 """
 
 import json
@@ -24,7 +27,6 @@ from rank3etf.graphs import (
     NotStronglyRegular,
     SrgParams,
     and_counts,
-    bits,
     common_neighbour_counts,
     pack_rows,
     pack_words,
@@ -39,6 +41,10 @@ from rank3etf.qext import QuadExt
 
 def _cycle(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)], "C%d" % n)
+
+
+def _rand_graph(rng, n, p):
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
 
 
 def _petersen():
@@ -114,10 +120,110 @@ def test_complement_switch_delete_relabel():
             bad()
 
 
-def test_bits():
-    assert list(bits(0)) == []
-    assert list(bits(0b1011001)) == [0, 3, 4, 6]
-    assert list(bits(1 << 200)) == [200]
+def _bits(mask):
+    "reference: indices of the set bits of mask, lowest first"
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+# reference: the int-row operations of the Graph that stored one integer per
+# vertex, bit j of rows[i] set iff i ~ j
+
+
+def _row_complement(rows):
+    mask = (1 << len(rows)) - 1
+    return [mask ^ r ^ (1 << i) for i, r in enumerate(rows)]
+
+
+def _row_switch(rows, subset):
+    smask = 0
+    for i in subset:
+        smask |= 1 << i
+    cmask = ((1 << len(rows)) - 1) ^ smask
+    return [r ^ (cmask if (smask >> i) & 1 else smask) for i, r in enumerate(rows)]
+
+
+def _row_delete_vertex(rows, x):
+    low = (1 << x) - 1
+    return [(r & low) | ((r >> (x + 1)) << x) for i, r in enumerate(rows) if i != x]
+
+
+def _row_relabel(rows, perm):
+    out = [0] * len(rows)
+    for i, r in enumerate(rows):
+        for j in _bits(r):
+            out[perm[i]] |= 1 << perm[j]
+    return out
+
+
+def _row_edges(rows):
+    return [(i, j) for i, r in enumerate(rows) for j in _bits(r >> (i + 1) << (i + 1))]
+
+
+def test_array_operations_match_int_rows():
+    rng = random.Random(2424)
+    for n in list(range(71)) + [63, 64, 65] * 3:  # every n to 70, the word edge thrice more
+        p = rng.random()
+        g = _rand_graph(rng, n, p)
+        rows = g.rows
+        assert all(type(r) is int for r in rows)
+        assert Graph.from_rows(rows) == g and hash(Graph.from_rows(rows)) == hash(g)
+        assert Graph(n, _row_edges(rows)).rows == rows
+        assert list(g.edges()) == _row_edges(rows)
+        assert all(type(x) is int for e in g.edges() for x in e)
+        assert [g.neighbors(i) for i in range(n)] == [list(_bits(r)) for r in rows]
+        assert [g.degree(i) for i in range(n)] == [r.bit_count() for r in rows]
+        assert g.edge_count() == sum(r.bit_count() for r in rows) // 2
+        assert g.complement().rows == tuple(_row_complement(rows))
+        subset = rng.sample(range(n), rng.randint(0, n))
+        assert g.switch(subset).rows == tuple(_row_switch(rows, subset))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert g.relabel(perm).rows == tuple(_row_relabel(rows, perm))
+        if n:
+            x = rng.randrange(n)
+            assert g.delete_vertex(x).rows == tuple(_row_delete_vertex(rows, x))
+        if n >= 2:  # one flipped pair makes an unequal graph
+            i, j = rng.sample(range(n), 2)
+            flipped = list(rows)
+            flipped[i] ^= 1 << j
+            flipped[j] ^= 1 << i
+            h = Graph.from_rows(flipped)
+            assert h != g and h.rows == tuple(flipped)
+            assert (h == g.switch(subset)) == (tuple(flipped) == g.switch(subset).rows)
+
+
+def test_from_adjacency_checks_the_array():
+    tri = np.ones((3, 3), dtype=np.uint8) - np.eye(3, dtype=np.uint8)
+    assert Graph.from_adjacency(tri, "K3") == Graph(3, [(0, 1), (0, 2), (1, 2)])
+    assert Graph.from_adjacency(tri.astype(bool)) == Graph.from_adjacency(tri.tolist())
+    for a, msg in (
+        (np.zeros((2, 3)), r"shape \(2, 3\) is not square"),
+        (np.zeros(4), r"shape \(4,\) is not square"),
+        (tri + 2 * np.eye(3, dtype=np.uint8), "loop or stray bit at 0"),
+        (np.where(tri == 1, 2, 0), "loop or stray bit at 0"),
+        (tri + np.diag([0, 0, 0.5]), "loop or stray bit at 2"),
+        (tri * [[1], [1], [0]], r"asymmetric pair \(0, 2\)"),
+    ):
+        with pytest.raises(ValueError, match=msg):
+            Graph.from_adjacency(a)
+
+
+def test_kept_srg_params_cannot_go_stale():
+    a = build("Paley", 13).adjacency_bits().copy()
+    g = Graph.from_adjacency(a)
+    p = srg_params(g)
+    with pytest.raises(ValueError, match="read-only"):
+        g.adjacency_bits()[0, 1] = 1 - g.adjacency_bits()[0, 1]
+    # the caller's array changes, the graph's copy does not
+    a[0, 1] = a[1, 0] = 1 - a[0, 1]
+    assert g == build("Paley", 13) and srg_params(g) is p
+    with pytest.raises(NotStronglyRegular):
+        srg_params(Graph.from_adjacency(a))
+    for h in (g.complement(), g.switch([0]), g.delete_vertex(0), g.relabel(range(12, -1, -1))):
+        assert not h.adjacency_bits().flags.writeable
 
 
 def _words(masks, nbits):

@@ -17,8 +17,8 @@ whose order or edge count crosses a 64-bit word boundary and on Paley(49)
 and Peisert(49).  A search with fixed vertex pairs returns what the
 reference search returns from the same fresh colours, keeps every pair,
 rejects bad pairs, and finds an automorphism 0 -> w of Peisert(49) for
-every w.  An automorphism search (h is g) computes no pair counts, unpacks
-the rows once for the search and returns what a copy of g would.
+every w.  An automorphism search (h is g) computes no pair counts, at most
+one K4 count array for both sides, and returns what a copy of g would.
 """
 
 from itertools import combinations
@@ -157,8 +157,9 @@ def test_k4_pair_multiset_is_relabeling_invariant():
 def _plain_pair_counts(g):
     "reference: (i ~ j, |N(i) & N(j)|) counted pair by pair"
     counts = {}
+    rows = g.rows
     for i, j in combinations(range(g.n), 2):
-        key = (int(g.adj(i, j)), (g.rows[i] & g.rows[j]).bit_count())
+        key = (int(g.adj(i, j)), (rows[i] & rows[j]).bit_count())
         counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -168,9 +169,9 @@ def test_pair_count_multiset_matches_pair_scan():
     graphs = [_rand_graph(rng, n) for n in (0, 1, 2, 63, 64, 65, 127, 128, 129) for _ in range(3)]
     graphs += [build("M22_comp", None), build("NOminus2n_2_comp", 4), _shrikhande()]
     for g in graphs:
-        adj = unpack_rows(g.rows, g.n)
+        adj, rows = g.adjacency_bits(), g.rows
         c = common_neighbour_counts(adj)
-        assert c.tolist() == [[(a & b).bit_count() for b in g.rows] for a in g.rows]
+        assert c.tolist() == [[(a & b).bit_count() for b in rows] for a in rows]
         got = iso._pair_multiset(adj, c)
         assert got == _plain_pair_counts(g), g.n
         assert all(type(x) is int for key, m in got.items() for x in key + (m,))
@@ -194,7 +195,7 @@ def _k4_count_graphs(rng):
 
 def test_k4_counts_match_naive_count():
     for g in _k4_count_graphs(random.Random(2027)):
-        e = k4_counts(unpack_rows(g.rows, g.n))
+        e = k4_counts(g.adjacency_bits())
         assert e.dtype == np.int64 and e.shape == (g.n, g.n)
         assert e.tolist() == _naive_k4_counts(g), (g.n, g.label)
 
@@ -213,12 +214,12 @@ def _reference_profile(rows, col, u):
 def test_profile_matches_reference():
     rng = random.Random(2028)
     for g in _k4_count_graphs(rng):
-        adj = unpack_rows(g.rows, g.n)
+        adj, rows = g.adjacency_bits(), g.rows
         e = k4_counts(adj)
         for u in rng.sample(range(g.n), min(g.n, 4)):
             col = [rng.randrange(3) for _ in range(g.n)]
             got = iso._profile(adj, e, col, u)
-            assert got == _reference_profile(g.rows, col, u), (g.n, g.label, u)
+            assert got == _reference_profile(rows, col, u), (g.n, g.label, u)
             assert all(type(x) is int for t in got for x in t)
 
 
@@ -521,27 +522,28 @@ def test_refined_colours_split_by_orbit():
 
 
 def test_automorphism_search_pays_the_invariants_once(monkeypatch):
-    # h is g: no degree or pair-count comparison, one unpack for the search
-    # and two in the final guard
-    calls = {"cnc": 0, "unpack": 0}
+    # h is g: no degree or pair-count comparison, and one K4 array serves
+    # both sides of the search
+    calls = {"cnc": 0, "k4": 0}
 
     def counted(name, real):
         return lambda *args: calls.__setitem__(name, calls[name] + 1) or real(*args)
 
     monkeypatch.setattr(iso, "common_neighbour_counts", counted("cnc", common_neighbour_counts))
-    monkeypatch.setattr(iso, "unpack_rows", counted("unpack", unpack_rows))
+    monkeypatch.setattr(iso, "k4_counts", counted("k4", k4_counts))
     rng = random.Random(4242)
     graphs = [build("Paley", 13), build("Peisert", 9), _k1_plus(build("Paley", 9))]
     graphs += _triangular_and_chang() + [_rand_graph(rng, rng.randint(2, 14)) for _ in range(8)]
     found = {True: 0, False: 0}
+    k4_searches = 0  # automorphism searches that had a failed branch, so needed K4 counts
     for g in graphs:
         for k in (1, 1, 2):
             us = rng.sample(range(g.n), min(k, g.n))
             fixed = tuple(zip(us, rng.sample(range(g.n), len(us))))
-            calls.update(cnc=0, unpack=0)
+            calls.update(cnc=0, k4=0)
             perm = find_isomorphism(g, g, fixed=fixed)
-            assert calls["cnc"] == 0
-            assert calls["unpack"] == (1 if perm is None else 3)
+            assert calls["cnc"] == 0 and calls["k4"] <= 1
+            k4_searches += calls["k4"]
             # a copy of g pays the invariants and finds the same answer
             assert find_isomorphism(g, Graph.from_rows(g.rows), fixed=fixed) == perm
             assert calls["cnc"] == 2
@@ -550,4 +552,4 @@ def test_automorphism_search_pays_the_invariants_once(monkeypatch):
                 cg[u] = ch[w] = c
             assert perm == _plain_search(g.rows, g.rows, cg, ch, [])
             found[perm is not None] += 1
-    assert min(found.values()) >= 10, found
+    assert min(found.values()) >= 10 and k4_searches >= 3, (found, k4_searches)
