@@ -17,17 +17,17 @@ quadratic space on its nonsingular or singular vectors (x ~ y iff
 B(x, y) = 0, "_comp": B != 0), or the form q on a whole space (q(x + y)
 = 0, "_comp": nonzero); popcounts of ANDed singular-vector masks for the
 GF(4) hyperplanes (a degenerate meet, "_comp": nondegenerate, by the
-count rule proved in _no_gf4); differences in a connection set of a
-finite field (the squares, or the exponent classes j = 0, 1 mod 4 of a
-fixed primitive element); and incidence products or block assignments
-for 2-subsets, grids, Fano flags and the weight-7 words of the binary
-quadratic-residue code of length 23.
+count rule proved in _no_gf4); differences x - y, read off the field's
+table of them, in a connection set read off its power table (the even
+powers g^j, or those with j = 0, 1 mod 4); and incidence products or block
+assignments for 2-subsets, grids, Fano flags and the weight-7 words of the
+binary quadratic-residue code of length 23.
 """
 
 import numpy as np
 
 from .bounds import BUILD_VERTEX_BOUND, effective_bound
-from .fields import field
+from .fields import field, prime_power
 from .graphs import Graph, SrgParams, and_counts, srg_params
 from .quadspaces import polar_values, standard_singular_count, standard_space
 
@@ -80,19 +80,15 @@ def _vo(n, kind, complemented):
 
 
 def _cayley(f, conn):
-    "x ~ y iff x - y lies in conn; the index of x - y is formed digit by digit"
-    diff = np.zeros((f.q, f.q), dtype=np.min_scalar_type(max(f.q, 2 * f.p)))
-    for t in reversed(range(f.e)):
-        d = np.array([f.to_vec(x)[t] for x in range(f.q)], dtype=diff.dtype)
-        diff = diff * f.p + (d[:, None] + (f.p - d)) % f.p
+    "x ~ y iff x - y lies in conn, an array of elements"
     in_conn = np.zeros(f.q, dtype=bool)
-    in_conn[list(conn)] = True
-    return in_conn[diff]
+    in_conn[conn] = True
+    return in_conn[f.sub_table()]
 
 
 def _paley(q):
     f = field(q)
-    sq = f.squares()
+    sq = f.powers()[::2]  # q is odd, so the squares are the even powers of g
     if f.neg(1) not in sq:  # q = 1 mod 4 makes the difference graph undirected
         raise ValueError("-1 is not a square in GF(%d): Paley needs q = 1 mod 4" % q)
     return _cayley(f, sq)
@@ -100,7 +96,7 @@ def _paley(q):
 
 def _peisert(q):
     f = field(q)
-    conn = {x for x in range(1, q) if f.log(x) % 4 in (0, 1)}  # g^j, j = 0, 1 mod 4
+    conn = f.powers()[np.arange(q - 1) % 4 < 2]  # g^j, j = 0, 1 mod 4
     if f.neg(1) not in conn:  # -1 = g^((q-1)/2) with (q-1)/2 = 0 mod 4
         raise ValueError("-1 is outside the Peisert connection set of GF(%d)" % q)
     return _cayley(f, conn)
@@ -207,15 +203,16 @@ def _m22_comp():
     return meets == 3
 
 
+# the size checks factor q but build no field, which build's vertex bound guards
 def _check_paley_size(q):
     if q % 4 != 1:
         raise ValueError("Paley needs q = 1 mod 4")
-    field(q)  # raises if q is not a prime power
+    prime_power(q)  # raises if q is not a prime power
 
 
 def _check_peisert_size(q):
-    f = field(q)  # raises if q is not a prime power
-    if f.p % 4 != 3 or f.e % 2:
+    p, e = prime_power(q)  # raises if q is not a prime power
+    if p % 4 != 3 or e % 2:
         raise ValueError("Peisert needs q = p^(2t) with p = 3 mod 4")
 
 
@@ -364,6 +361,7 @@ def build(family, size=None):
     a = FAMILIES[family]["build"](size)
     np.fill_diagonal(a, False)
     g = Graph.from_adjacency(a, family if size is None else "%s:%d" % (family, size))
+    del a  # the graph holds its own copy; free this one before srg_params
     got = srg_params(g)
     if got != want:
         raise ValueError("%s built (%d,%d,%d,%d), expected (%d,%d,%d,%d)" % (

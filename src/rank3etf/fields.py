@@ -5,12 +5,19 @@ An element is the index sum(c_i * p^i) of its coefficient vector (c_0 the
 constant term) in GF(p)[x] / (modulus).  The modulus is the first monic
 irreducible polynomial of degree e in index order on its non-leading
 coefficients, so field tables are reproducible; GF(4) comes out as
-x^2 + x + 1.  A primitive element (smallest index generating the
-multiplicative group) is found at construction and powers/logs are tabled,
-making mul/inv O(1); these fields never exceed a few thousand elements.
+x^2 + x + 1.  Only this module knows that encoding: each method reads three
+read-only arrays built once, the digits of every element (to_vec), the
+powers of the primitive element g (the smallest index generating GF(q)*)
+and their logs.  Multiplying by c is GF(p)-linear on the digits, so c x
+for every x is one sum over the digits of c of the arrays x X^t, each a
+shift of the last reduced by the modulus; the orbit of 1 under it both
+tests c for primitivity and is the power table.  mul_table and sub_table
+give the builders whole tables; these fields have a few thousand elements.
 """
 
 from functools import lru_cache
+
+import numpy as np
 
 _MAX_EXT_DEGREE = 6
 
@@ -38,16 +45,6 @@ def _poly_trim(a):
     while a and a[-1] == 0:
         a = a[:-1]
     return a
-
-
-def _poly_mulmod(a, b, mod, p):
-    "a*b mod (mod) over GF(p); coefficient tuples, little-endian"
-    res = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                res[i + j] = (res[i + j] + x * y) % p
-    return tuple(_poly_divmod(tuple(res), mod, p)[1])
 
 
 def _poly_divmod(a, b, p):
@@ -107,10 +104,16 @@ class Field:
             if not _is_irreducible(modulus, p):
                 raise ValueError("modulus is reducible")
             self.modulus = modulus
-        self._mul_cache = {}
+        self._vecs = np.arange(self.q)[:, None] // p ** np.arange(e) % p
         self.g = self._find_primitive()
-        self._pow = self._power_table()
-        self._log = {x: j for j, x in enumerate(self._pow)}
+        pw = self._powers(self.g, self._shifts())
+        if set(pw) != set(range(1, self.q)):
+            raise ValueError("the powers of the primitive element are not a permutation")
+        self._pow = np.array(pw, dtype=np.min_scalar_type(self.q - 1))
+        self._log = np.zeros(self.q, dtype=np.int64)
+        self._log[self._pow] = np.arange(self.q - 1)
+        for a in (self._vecs, self._pow, self._log):
+            a.flags.writeable = False
 
     def _find_modulus(self):
         for idx in range(self.q):
@@ -119,30 +122,46 @@ class Field:
                 return cand
         raise AssertionError("no irreducible polynomial found")  # impossible
 
+    def _shifts(self):
+        "the digits of x X^t for every x, as an (e, q, e) array"
+        out = [self._vecs]
+        for _ in range(self.e - 1):
+            # x X has digits 0..e, and subtracting digit e times the modulus clears it
+            up = np.pad(out[-1], ((0, 0), (1, 0)))
+            out.append((up - up[:, -1:] * self.modulus)[:, :-1] % self.p)
+        return np.array(out)
+
+    def _powers(self, c, shifts):
+        "1, c, c^2, ...: the orbit of 1 under x -> c x, up to its return to 1 or q - 1 terms"
+        cx = np.tensordot(self._vecs[c], shifts, 1) % self.p  # sum_t c_t (x X^t)
+        times, pw = (cx @ self.p ** np.arange(self.e)).tolist(), [1]
+        while len(pw) < self.q - 1 and times[pw[-1]] != 1:
+            pw.append(times[pw[-1]])
+        return pw
+
+    def _find_primitive(self):
+        shifts = self._shifts()
+        for c in range(2 if self.q > 2 else 1, self.q):
+            if len(self._powers(c, shifts)) == self.q - 1:
+                return c
+        raise AssertionError("no primitive element")  # impossible
+
     # -- element arithmetic --------------------------------------------------
 
     def to_vec(self, x):
-        return _digits(x, self.p, self.e)
+        return tuple(self._vecs[x].tolist())
 
     def from_vec(self, cs):
         idx = 0
         for c in reversed(cs):
-            idx = idx * self.p + c % self.p
+            idx = idx * self.p + int(c) % self.p
         return idx
 
     def add(self, x, y):
-        if self.p == 2:
-            return x ^ y
-        if self.e == 1:
-            return (x + y) % self.p
-        return self.from_vec([a + b for a, b in zip(self.to_vec(x), self.to_vec(y))])
+        return self.from_vec(self._vecs[x] + self._vecs[y])
 
     def neg(self, x):
-        if self.p == 2:
-            return x
-        if self.e == 1:
-            return (-x) % self.p
-        return self.from_vec([-a for a in self.to_vec(x)])
+        return self.from_vec(-self._vecs[x])
 
     def sub(self, x, y):
         return self.add(x, self.neg(y))
@@ -150,60 +169,51 @@ class Field:
     def mul(self, x, y):
         if x == 0 or y == 0:
             return 0
-        if self.e == 1:
-            return (x * y) % self.p
-        key = (x, y) if x <= y else (y, x)
-        v = self._mul_cache.get(key)
-        if v is None:
-            v = self.from_vec(
-                _poly_mulmod(self.to_vec(x), self.to_vec(y), self.modulus, self.p) + (0,) * self.e
-            )
-            self._mul_cache[key] = v
-        return v
+        return int(self._pow[(self._log[x] + self._log[y]) % (self.q - 1)])
 
     def inv(self, x):
         if x == 0:
             raise ZeroDivisionError("zero has no inverse")
-        return self._pow[(self.q - 1 - self._log[x]) % (self.q - 1)]
+        return int(self._pow[-self._log[x] % (self.q - 1)])
 
     def power(self, x, n):
-        r = 1
-        for _ in range(n):
-            r = self.mul(r, x)
-        return r
+        if x == 0:
+            return 0 if n else 1
+        return int(self._pow[int(self._log[x]) * n % (self.q - 1)])
 
     def order(self, x):
         if x == 0:
             raise ValueError("zero has no multiplicative order")
-        r, n = x, 1
-        while r != 1:
-            r = self.mul(r, x)
-            n += 1
-        return n
-
-    def _find_primitive(self):
-        for x in range(2 if self.q > 2 else 1, self.q):
-            if self.order(x) == self.q - 1:
-                return x
-        raise AssertionError("no primitive element")  # impossible
-
-    def _power_table(self):
-        pw = [1]
-        for _ in range(self.q - 2):
-            pw.append(self.mul(pw[-1], self.g))
-        if len(set(pw)) != self.q - 1:
-            raise ValueError("the powers of the primitive element are not a permutation")
-        return pw
+        return (self.q - 1) // int(np.gcd(self._log[x], self.q - 1))
 
     def log(self, x):
-        return self._log[x]
+        if x == 0:
+            raise KeyError(x)  # zero has no logarithm
+        return int(self._log[x])
 
     def squares(self):
         "the set of nonzero squares"
-        return {self.mul(x, x) for x in range(1, self.q)}
+        return set(self._pow[2 * np.arange(self.q - 1) % (self.q - 1)].tolist())
 
     def elements(self):
         return range(self.q)
+
+    def powers(self):
+        "the read-only array of g^j, j = 0..q-2, in the narrowest dtype holding q - 1"
+        return self._pow
+
+    def mul_table(self):
+        "the q x q array of products x y, in the dtype of powers()"
+        t = self._pow[(self._log[:, None] + self._log) % (self.q - 1)]
+        t[0] = t[:, 0] = 0
+        return t
+
+    def sub_table(self):
+        "the q x q array of the indices of x - y, formed digit by digit in a narrow dtype"
+        diff = np.zeros((self.q, self.q), dtype=np.min_scalar_type(max(self.q, 2 * self.p)))
+        for d in self._vecs.T[::-1].astype(diff.dtype):  # the leading digit first
+            diff = diff * self.p + (d[:, None] + (self.p - d)) % self.p
+        return diff
 
     def __repr__(self):
         return "GF(%d)" % self.q
@@ -218,9 +228,8 @@ class Field:
         return hash((self.p, self.e, self.modulus))
 
 
-@lru_cache(maxsize=None)
-def field(q):
-    "GF(q) with the canonical modulus, cached"
+def prime_power(q):
+    "(p, e) with q = p^e, by trial division; ValueError if q is not a prime power"
     p = 2
     while p * p <= q and q % p:
         p += 1 if p == 2 else 2
@@ -233,4 +242,10 @@ def field(q):
         e += 1
     if n != 1 or e == 0:
         raise ValueError("%d is not a prime power" % q)
-    return Field(p, e)
+    return p, e
+
+
+@lru_cache(maxsize=None)
+def field(q):
+    "GF(q) with the canonical modulus, cached"
+    return Field(*prime_power(q))

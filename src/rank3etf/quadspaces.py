@@ -16,9 +16,9 @@ an odd q raises ValueError.  The whole space packs into integers (e bits
 per coordinate, coordinate 0 lowest): vector addition is XOR, and
 B(x, y) = qt[x^y] ^ qt[x] ^ qt[y] with a precomputed table qt of form
 values, which polar_values evaluates on whole arrays of packed vectors.
-q_table builds qt for all q^dim vectors at once from one q x q
-multiplication table of GF(q): the coordinates are read as arrays and the
-terms c x_i x_j are looked up in the table and XORed together.
+q_table builds qt for all q^dim vectors at once from the field's
+multiplication table (Field.mul_table): the coordinates are read as arrays
+and the terms c x_i x_j are looked up in the table and XORed together.
 
 hyperplane_singular_masks gives one row of words (graphs.pack_words) per
 hyperplane functional: bit i is set iff the i-th singular vector
@@ -40,11 +40,10 @@ _KINDS = ("plus", "minus", "parabolic")
 
 def _anisotropic_delta(fld):
     "first delta in index order with x^2 + xy + delta y^2 anisotropic"
-    # y = 0 leaves x^2 != 0, and y != 0 scales to y = 1: t^2 + t + delta != 0
-    for delta in range(1, fld.q):
-        if all(fld.add(fld.add(fld.mul(t, t), t), delta) for t in range(fld.q)):
-            return delta
-    raise AssertionError("no anisotropic binary form")  # impossible over a finite field
+    # y = 0 leaves x^2 != 0, and y != 0 scales to y = 1: delta != t^2 + t for
+    # every t, addition being XOR in characteristic 2; t = 0 rules out delta = 0
+    t = np.arange(fld.q)
+    return int(np.flatnonzero(~np.isin(t, fld.mul_table()[t, t] ^ t))[0])
 
 
 def _check_type(dim, kind):
@@ -53,11 +52,6 @@ def _check_type(dim, kind):
         raise ValueError("kind must be one of %s, not %r" % (", ".join(_KINDS), kind))
     if not (dim >= 1 and dim % 2 == 1 if kind == "parabolic" else dim >= 2 and dim % 2 == 0):
         raise ValueError("no nondegenerate %s form in dimension %r" % (kind, dim))
-
-
-def _mul_table(fld):
-    "the q x q multiplication table of fld as a numpy uint8 array, from q^2 Field.mul calls"
-    return np.array([[fld.mul(a, b) for b in range(fld.q)] for a in range(fld.q)], dtype=np.uint8)
 
 
 def polar_values(qt, xs, ys):
@@ -127,7 +121,7 @@ class QuadraticSpace:
             n = f.q**dim
             if n > AMBIENT_BOUND:
                 raise ValueError("%d vectors exceeds the ambient bound %d" % (n, AMBIENT_BOUND))
-            mul = _mul_table(f)
+            mul = f.mul_table()
             idx = np.arange(n)
             x = [((idx >> (e * j)) & (f.q - 1)).astype(np.uint8) for j in range(dim)]
             qt = np.zeros(n, dtype=np.uint8)
@@ -160,7 +154,7 @@ class QuadraticSpace:
         # multiplication by a_j is GF(2)-linear on the bits of x_j, so bit b
         # of sum a_j x_j is the XOR of the planes of those bits t with bit b
         # set in a_j * 2^t, read at column j*e + t of scaled
-        scaled = _mul_table(f)[coords[:, :, None], 1 << np.arange(e)].reshape(len(coords), -1)
+        scaled = f.mul_table()[coords[:, :, None], 1 << np.arange(e)].reshape(len(coords), -1)
         value_bits = np.zeros((len(coords), planes.shape[1]), dtype=planes.dtype)
         for b in range(e):
             plane = np.zeros_like(value_bits)

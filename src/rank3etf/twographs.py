@@ -103,7 +103,7 @@ class TwoGraph:
             (i, j) for i in range(1, n) for j in range(i + 1, n) if masks[0][i] >> j & 1
         ]
         t = TwoGraph(Graph(n, edges))
-        if masks != [pack_rows(t._pair_rows(i)) for i in range(n)]:
+        if [list(row) for row in masks] != [pack_rows(t._pair_rows(i)) for i in range(n)]:
             raise ValueError("not a two-graph: the masks fail the two-graph axiom")
         return t
 

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from rank3etf import graphs, tables
+from rank3etf import families, graphs, tables
 from rank3etf.cli import CSV_COLUMNS, main
 from rank3etf.frames import gram_from_json
 from rank3etf.graphs import Graph
@@ -56,13 +56,30 @@ def test_build_usage_errors(capsys):
     rc, _, err = run(capsys, "verify-etf")
     assert rc == 2 and "either a family or --input" in err
     # sizes outside a family's range, and builds over the vertex bound
-    # Peisert 6561 = 3^8 is past the largest field extension degree
     for argv in (
         ("Peisert", "6561"), ("Paley", "15"), ("NOplusOdd_4", "0"), ("NOplusOdd_4", "3"),
     ):
         rc, out, err = run(capsys, "build", *argv)
         assert rc == 2 and out == "" and err.startswith("error: ")
     assert "build bound" in err
+
+
+def test_field_sizes_meet_the_build_bound_before_a_field(capsys, monkeypatch):
+    # the size checks factor q without building GF(q), whose arrays have length q
+    monkeypatch.delenv("ETF_RANK3_MAX_VERTICES", raising=False)
+
+    def no_field(q):
+        raise RuntimeError("GF(%d) built" % q)
+
+    monkeypatch.setattr(families, "field", no_field)
+    for argv in (("Paley", "20000033"), ("Peisert", "100140049"), ("Peisert", "6561")):
+        rc, out, err = run(capsys, "build", *argv)  # a prime, 10007^2 and 3^8
+        assert rc == 2 and out == "" and "build bound" in err, argv
+    # inside the bound, 3^8 is past the largest field extension degree
+    monkeypatch.undo()
+    monkeypatch.setenv("ETF_RANK3_MAX_VERTICES", "7000")
+    rc, out, err = run(capsys, "build", "Peisert", "6561")
+    assert rc == 2 and out == "" and "the exponent must be between 1 and 6" in err
 
 
 def test_verify_srg_rejects(capsys, tmp_path):

@@ -290,6 +290,18 @@ def test_axiom_rejects_non_two_graph():
         TwoGraph.from_masks(4, masks)
 
 
+def test_from_masks_takes_rows_of_any_sequence():
+    # tuples of rows, or rows as tuples, give the same verdicts as lists
+    assert TwoGraph.from_masks(3, ((0, 0, 0),) * 3) == TwoGraph.from_masks(3, [[0] * 3] * 3)
+    t = two_graph_of(build("Paley", 13))
+    masks = _masks(t)
+    assert TwoGraph.from_masks(13, tuple(map(tuple, masks))) == t
+    assert TwoGraph.from_masks(13, [tuple(row) for row in masks]) == t
+    masks[1][2] ^= 1 << 5
+    with pytest.raises(ValueError, match="axiom"):
+        TwoGraph.from_masks(13, tuple(map(tuple, masks)))
+
+
 def test_consistency_rejects_bad_masks():
     masks = [[0] * 3 for _ in range(3)]
     masks[0][1] = 1 << 2  # but masks[1][0] stays 0: tables disagree
