@@ -19,16 +19,17 @@ B(x, y) = 0, "_comp": B != 0), or the form q on a whole space (q(x + y)
 GF(4) hyperplanes (a degenerate meet, "_comp": nondegenerate, by the
 count rule proved in _no_gf4); differences x - y, read off the field's
 table of them, in a connection set read off its power table (the even
-powers g^j, or those with j = 0, 1 mod 4); and incidence products or block
-assignments for 2-subsets, grids, Fano flags and the weight-7 words of the
-binary quadratic-residue code of length 23.
+powers g^j, or those with j = 0, 1 mod 4); incidence products or block
+assignments for 2-subsets, grids and Fano flags; and popcounts of ANDed
+words for the heptads, the weight-7 rows of the 0/1 array of the 4096 words
+of the binary quadratic-residue code of length 23.
 """
 
 import numpy as np
 
 from .bounds import BUILD_VERTEX_BOUND, effective_bound
 from .fields import field, prime_power
-from .graphs import Graph, SrgParams, and_counts, srg_params
+from .graphs import Graph, SrgParams, and_counts, pack_words, srg_params
 from .quadspaces import polar_values, standard_singular_count, standard_space
 
 
@@ -162,38 +163,39 @@ def _poly_gcd_gf2(a, b):
 
 
 def golay_heptads():
-    "weight-7 words of the length-23 quadratic-residue code, as frozensets"
-    qr = {pow(x, 2, 23) for x in range(1, 23)}
-    theta = sum(1 << r for r in qr)
-    gen = _poly_gcd_gf2((1 << 23) | 1, theta)
+    """the 253 weight-7 words of the length-23 quadratic-residue code, as a
+    (253, 23) uint8 0/1 array, bit i of word w at [w, i], rows in integer order"""
+    qr = np.arange(1, 23) ** 2 % 23  # the nonzero squares mod 23, each twice
+    gen = _poly_gcd_gf2((1 << 23) | 1, int(np.bitwise_or.reduce(1 << qr)))
     if gen.bit_length() - 1 != 11:
         raise ValueError("generator of degree %d, expected 11" % (gen.bit_length() - 1))
-    words = {0}
+    # the 12 shifts of a degree-11 generator have distinct leading bits, so
+    # these 12 doublings span 4096 distinct code words
+    row = (gen >> np.arange(23) & 1).astype(np.uint8)
+    words = np.zeros((1, 23), dtype=np.uint8)
     for i in range(12):
-        b = gen << i
-        words |= {w ^ b for w in words}
-    if len(words) != 4096:
-        raise ValueError("%d code words, expected 4096" % len(words))
-    heptads = sorted(w for w in words if w.bit_count() == 7)
-    if len(heptads) != 253:
-        raise ValueError("%d weight-7 words, expected 253" % len(heptads))
+        words = np.concatenate([words, words ^ np.roll(row, i)])
+    h = words[words.sum(axis=1) == 7]
+    if len(h) != 253:
+        raise ValueError("%d weight-7 words, expected 253" % len(h))
+    h = h[np.lexsort(h.T)]  # the last key, bit 22, is the primary one: integer order
     # 253 C(7, 4) = C(23, 4), so heptads meeting pairwise in at most 3 points
     # cover every 4-set exactly once: a Steiner system S(4, 7, 23)
-    h = np.array([[w >> i & 1 for i in range(23)] for w in heptads], dtype=np.int64)
-    meets = h @ h.T
+    meets = and_counts(pack_words(h))
     np.fill_diagonal(meets, 0)
     if meets.max() > 3:
         raise ValueError("two heptads share a 4-set")
-    return [frozenset(i for i in range(23) if (w >> i) & 1) for w in heptads]
+    return h
 
 
 def _m22_comp():
     "the 176 heptads missing point 0, adjacent iff they meet in 3 points"
-    blocks = [h for h in golay_heptads() if 0 not in h]
-    if len(blocks) != 176:
-        raise ValueError("%d blocks, expected 176" % len(blocks))
-    b = np.array([[p in h for p in range(1, 23)] for h in blocks], dtype=np.int64)
-    pairs, meets = b.T @ b, b @ b.T  # blocks through two points, points on two blocks
+    h = golay_heptads()
+    b = h[h[:, 0] == 0, 1:]  # blocks x points 1..22
+    if len(b) != 176:
+        raise ValueError("%d blocks, expected 176" % len(b))
+    pairs = and_counts(pack_words(b.T))  # blocks through two points
+    meets = and_counts(pack_words(b))  # points on two blocks
     np.fill_diagonal(pairs, 16)
     np.fill_diagonal(meets, 1)
     if (pairs != 16).any():  # 2-(22, 7, 16) design
@@ -203,7 +205,7 @@ def _m22_comp():
     return meets == 3
 
 
-# the size checks factor q but build no field, which build's vertex bound guards
+# the size checks factor q but build no field; build bounds q before either
 def _check_paley_size(q):
     if q % 4 != 1:
         raise ValueError("Paley needs q = 1 mod 4")
@@ -352,12 +354,18 @@ def expected_params(family, size=None):
     return row["params"](size)
 
 
+def _check_build_bound(v):
+    cap = effective_bound(BUILD_VERTEX_BOUND)
+    if v > cap:
+        raise ValueError("%d vertices exceeds the build bound %d" % (v, cap))
+
+
 def build(family, size=None):
     "build a family member and certify its parameters; mismatches raise"
+    if family in ("Paley", "Peisert") and size is not None:
+        _check_build_bound(size)  # v = q, bounded before the size check factors q
     want = expected_params(family, size)
-    cap = effective_bound(BUILD_VERTEX_BOUND)
-    if want.v > cap:
-        raise ValueError("%d vertices exceeds the build bound %d" % (want.v, cap))
+    _check_build_bound(want.v)
     a = FAMILIES[family]["build"](size)
     np.fill_diagonal(a, False)
     g = Graph.from_adjacency(a, family if size is None else "%s:%d" % (family, size))

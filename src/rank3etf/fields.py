@@ -178,6 +178,8 @@ class Field:
 
     def power(self, x, n):
         if x == 0:
+            if n < 0:
+                raise ZeroDivisionError("zero has no inverse")
             return 0 if n else 1
         return int(self._pow[int(self._log[x]) * n % (self.q - 1)])
 

@@ -83,10 +83,11 @@ def _pair_multiset(adj, *counts):
     return dict(zip(zip(*(d.tolist() for d in np.unravel_index(vals, radix))), mult.tolist()))
 
 
-def k4_pair_multiset(g):
-    "multiset of (i ~ j, |N(i) & N(j)|, edges inside N(i) & N(j)) over pairs i < j"
+def k4_pair_multiset(g, e=None):
+    """multiset of (i ~ j, |N(i) & N(j)|, edges inside N(i) & N(j)) over pairs i < j;
+    e is k4_counts of g's array, computed here unless the caller has it"""
     adj = g.adjacency_bits()
-    return _pair_multiset(adj, common_neighbour_counts(adj), k4_counts(adj))
+    return _pair_multiset(adj, common_neighbour_counts(adj), k4_counts(adj) if e is None else e)
 
 
 def _refine(adj_g, adj_h, col_g, col_h):
@@ -163,10 +164,11 @@ def refined_colours(g):
     return _refine(adj, adj, [0] * g.n, [0] * g.n)[0]
 
 
-def find_isomorphism(g, h, bound=ISO_VERTEX_BOUND, fixed=()):
+def find_isomorphism(g, h, bound=ISO_VERTEX_BOUND, fixed=(), k4=None):
     """
     A vertex bijection perm with i ~ j iff perm[i] ~ perm[j] and perm[u] == w
-    for every pair (u, w) in fixed, or None.
+    for every pair (u, w) in fixed, or None.  An empty list k4 receives
+    k4_counts of g and of h if the search computed them.
     """
     for vs, n in (([u for u, _ in fixed], g.n), ([w for _, w in fixed], h.n)):
         if len(set(vs)) != len(vs) or not all(0 <= v < n for v in vs):
@@ -187,7 +189,7 @@ def find_isomorphism(g, h, bound=ISO_VERTEX_BOUND, fixed=()):
     col_g, col_h = [0] * g.n, [0] * h.n
     for c, (u, w) in enumerate(fixed, 1):
         col_g[u] = col_h[w] = c
-    perm = _search(adj_g, adj_h, col_g, col_h, [])
+    perm = _search(adj_g, adj_h, col_g, col_h, [] if k4 is None else k4)
     # a guard independent of the search, on the stored arrays: i ~ j iff perm[i] ~ perm[j]
     if perm is not None and (
         sorted(perm) != list(range(g.n))

@@ -47,7 +47,8 @@ any search (they also cover block counts, as the degrees sum to 3 blocks).
 Once the search at w = 0 has failed, the loop expects a refutation, and it
 skips two kinds of w.  First, every w whose descendant has a K4 pair
 multiset (iso.k4_pair_multiset) different from that of the descendant of G
-at 0.  The multiset is a graph isomorphism invariant, so a mismatch proves
+at 0, whose K4 array the failed search hands back when it computed one.  The
+multiset is a graph isomorphism invariant, so a mismatch proves
 that descendant is not isomorphic.  Second, every w in the orbit of a
 refuted w under the automorphisms of H found so far.  An automorphism s of
 H maps the member of the switching class isolating x onto the one isolating
@@ -236,11 +237,12 @@ def switching_equivalent(g, h, bound=SWITCHING_VERTEX_BOUND):
             orbits = False
         hw = th.descendant_graph(w)
         if key is None or k4_pair_multiset(hw) == key:
-            perm = find_isomorphism(g0, hw)
+            k4 = []  # k4_counts of g0 and hw, if the search computed them
+            perm = find_isomorphism(g0, hw, k4=k4)
             if perm is not None:
                 return (w, perm)
         if key is None:
-            key, colours = k4_pair_multiset(g0), refined_colours(h)
+            key, colours = k4_pair_multiset(g0, k4[0] if k4 else None), refined_colours(h)
         reps.setdefault(colours[w], w)
         dead[root(w)] = True
     return None

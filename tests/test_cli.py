@@ -82,6 +82,19 @@ def test_field_sizes_meet_the_build_bound_before_a_field(capsys, monkeypatch):
     assert rc == 2 and out == "" and "the exponent must be between 1 and 6" in err
 
 
+def test_field_sizes_meet_the_build_bound_before_factoring(capsys, monkeypatch):
+    # (10^9 + 9)^2 = 1 mod 4: trial division up to its root would run for minutes
+    monkeypatch.delenv("ETF_RANK3_MAX_VERTICES", raising=False)
+
+    def no_factoring(q):
+        raise RuntimeError("%d factored" % q)
+
+    monkeypatch.setattr(families, "prime_power", no_factoring)
+    for fam in ("Paley", "Peisert"):
+        rc, out, err = run(capsys, "build", fam, "1000000018000000081")
+        assert rc == 2 and out == "" and "build bound" in err, fam
+
+
 def test_verify_srg_rejects(capsys, tmp_path):
     path = tmp_path / "path.json"
     path.write_text(Graph(4, [(0, 1), (1, 2), (2, 3)], "P4").to_json())

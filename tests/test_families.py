@@ -8,7 +8,6 @@ corrupted Golay blocks or GF(4) masks raise ValueError.
 """
 
 import hashlib
-import random
 from itertools import combinations
 
 import numpy as np
@@ -243,15 +242,15 @@ def test_paley_peisert_match_the_pair_rule():
 
 def test_corrupted_golay_blocks_raise(monkeypatch):
     heptads = golay_heptads()
-    b0 = next(h for h in heptads if 0 not in h)
-    monkeypatch.setattr(families, "golay_heptads", lambda: [h for h in heptads if h != b0])
+    i0 = np.flatnonzero(heptads[:, 0] == 0)[0]  # the first block, a heptad missing point 0
+    monkeypatch.setattr(families, "golay_heptads", lambda: np.delete(heptads, i0, axis=0))
     with pytest.raises(ValueError, match="175 blocks, expected 176"):
         build("M22_comp")
     # one point of a block moved: some pairs of points lie in 15 or 17 blocks
-    moved = b0 - {max(b0)} | {next(p for p in range(1, 23) if p not in b0)}
-    monkeypatch.setattr(
-        families, "golay_heptads", lambda: [moved if h == b0 else h for h in heptads]
-    )
+    b0, moved = heptads[i0], heptads.copy()
+    moved[i0, np.flatnonzero(b0).max()] = 0
+    moved[i0, np.flatnonzero(b0[1:] == 0)[0] + 1] = 1
+    monkeypatch.setattr(families, "golay_heptads", lambda: moved)
     with pytest.raises(ValueError, match="not a 2-"):
         build("M22_comp")
 
@@ -293,17 +292,34 @@ def test_fano_flags():
 
 def test_golay_heptads():
     heptads = golay_heptads()
-    assert len(heptads) == 253
-    assert all(len(h) == 7 for h in heptads)
+    assert heptads.shape == (253, 23) and heptads.dtype == np.uint8
+    assert (heptads.sum(axis=1) == 7).all()
     # quasi-symmetric: two blocks meet in 1 or 3 points
-    rng = random.Random(123)
-    for _ in range(300):
-        a, b = rng.sample(heptads, 2)
-        assert len(a & b) in (1, 3)
-    # Steiner property spot check: every 4-set lies in exactly one heptad
-    for _ in range(100):
-        four = set(rng.sample(range(23), 4))
-        assert sum(1 for h in heptads if four <= h) == 1
+    meets = heptads.astype(np.int64) @ heptads.T
+    np.fill_diagonal(meets, 1)
+    assert np.isin(meets, (1, 3)).all()
+
+
+def _reference_heptads():
+    "the weight-7 words as sorted frozensets, from the code words as a set of ints"
+    qr = {pow(x, 2, 23) for x in range(1, 23)}
+    gen = families._poly_gcd_gf2((1 << 23) | 1, sum(1 << r for r in qr))
+    words = {0}
+    for i in range(12):
+        b = gen << i
+        words |= {w ^ b for w in words}
+    assert len(words) == 4096
+    heptads = sorted(w for w in words if w.bit_count() == 7)
+    return [frozenset(i for i in range(23) if (w >> i) & 1) for w in heptads]
+
+
+def test_golay_heptads_match_set_reference():
+    heptads = golay_heptads()
+    assert [frozenset(np.flatnonzero(h).tolist()) for h in heptads] == _reference_heptads()
+    # S(4, 7, 23): each of the C(23, 4) = 8855 4-sets lies in exactly one heptad
+    fours = np.array(list(combinations(range(23), 4)))
+    covers = (heptads[:, fours].sum(axis=2) == 4).sum(axis=0)  # heptads holding each 4-set
+    assert len(fours) == 8855 and (covers == 1).all()
 
 
 def test_paley_is_self_complementary_in_parameters():

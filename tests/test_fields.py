@@ -119,6 +119,14 @@ def test_bad_modulus_rejected():
         Field(3, 8)  # past the largest extension degree
 
 
+def test_zero_has_no_negative_power():
+    f = field(5)
+    for n in (-1, -3):
+        with pytest.raises(ZeroDivisionError):
+            f.power(0, n)
+    assert f.power(0, 0) == 1 and f.power(0, 1) == f.power(0, 4) == 0
+
+
 def test_bad_arguments_raise():
     # explicit raises, so python -O keeps them
     f = field(9)

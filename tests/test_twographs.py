@@ -21,11 +21,13 @@ from math import isqrt
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
+from rank3etf import iso
 from rank3etf.families import build
 from rank3etf.frames import GramMatrix, descendant_gram, embedding_gram
-from rank3etf.graphs import Graph, pair_degrees, srg_params
+from rank3etf.graphs import Graph, k4_counts, pair_degrees, srg_params
 from rank3etf.iso import ISO_VERTEX_BOUND, find_isomorphism
 from rank3etf.matrices import ExactMatrix
 from rank3etf.qext import QuadExt
@@ -501,8 +503,8 @@ def _recording_searches(monkeypatch, fail_automorphisms):
     "log each automorphism search of switching_equivalent as found or not"
     log = []
 
-    def search(g, h, bound=ISO_VERTEX_BOUND, fixed=()):
-        perm = None if fixed and fail_automorphisms else find_isomorphism(g, h, bound, fixed)
+    def search(g, h, bound=ISO_VERTEX_BOUND, fixed=(), k4=None):
+        perm = None if fixed and fail_automorphisms else find_isomorphism(g, h, bound, fixed, k4)
         if fixed:
             log.append(perm is not None)
         return perm
@@ -555,9 +557,9 @@ def test_paley_vs_peisert(monkeypatch):
     assert switching_equivalent(*_paley_peisert(81)) is None
     searches = []
 
-    def counting(g, h, bound=ISO_VERTEX_BOUND, fixed=()):
+    def counting(g, h, bound=ISO_VERTEX_BOUND, fixed=(), k4=None):
         searches.append((h.n, fixed))
-        return find_isomorphism(g, h, bound, fixed)
+        return find_isomorphism(g, h, bound, fixed, k4)
 
     monkeypatch.setattr(rank3etf.twographs, "find_isomorphism", counting)
     for q in (49, 121):
@@ -570,6 +572,28 @@ def test_paley_vs_peisert(monkeypatch):
         auto = [(n, fixed) for n, fixed in searches if fixed]
         assert 1 <= len(auto) <= 3
         assert all(n == q + 1 and r == 1 for n, ((r, w),) in auto)
+
+
+def test_refutation_shares_the_k4_array_of_g0(monkeypatch):
+    # the failed search at w = 0 computes the K4 arrays of g0 and h_0, and the
+    # filter key reuses g0's: 3 arrays for K1+Paley(49) vs K1+Peisert(49), not 4
+    arrays = []
+
+    def counted(adj):
+        arrays.append(adj.tobytes())
+        return k4_counts(adj)
+
+    handed = []  # whether each array handed to the filter key is the graph's own
+
+    def checked(g, e=None):
+        if e is not None:
+            handed.append(np.array_equal(e, k4_counts(g.adjacency_bits())))
+        return iso.k4_pair_multiset(g, e)
+
+    monkeypatch.setattr(iso, "k4_counts", counted)
+    monkeypatch.setattr(rank3etf.twographs, "k4_pair_multiset", checked)
+    assert switching_equivalent(*_paley_peisert(49)) is None
+    assert len(arrays) == len(set(arrays)) == 3 and handed == [True]
 
 
 def test_paley_vs_peisert_121():
