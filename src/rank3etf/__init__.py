@@ -21,7 +21,7 @@ from .graphs import (
     srg_params,
     spectrum,
 )
-from .iso import find_isomorphism, isomorphic
+from .iso import find_isomorphism
 from .families import FAMILY_IDS, build, expected_params, family_info
 from .frames import (
     EtfCertificate,
@@ -60,7 +60,7 @@ __all__ = [
     "Field", "field", "QuadraticSpace", "standard_space",
     "Graph", "NotStronglyRegular", "SrgParams", "Spectrum",
     "srg_params", "spectrum",
-    "find_isomorphism", "isomorphic",
+    "find_isomorphism",
     "FAMILY_IDS", "build", "expected_params", "family_info",
     "EtfCertificate", "GramMatrix", "criteria", "descendant_gram",
     "embedding_gram", "gram_from_json", "gram_of_columns", "gram_to_json",

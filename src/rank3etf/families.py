@@ -89,18 +89,18 @@ def _cayley(f, conn):
 
 def _paley(q):
     f = field(q)
-    sq = f.powers()[::2]  # q is odd, so the squares are the even powers of g
-    if f.neg(1) not in sq:  # q = 1 mod 4 makes the difference graph undirected
+    a = _cayley(f, f.powers()[::2])  # q is odd, so the squares are the even powers of g
+    if not a[0, 1]:  # -1 = 0 - 1; q = 1 mod 4 makes the difference graph undirected
         raise ValueError("-1 is not a square in GF(%d): Paley needs q = 1 mod 4" % q)
-    return _cayley(f, sq)
+    return a
 
 
 def _peisert(q):
     f = field(q)
-    conn = f.powers()[np.arange(q - 1) % 4 < 2]  # g^j, j = 0, 1 mod 4
-    if f.neg(1) not in conn:  # -1 = g^((q-1)/2) with (q-1)/2 = 0 mod 4
+    a = _cayley(f, f.powers()[np.arange(q - 1) % 4 < 2])  # g^j, j = 0, 1 mod 4
+    if not a[0, 1]:  # -1 = 0 - 1 = g^((q-1)/2) with (q-1)/2 = 0 mod 4
         raise ValueError("-1 is outside the Peisert connection set of GF(%d)" % q)
-    return _cayley(f, conn)
+    return a
 
 
 def _triangular(n):

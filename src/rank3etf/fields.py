@@ -5,14 +5,15 @@ An element is the index sum(c_i * p^i) of its coefficient vector (c_0 the
 constant term) in GF(p)[x] / (modulus).  The modulus is the first monic
 irreducible polynomial of degree e in index order on its non-leading
 coefficients, so field tables are reproducible; GF(4) comes out as
-x^2 + x + 1.  Only this module knows that encoding: each method reads three
-read-only arrays built once, the digits of every element (to_vec), the
-powers of the primitive element g (the smallest index generating GF(q)*)
-and their logs.  Multiplying by c is GF(p)-linear on the digits, so c x
-for every x is one sum over the digits of c of the arrays x X^t, each a
-shift of the last reduced by the modulus; the orbit of 1 under it both
-tests c for primitivity and is the power table.  mul_table and sub_table
-give the builders whole tables; these fields have a few thousand elements.
+x^2 + x + 1.  Only this module knows that encoding: a Field builds three
+read-only arrays once, the digits of every element, the powers of the
+primitive element g (the smallest index generating GF(q)*) and their logs.
+Multiplying by c is GF(p)-linear on the digits, so c x for every x is one
+sum over the digits of c of the arrays x X^t, each a shift of the last
+reduced by the modulus; the orbit of 1 under it both tests c for
+primitivity and is the power table.  The builders read whole tables from
+it: powers, mul_table and sub_table; these fields have a few thousand
+elements.
 """
 
 from functools import lru_cache
@@ -145,60 +146,6 @@ class Field:
             if len(self._powers(c, shifts)) == self.q - 1:
                 return c
         raise AssertionError("no primitive element")  # impossible
-
-    # -- element arithmetic --------------------------------------------------
-
-    def to_vec(self, x):
-        return tuple(self._vecs[x].tolist())
-
-    def from_vec(self, cs):
-        idx = 0
-        for c in reversed(cs):
-            idx = idx * self.p + int(c) % self.p
-        return idx
-
-    def add(self, x, y):
-        return self.from_vec(self._vecs[x] + self._vecs[y])
-
-    def neg(self, x):
-        return self.from_vec(-self._vecs[x])
-
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
-
-    def mul(self, x, y):
-        if x == 0 or y == 0:
-            return 0
-        return int(self._pow[(self._log[x] + self._log[y]) % (self.q - 1)])
-
-    def inv(self, x):
-        if x == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return int(self._pow[-self._log[x] % (self.q - 1)])
-
-    def power(self, x, n):
-        if x == 0:
-            if n < 0:
-                raise ZeroDivisionError("zero has no inverse")
-            return 0 if n else 1
-        return int(self._pow[int(self._log[x]) * n % (self.q - 1)])
-
-    def order(self, x):
-        if x == 0:
-            raise ValueError("zero has no multiplicative order")
-        return (self.q - 1) // int(np.gcd(self._log[x], self.q - 1))
-
-    def log(self, x):
-        if x == 0:
-            raise KeyError(x)  # zero has no logarithm
-        return int(self._log[x])
-
-    def squares(self):
-        "the set of nonzero squares"
-        return set(self._pow[2 * np.arange(self.q - 1) % (self.q - 1)].tolist())
-
-    def elements(self):
-        return range(self.q)
 
     def powers(self):
         "the read-only array of g^j, j = 0..q-2, in the narrowest dtype holding q - 1"

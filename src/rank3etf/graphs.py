@@ -34,7 +34,6 @@ import json
 import numpy as np
 
 from .bounds import BUILD_VERTEX_BOUND, effective_bound
-from .matrices import ExactMatrix
 from .qext import QuadExt, sqrt_int
 
 
@@ -203,9 +202,6 @@ class Graph:
         "the read-only 0/1 adjacency matrix as a numpy uint8 array, not a copy"
         return self._a
 
-    def adjacency_matrix(self):
-        return ExactMatrix.from_codes(self._a, (0, 1))
-
     def to_json(self):
         return json.dumps(
             {"v": self.n, "edges": sorted([i, j] for i, j in self.edges()), "label": self.label},
@@ -214,7 +210,10 @@ class Graph:
 
     @staticmethod
     def from_json(text):
-        obj = json.loads(text)  # type(x) is int: a JSON true is a bool, not vertex 1
+        try:
+            obj = json.loads(text)  # type(x) is int: a JSON true is a bool, not vertex 1
+        except RecursionError:
+            raise ValueError("graph JSON is nested too deeply") from None
         if not isinstance(obj, dict) or type(obj.get("v")) is not int or obj["v"] < 0:
             raise ValueError('graph JSON needs a non-negative integer "v"')
         cap = effective_bound(BUILD_VERTEX_BOUND)  # before the v x v array is allocated

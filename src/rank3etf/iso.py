@@ -83,11 +83,13 @@ def _pair_multiset(adj, *counts):
     return dict(zip(zip(*(d.tolist() for d in np.unravel_index(vals, radix))), mult.tolist()))
 
 
-def k4_pair_multiset(g, e=None):
+def k4_pair_multiset(g, e=None, c=None):
     """multiset of (i ~ j, |N(i) & N(j)|, edges inside N(i) & N(j)) over pairs i < j;
-    e is k4_counts of g's array, computed here unless the caller has it"""
+    e and c are k4_counts and common_neighbour_counts of g's array, computed
+    here unless the caller has them"""
     adj = g.adjacency_bits()
-    return _pair_multiset(adj, common_neighbour_counts(adj), k4_counts(adj) if e is None else e)
+    c = common_neighbour_counts(adj) if c is None else c
+    return _pair_multiset(adj, c, k4_counts(adj) if e is None else e)
 
 
 def _refine(adj_g, adj_h, col_g, col_h):
@@ -164,11 +166,12 @@ def refined_colours(g):
     return _refine(adj, adj, [0] * g.n, [0] * g.n)[0]
 
 
-def find_isomorphism(g, h, bound=ISO_VERTEX_BOUND, fixed=(), k4=None):
+def find_isomorphism(g, h, bound=ISO_VERTEX_BOUND, fixed=(), k4=None, cn=None):
     """
     A vertex bijection perm with i ~ j iff perm[i] ~ perm[j] and perm[u] == w
-    for every pair (u, w) in fixed, or None.  An empty list k4 receives
-    k4_counts of g and of h if the search computed them.
+    for every pair (u, w) in fixed, or None.  Empty lists k4 and cn receive
+    k4_counts and common_neighbour_counts of g and of h if the search and the
+    invariant check computed them.
     """
     for vs, n in (([u for u, _ in fixed], g.n), ([w for _, w in fixed], h.n)):
         if len(set(vs)) != len(vs) or not all(0 <= v < n for v in vs):
@@ -183,6 +186,8 @@ def find_isomorphism(g, h, bound=ISO_VERTEX_BOUND, fixed=(), k4=None):
         if not np.array_equal(np.sort(adj_g.sum(axis=1)), np.sort(adj_h.sum(axis=1))):
             return None
         cn_g, cn_h = common_neighbour_counts(adj_g), common_neighbour_counts(adj_h)
+        if cn is not None:
+            cn += cn_g, cn_h
         if _pair_multiset(adj_g, cn_g) != _pair_multiset(adj_h, cn_h):
             return None
     # each fixed pair gets its own fresh colour, shared by g and h
@@ -198,7 +203,3 @@ def find_isomorphism(g, h, bound=ISO_VERTEX_BOUND, fixed=(), k4=None):
     ):
         raise RuntimeError("the search returned a bijection that is not an isomorphism")
     return perm
-
-
-def isomorphic(g, h, bound=ISO_VERTEX_BOUND):
-    return find_isomorphism(g, h, bound) is not None

@@ -96,24 +96,6 @@ class QuadraticSpace:
                 "form is not of type %s: %d singular, expected %d" % (kind, got, want)
             )
 
-    def q_of(self, vec):
-        f = self.field
-        acc = 0
-        for (i, j), c in self.coeffs.items():
-            acc = f.add(acc, f.mul(c, f.mul(vec[i], vec[j])))
-        return acc
-
-    def pack(self, vec):
-        e = self.field.e
-        idx = 0
-        for c in reversed(vec):
-            idx = (idx << e) | c
-        return idx
-
-    def unpack(self, idx):
-        e, mask = self.field.e, self.field.q - 1
-        return tuple((idx >> (e * j)) & mask for j in range(self.dim))
-
     def q_table(self):
         "q values indexed by packed vector, as a cached read-only numpy uint8 array"
         if self._qt is None:

@@ -17,23 +17,10 @@ z = j, as A has a zero diagonal.  So the pair degree is the sum of
 A[i] XOR A[j], s = d_i + d_j - 2 |N(i) & N(j)|, when i is not adjacent to
 j, and n - s when i ~ j (entries i and j of the XOR are 1, and the
 complement clears them).  This holds for every member of the switching
-class, not only the stored one.  pair_degree_multiset, block_count and
-is_regular read s off one n x n array, graphs.pair_degrees, built from one
-numpy popcount matrix; frames.verify_etf reads the same array off the
+class, not only the stored one.  pair_degree_multiset and is_regular
+read s off one n x n array, graphs.pair_degrees, built from one numpy
+popcount matrix; frames.verify_etf reads the same array off the
 entries of an equiangular Gram equal to -G_01.
-
-TwoGraph.from_masks takes a triple system T as pair masks, masks[i][j] the
-bitmask of the z making {i, j, z} a block, and checks it exactly, for every
-n, in O(n^2) mask operations.  T is a two-graph (each 4-set of vertices
-contains an even number of blocks) iff T is the two-graph of the graph G0
-read from masks[0]: vertex 0 isolated, and i ~ j (i < j) iff {0, i, j} is a
-block.  Proof: applied to the 4-set {0, i, j, k}, the axiom puts {i, j, k}
-in T iff an odd number of {0,i,j}, {0,i,k}, {0,j,k} are blocks, which is
-the two-graph of G0 on {i, j, k}; triples through 0 span one G0 edge or
-none.  Conversely every graph's two-graph satisfies the axiom, since each
-edge inside a 4-set lies in exactly two of its triples.  The masks must
-equal those of G0 exactly, so the check also rejects asymmetric masks,
-repeated vertices and disagreeing tables.
 
 Two graphs are switching equivalent iff their two-graphs are isomorphic.
 The decision procedure canonicalizes by vertex isolation: switching G on
@@ -47,9 +34,9 @@ any search (they also cover block counts, as the degrees sum to 3 blocks).
 Once the search at w = 0 has failed, the loop expects a refutation, and it
 skips two kinds of w.  First, every w whose descendant has a K4 pair
 multiset (iso.k4_pair_multiset) different from that of the descendant of G
-at 0, whose K4 array the failed search hands back when it computed one.  The
-multiset is a graph isomorphism invariant, so a mismatch proves
-that descendant is not isomorphic.  Second, every w in the orbit of a
+at 0, whose K4 and common-neighbour arrays the failed search hands back
+when it computed them.  The multiset is a graph isomorphism invariant, so
+a mismatch proves that descendant is not isomorphic.  Second, every w in the orbit of a
 refuted w under the automorphisms of H found so far.  An automorphism s of
 H maps the member of the switching class isolating x onto the one isolating
 s(x), so the descendants at x and s(x) are isomorphic: all of an orbit is
@@ -77,7 +64,7 @@ few automorphism searches put every other point into the orbit of 1.
 import numpy as np
 
 from .bounds import effective_bound
-from .graphs import Graph, pack_rows, pair_degrees, srg_params
+from .graphs import Graph, pair_degrees, srg_params
 from .iso import find_isomorphism, k4_pair_multiset, refined_colours
 
 SWITCHING_VERTEX_BOUND = 140
@@ -95,40 +82,6 @@ class TwoGraph:
     def __init__(self, g):
         self.n = g.n
         self.rep = g.switch(g.neighbors(0)) if g.n else g
-
-    @staticmethod
-    def from_masks(n, masks):
-        "the two-graph whose blocks through i, j are the bits of masks[i][j]"
-        # G0 from the blocks through vertex 0; see the module docstring
-        edges = [
-            (i, j) for i in range(1, n) for j in range(i + 1, n) if masks[0][i] >> j & 1
-        ]
-        t = TwoGraph(Graph(n, edges))
-        if [list(row) for row in masks] != [pack_rows(t._pair_rows(i)) for i in range(n)]:
-            raise ValueError("not a two-graph: the masks fail the two-graph axiom")
-        return t
-
-    def _pair_rows(self, i):
-        "the n x n 0/1 array whose row j marks the z making {i, j, z} a block"
-        a = self.rep.adjacency_bits()
-        return a ^ a[i] ^ a[i][:, None]
-
-    def contains(self, i, j, k):
-        a = self.rep.adjacency_bits()
-        return bool(a[i, k] ^ a[j, k] ^ a[i, j])
-
-    def blocks(self):
-        "the blocks (i, j, k), i < j < k, in lexicographic order"
-        for i in range(self.n):
-            j, k = np.nonzero(np.triu(self._pair_rows(i)[i + 1 :, i + 1 :], 1))
-            yield from zip([i] * len(j), (j + i + 1).tolist(), (k + i + 1).tolist())
-
-    def block_count(self):
-        return int(self._pair_degrees().sum()) // 6  # each block counted at 6 (i, j)
-
-    def pair_degree(self, i, j):
-        a = self.rep.adjacency_bits()
-        return int(np.count_nonzero(a[i] ^ a[j] ^ a[i, j]))  # row j of _pair_rows(i), O(n)
 
     def _pair_degrees(self):
         "the n x n int64 array of pair degrees, 0 on the diagonal"
@@ -148,7 +101,7 @@ class TwoGraph:
         return isinstance(other, TwoGraph) and self.rep == other.rep
 
     def __repr__(self):
-        return "TwoGraph(n=%d, blocks=%d)" % (self.n, self.block_count())
+        return "TwoGraph(n=%d)" % self.n
 
 
 def two_graph_of(g):
@@ -237,12 +190,13 @@ def switching_equivalent(g, h, bound=SWITCHING_VERTEX_BOUND):
             orbits = False
         hw = th.descendant_graph(w)
         if key is None or k4_pair_multiset(hw) == key:
-            k4 = []  # k4_counts of g0 and hw, if the search computed them
-            perm = find_isomorphism(g0, hw, k4=k4)
+            k4, cn = [], []  # k4_counts and common_neighbour_counts of g0 and hw, if computed
+            perm = find_isomorphism(g0, hw, k4=k4, cn=cn)
             if perm is not None:
                 return (w, perm)
         if key is None:
-            key, colours = k4_pair_multiset(g0, k4[0] if k4 else None), refined_colours(h)
+            key = k4_pair_multiset(g0, k4[0] if k4 else None, cn[0] if cn else None)
+            colours = refined_colours(h)
         reps.setdefault(colours[w], w)
         dead[root(w)] = True
     return None

@@ -2,16 +2,22 @@
 CLI contract: exit codes (0 success, 1 failed certification, 2 usage), the
 three output formats, --output file writing (an unwritable path is a usage
 error), graph JSON round trips through build / verify, graph JSON over the
-build bound rejected before any array is made, and the export payloads.
+build bound rejected before any array is made, deeply nested graph JSON
+rejected without a traceback, and the export payloads.
 """
 
 import csv
 import dataclasses
 import io
 import json
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
+import rank3etf
 from rank3etf import families, graphs, tables
 from rank3etf.cli import CSV_COLUMNS, main
 from rank3etf.frames import gram_from_json
@@ -125,6 +131,22 @@ def test_bad_graph_input_exits_2(capsys, tmp_path):
             rc, out, err = run(capsys, cmd, "--input", str(path))
             assert rc == 2 and out == "", (cmd, name)
             assert err.startswith("error: cannot read graph"), (cmd, name, err)
+
+
+def test_deeply_nested_graph_input_exits_2(tmp_path):
+    # json.loads raises RecursionError on deep nesting; from_json turns it
+    # into a ValueError, so the CLI prints its usage error, not a traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    paths = (str(Path(rank3etf.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    for cmd in ("verify-srg", "verify-etf"):
+        done = subprocess.run(
+            [sys.executable, "-m", "rank3etf.cli", cmd, "--input", str(path)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 2 and done.stdout == "", (cmd, done.stderr)
+        assert "cannot read graph" in done.stderr and "Traceback" not in done.stderr, cmd
 
 
 def test_huge_graph_input_exits_2_before_allocating(capsys, tmp_path, monkeypatch):

@@ -3,8 +3,9 @@ Family builders: every builder certifies its own parameters, so these tests
 pin the closed forms, the size validation, the combinatorial substrates
 (Fano flags, weight-7 Golay words), known coincidences between families,
 and the vertex-count guard.  The rows of every menu graph match frozen
-digests, the Paley and Peisert builds match a Field.sub pair rule, and
-corrupted Golay blocks or GF(4) masks raise ValueError.
+digests, the Paley and Peisert builds match a pair rule read off the
+polynomial reference field of scalar_reference, and corrupted Golay blocks
+or GF(4) masks raise ValueError.
 """
 
 import hashlib
@@ -23,11 +24,12 @@ from rank3etf.families import (
     fano_flags,
     golay_heptads,
 )
-from rank3etf.fields import field
+from rank3etf.fields import prime_power
 from rank3etf.graphs import srg_params
 from rank3etf.iso import find_isomorphism
 from rank3etf.quadspaces import QuadraticSpace
 from rank3etf.tables import TABLE3_MENU, TABLE4_MENU
+from scalar_reference import PolyField
 
 # smallest member of every family, with its frozen quadruple
 SMALLEST = {
@@ -214,7 +216,7 @@ def test_family_graphs_match_frozen_rows():
 
 
 def _difference_graph_rows(f, conn):
-    "reference: the pair rule x ~ y iff Field.sub(x, y) lies in conn"
+    "reference: the pair rule x ~ y iff f.sub(x, y) lies in conn, f a PolyField"
     rows = [0] * f.q
     for x in range(f.q):
         for y in range(x + 1, f.q):
@@ -228,10 +230,10 @@ def test_paley_peisert_match_the_pair_rule():
     # e = 1, 2 and 3 for Paley, e = 2 and 4 for Peisert; the Peisert
     # connection set is recomputed from the powers of the primitive element
     for q in (5, 13, 9, 25, 49, 81, 125):
-        f = field(q)
+        f = PolyField(*prime_power(q))
         assert build("Paley", q).rows == _difference_graph_rows(f, f.squares()), q
     for q in (9, 49, 81):
-        f = field(q)
+        f = PolyField(*prime_power(q))
         conn, x = set(), 1
         for j in range(q - 1):
             if j % 4 in (0, 1):

@@ -1,11 +1,12 @@
 """
 Finite fields GF(p^e) on integer-indexed elements: field axioms on random
-triples, Frobenius additivity, inverse and discrete-log tables, square
-counts, the canonical-modulus factory, and explicit raises on bad
-arguments.  The array-backed Field is checked against a polynomial
-reference (products reduced modulo the modulus one at a time, powers by
-repeated multiplication), and an AST scan keeps its element encoding
-inside the fields module.
+triples of the multiplication and difference tables, Frobenius additivity,
+the power table, square counts, the canonical-modulus factory, and explicit
+raises on bad arguments.  The tables and powers of each Field are checked
+against the polynomial reference of scalar_reference (products reduced
+modulo the modulus one at a time, powers by repeated multiplication), which
+shares no code with the fields module, and an AST scan keeps the element
+encoding inside the fields module.
 """
 
 import ast
@@ -16,9 +17,8 @@ import numpy as np
 import pytest
 
 import rank3etf
-from rank3etf.fields import (
-    Field, _digits, _is_irreducible, _poly_divmod, field, is_prime, prime_power,
-)
+from rank3etf.fields import Field, _is_irreducible, _poly_divmod, field, is_prime, prime_power
+from scalar_reference import PolyField, digits, from_digits
 
 
 def test_is_prime():
@@ -51,63 +51,75 @@ def test_canonical_moduli():
     assert field(49).modulus == (1, 0, 1)
 
 
+def _add_table(f):
+    "x + y as x - (0 - y), read off the difference table"
+    sub = f.sub_table()
+    return sub[:, sub[0]]
+
+
 def test_field_axioms_random():
     rng = random.Random(55)
     for q in (4, 8, 9, 25, 27, 49):
         f = field(q)
+        add, mul, sub = _add_table(f), f.mul_table(), f.sub_table()
         for _ in range(60):
             x, y, z = (rng.randrange(q) for _ in range(3))
-            assert f.add(x, y) == f.add(y, x)
-            assert f.mul(x, y) == f.mul(y, x)
-            assert f.add(f.add(x, y), z) == f.add(x, f.add(y, z))
-            assert f.mul(f.mul(x, y), z) == f.mul(x, f.mul(y, z))
-            assert f.mul(x, f.add(y, z)) == f.add(f.mul(x, y), f.mul(x, z))
-            assert f.add(x, f.neg(x)) == 0
-            assert f.sub(x, y) == f.add(x, f.neg(y))
+            assert add[x, y] == add[y, x]
+            assert mul[x, y] == mul[y, x]
+            assert add[add[x, y], z] == add[x, add[y, z]]
+            assert mul[mul[x, y], z] == mul[x, mul[y, z]]
+            assert mul[x, add[y, z]] == add[mul[x, y], mul[x, z]]
+            assert add[x, sub[0, x]] == 0 and sub[x, x] == 0
+            assert add[sub[x, y], y] == x
             if x:
-                assert f.mul(x, f.inv(x)) == 1
+                assert 1 in mul[x]  # x has an inverse
 
 
 def test_frobenius_is_additive():
-    rng = random.Random(66)
     for q in (4, 8, 9, 27):
         f = field(q)
-        for _ in range(40):
-            x, y = rng.randrange(q), rng.randrange(q)
-            assert f.power(f.add(x, y), f.p) == f.add(f.power(x, f.p), f.power(y, f.p))
+        add, mul, els = _add_table(f), f.mul_table(), np.arange(q)
+        frob = els
+        for _ in range(f.p - 1):
+            frob = mul[frob, els]  # x^p by repeated multiplication
+        assert np.array_equal(frob[add], add[frob[:, None], frob])
 
 
 def test_primitive_element_and_logs():
     for q in (4, 5, 9, 13, 25, 49):
         f = field(q)
-        assert f.order(f.g) == q - 1
-        for x in range(1, q):
-            assert f.power(f.g, f.log(x)) == x
+        pw = f.powers().tolist()
+        assert sorted(pw) == list(range(1, q))  # g has order q - 1
+        assert pw[0] == 1 and pw[1] == f.g
+        assert f.mul_table()[pw[:-1], f.g].tolist() == pw[1:]  # g^(j+1) = g^j g
 
 
 def test_squares():
     for q in (5, 9, 13, 25, 49):
         f = field(q)
-        sq = f.squares()
+        sq = set(f.mul_table().diagonal()[1:].tolist())
+        assert sq == set(f.powers()[::2].tolist())  # the even powers of g
         assert len(sq) == (q - 1) // 2  # odd characteristic
-        assert f.neg(1) in sq or q % 4 == 3
-    for q in (4, 8):
-        assert len(field(q).squares()) == q - 1  # squaring permutes GF(2^e)*
+        assert (f.sub_table()[0, 1] in sq) == (q % 4 == 1)  # -1 = 0 - 1
+    for q in (4, 8):  # squaring permutes GF(2^e)*
+        assert sorted(field(q).mul_table().diagonal()[1:].tolist()) == list(range(1, q))
 
 
 def test_vec_round_trip():
-    f = field(27)
+    # an element is the index of its digits, the constant digit first
     for x in range(27):
-        assert f.from_vec(f.to_vec(x)) == x
-    assert f.to_vec(5) == (2, 1, 0)  # constant digit first
+        assert from_digits(digits(x, 3, 3), 3) == x
+    assert digits(5, 3, 3) == (2, 1, 0)
+    sub = field(27).sub_table()
+    assert sub[5, 2] == 3 and sub[5, 3] == 2  # 5 = 2 + X, and X has index 3
 
 
 def test_explicit_gf4_tables():
     f = field(4)  # elements 0, 1, w = 2, w + 1 = 3 with w^2 = w + 1
-    assert f.mul(2, 2) == 3
-    assert f.mul(2, 3) == 1
-    assert f.add(2, 3) == 1
-    assert f.inv(2) == 3
+    mul = f.mul_table()
+    assert mul[2, 2] == 3
+    assert mul[2, 3] == 1  # so 3 is the inverse of 2
+    assert f.sub_table()[2, 3] == 1  # addition is subtraction in characteristic 2
 
 
 def test_bad_modulus_rejected():
@@ -120,22 +132,15 @@ def test_bad_modulus_rejected():
 
 
 def test_zero_has_no_negative_power():
-    f = field(5)
-    for n in (-1, -3):
-        with pytest.raises(ZeroDivisionError):
-            f.power(0, n)
-    assert f.power(0, 0) == 1 and f.power(0, 1) == f.power(0, 4) == 0
+    # zero is no power of g, so it has no log and no inverse, and 0 x = 0
+    for q in (2, 5, 9, 16):
+        f = field(q)
+        assert 0 not in f.powers()
+        assert not f.mul_table()[0].any() and not f.mul_table()[:, 0].any()
 
 
 def test_bad_arguments_raise():
     # explicit raises, so python -O keeps them
-    f = field(9)
-    with pytest.raises(ZeroDivisionError):
-        f.inv(0)
-    with pytest.raises(ValueError):
-        f.order(0)
-    with pytest.raises(KeyError):
-        f.log(0)
     with pytest.raises(ValueError):
         _poly_divmod((1, 1), (0, 0), 3)  # the zero polynomial
     for poly in ((1,), (1, 2), ()):  # constant, non-monic, empty
@@ -157,123 +162,32 @@ def test_bad_arguments_raise():
         Zero(3)  # 1, 0 has q - 1 distinct terms, but 0 is no power
 
 
-def _poly_mulmod(a, b, mod, p):
-    "reference: a*b mod (mod) over GF(p); coefficient tuples, little-endian"
-    res = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                res[i + j] = (res[i + j] + x * y) % p
-    return tuple(_poly_divmod(tuple(res), mod, p)[1])
-
-
-class _PolyField:
-    "reference: GF(p^e) by polynomial products behind a cache, powers by repeated mul"
-
-    def __init__(self, p, e):
-        self.p, self.e, self.q = p, e, p**e
-        if e == 1:
-            self.modulus = (0, 1)
-        else:
-            self.modulus = next(
-                m for m in (_digits(i, p, e) + (1,) for i in range(self.q))
-                if _is_irreducible(m, p)
-            )
-        self._mul_cache = {}
-        self.g = next(
-            x for x in range(2 if self.q > 2 else 1, self.q) if self.order(x) == self.q - 1
-        )
-        self._pow = [1]
-        for _ in range(self.q - 2):
-            self._pow.append(self.mul(self._pow[-1], self.g))
-        self._log = {x: j for j, x in enumerate(self._pow)}
-
-    def from_vec(self, cs):
-        idx = 0
-        for c in reversed(cs):
-            idx = idx * self.p + c % self.p
-        return idx
-
-    def add(self, x, y):
-        if self.p == 2:
-            return x ^ y
-        if self.e == 1:
-            return (x + y) % self.p
-        a, b = _digits(x, self.p, self.e), _digits(y, self.p, self.e)
-        return self.from_vec([s + t for s, t in zip(a, b)])
-
-    def neg(self, x):
-        if self.p == 2:
-            return x
-        if self.e == 1:
-            return (-x) % self.p
-        return self.from_vec([-c for c in _digits(x, self.p, self.e)])
-
-    def mul(self, x, y):
-        if x == 0 or y == 0:
-            return 0
-        if self.e == 1:
-            return (x * y) % self.p
-        key = (x, y) if x <= y else (y, x)
-        if key not in self._mul_cache:
-            prod = _poly_mulmod(_digits(x, self.p, self.e), _digits(y, self.p, self.e),
-                                self.modulus, self.p)
-            self._mul_cache[key] = self.from_vec(prod)
-        return self._mul_cache[key]
-
-    def inv(self, x):
-        return self._pow[-self._log[x] % (self.q - 1)]
-
-    def order(self, x):
-        r, n = x, 1
-        while r != 1:
-            r = self.mul(r, x)
-            n += 1
-        return n
-
-    def squares(self):
-        return {self.mul(x, x) for x in range(1, self.q)}
-
-
 def test_arrays_match_polynomial_reference():
     for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125):
-        f, ref = field(q), _PolyField(*prime_power(q))
+        f, ref = field(q), PolyField(*prime_power(q))
         assert (f.modulus, f.g) == (ref.modulus, ref.g), q
-        els, nz = range(q), range(1, q)
-        for op in ("add", "mul"):
-            got = [[getattr(f, op)(x, y) for y in els] for x in els]
-            assert got == [[getattr(ref, op)(x, y) for y in els] for x in els], (q, op)
-        assert [f.neg(x) for x in els] == [ref.neg(x) for x in els], q
-        for op in ("inv", "order", "log"):
-            assert [getattr(f, op)(x) for x in nz] == [
-                ref.inv(x) if op == "inv" else ref.order(x) if op == "order" else ref._log[x]
-                for x in nz
-            ], (q, op)
-        for x in els:
-            want = [1]  # x^n by repeated multiplication, past n = q - 1 to wrap round
-            for _ in range(q + 1):
-                want.append(ref.mul(want[-1], x))
-            assert [f.power(x, n) for n in range(q + 2)] == want, (q, x)
-        assert f.squares() == ref.squares(), q
-        assert f.powers().tolist() == ref._pow, q
+        assert f.powers().tolist() == ref.pow, q
+        els = range(q)
+        assert f.mul_table().tolist() == [[ref.mul(x, y) for y in els] for x in els], q
+        assert f.sub_table().tolist() == [[ref.sub(x, y) for y in els] for x in els], q
     rng = random.Random(2500)
     for q in (169, 243, 343, 529, 729, 961, 2209):
-        f, ref = field(q), _PolyField(*prime_power(q))
+        f, ref = field(q), PolyField(*prime_power(q))
         assert (f.modulus, f.g) == (ref.modulus, ref.g), q
-        assert [f.log(x) for x in range(1, q)] == [ref._log[x] for x in range(1, q)], q
-        assert f.squares() == ref.squares(), q
+        assert f.powers().tolist() == ref.pow, q
+        mul, sub = f.mul_table(), f.sub_table()
         for _ in range(2000):
             x, y = rng.randrange(q), rng.randrange(q)
-            assert (f.add(x, y), f.mul(x, y), f.neg(x)) == (
-                ref.add(x, y), ref.mul(x, y), ref.neg(x)
-            ), (q, x, y)
+            assert (mul[x, y], sub[x, y]) == (ref.mul(x, y), ref.sub(x, y)), (q, x, y)
 
 
 def test_whole_tables_match_scalar_methods():
     for q in (2, 4, 9, 25, 27, 32):
-        f = field(q)
-        assert f.mul_table().tolist() == [[f.mul(x, y) for y in range(q)] for x in range(q)]
-        assert f.sub_table().tolist() == [[f.sub(x, y) for y in range(q)] for x in range(q)]
+        f, ref = field(q), PolyField(*prime_power(q))
+        nz = range(1, q)
+        # each nonzero x has the reference inverse, and 1 / x = g^(-log x)
+        assert [f.mul_table()[x].tolist().index(1) for x in nz] == [ref.inv(x) for x in nz]
+        assert set(f.mul_table().diagonal()[1:].tolist()) == ref.squares()
         assert f.mul_table().dtype == np.uint8
     with pytest.raises(ValueError):
         field(9).powers()[0] = 2  # read-only

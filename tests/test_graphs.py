@@ -291,6 +291,7 @@ def test_json_round_trip():
         '{"v":3,"edges":[],"label":5}',  # complement() would call 5.endswith
         "[3]",
         "{not json",
+        pytest.param("[" * 200000, id="deeply-nested"),  # json.loads: RecursionError
     ],
 )
 def test_from_json_rejects_malformed_documents(text):
@@ -505,7 +506,7 @@ def test_spectrum_rejects_feasible_looking_parameters():
 def test_adjacency_matrix_squares():
     # A^2 = k I + lam A + mu (J - I - A) checked matricially on the pentagon
     g = _cycle(5)
-    a = g.adjacency_matrix()
+    a = ExactMatrix.from_codes(g.adjacency_bits(), (0, 1))
     p = srg_params(g)
     j = ExactMatrix.from_rows([[1] * 5 for _ in range(5)])
     i = ExactMatrix.identity(5)

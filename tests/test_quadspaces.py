@@ -3,7 +3,9 @@ Quadratic spaces over small fields of characteristic 2: singular-vector
 counts against the classical formulas, the packed polar form and its
 whole-array evaluation, packed tables, and hyperplane singular masks
 (indexed by the singular vectors) checked by direct field computation.
-The whole-array form table equals q_of on every vector of each standard
+The references are scalar_reference's polynomial field and its form
+evaluated one vector at a time, which share no code with the package.  The
+whole-array form table equals that q_of on every vector of each standard
 space up to 4096 vectors; it is read-only, and a space beyond the ambient
 bound raises before numpy is touched.  The bit-plane masks, rows of 64-bit
 words read back as integers, equal the scalar dot-product rule, and two
@@ -26,6 +28,13 @@ from rank3etf.quadspaces import (
     standard_singular_count,
     standard_space,
 )
+from scalar_reference import PolyField, pack, q_of, unpack
+
+
+def _ref(sp):
+    "the polynomial reference field of sp, and q_of on packed vectors by it"
+    f = PolyField(2, sp.field.e)
+    return f, lambda x: q_of(f, sp.coeffs, unpack(x, f.e, sp.dim))
 
 
 def test_standard_counts_by_enumeration():
@@ -61,7 +70,7 @@ def test_polar_is_bilinear_and_symmetric():
     rng = random.Random(77)
     for q, dim, kind in ((2, 4, "minus"), (4, 3, "parabolic"), (4, 2, "plus")):
         sp = standard_space(q, dim, kind)
-        f, qt = sp.field, sp.q_table()
+        (f, _), qt = _ref(sp), sp.q_table()
 
         def polar(x, y):
             return qt[x ^ y] ^ qt[x] ^ qt[y]
@@ -71,7 +80,7 @@ def test_polar_is_bilinear_and_symmetric():
             assert polar(x, y) == polar(y, x)
             assert polar(x ^ z, y) == f.add(polar(x, y), polar(z, y))
             c = rng.randrange(q)
-            cx = sp.pack([f.mul(c, a) for a in sp.unpack(x)])
+            cx = pack([f.mul(c, a) for a in unpack(x, f.e, dim)], f.e)
             assert polar(cx, y) == f.mul(c, polar(x, y))
 
 
@@ -87,11 +96,11 @@ def test_polar_values_match_the_packed_polar_form():
 
 def test_pack_unpack_and_q_table():
     sp = standard_space(4, 3, "parabolic")
-    qt = sp.q_table()
+    qt, (f, _) = sp.q_table(), _ref(sp)
     for idx in range(4**3):
-        v = sp.unpack(idx)
-        assert sp.pack(v) == idx
-        assert qt[idx] == sp.q_of(v)
+        v = unpack(idx, 2, 3)
+        assert pack(v, 2) == idx
+        assert qt[idx] == q_of(f, sp.coeffs, v)
 
 
 def test_q_table_needs_char_2():
@@ -101,13 +110,13 @@ def test_q_table_needs_char_2():
 
 def _scalar_masks(sp):
     "the masks by the scalar dot-product rule, over the singular vectors that q_of finds"
-    f, n = sp.field, sp.field.q**sp.dim
-    functionals = [a for a in range(1, n) if next(c for c in sp.unpack(a) if c) == 1]
+    (f, qx), n = _ref(sp), sp.field.q**sp.dim
+    functionals = [a for a in range(1, n) if next(c for c in unpack(a, f.e, sp.dim) if c) == 1]
     # bit i stands for the i-th singular vector in packed order, zero first
-    singular = [sp.unpack(x) for x in range(n) if sp.q_of(sp.unpack(x)) == 0]
+    singular = [unpack(x, f.e, sp.dim) for x in range(n) if qx(x) == 0]
     masks = []
     for a in functionals:
-        coords = sp.unpack(a)
+        coords = unpack(a, f.e, sp.dim)
         want = 0
         for i, x in enumerate(singular):
             dot = 0
@@ -132,10 +141,11 @@ def test_hyperplane_singular_masks_gf4():
     masks = _mask_ints(sp.hyperplane_singular_masks())
     assert Counter(m.bit_count() for m in masks) == {7: 10, 1: 6, 4: 5}
     functionals = [
-        a for a in range(1, 4**3) if next(c for c in sp.unpack(a) if c) == 1
+        a for a in range(1, 4**3) if next(c for c in unpack(a, 2, 3) if c) == 1
     ]
     assert len(functionals) == len(masks) == 21
-    singular = [x for x in range(4**3) if sp.q_of(sp.unpack(x)) == 0]
+    qx = _ref(sp)[1]
+    singular = [x for x in range(4**3) if qx(x) == 0]
     assert len(singular) == 16 and singular[0] == 0
     assert masks == _scalar_masks(sp)
 
@@ -172,7 +182,8 @@ def test_q_table_matches_q_of():
                 sp = standard_space(q, dim, kind)
                 qt = sp.q_table()
                 assert qt.dtype == np.uint8 and qt.shape == (q**dim,)
-                assert qt.tolist() == [sp.q_of(sp.unpack(x)) for x in range(q**dim)]
+                qx = _ref(sp)[1]
+                assert qt.tolist() == [qx(x) for x in range(q**dim)]
                 seen += 1
     assert seen == 33
 
@@ -205,4 +216,5 @@ def test_minus_type_anisotropic_plane():
     for q in (2, 4, 8):
         sp = standard_space(q, 2, "minus")
         assert sp.count_singular() == 0
-        assert all(sp.q_of(sp.unpack(x)) for x in range(1, q**2))
+        qx = _ref(sp)[1]
+        assert all(qx(x) for x in range(1, q**2))

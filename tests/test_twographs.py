@@ -1,19 +1,20 @@
 """
-Two-graphs from graphs and Gram matrices: the exact mask check of
-TwoGraph.from_masks against a brute-force even-4-set reference (random small
-triple systems, and a corrupted 64-vertex two-graph), equality of the stored
-members against a brute-force odd-triple reference, switching invariance
+Two-graphs from graphs and Gram matrices: equality of the stored members
+against a brute-force odd-triple reference, switching invariance
 (the defining property), descendants as isolate-and-delete, regularity
 with witnesses, and the switching-equivalence decision with its (vertex,
 bijection) witness verified by hand.  The K4 invariant filter and the
 automorphism-orbit skips leave every witness as the plain search loop finds
 it, also when every automorphism search is made to fail, and refute
 K1+Paley(q) vs K1+Peisert(q) for q = 49 and 121 with one descendant search
-and at most three automorphism searches.  The numpy pair-degree
-multiset, block count and is_regular verdict match a plain scan of the pair
-masks, across the 64-bit word boundaries, and the sign graph read off the numerator arrays matches
-QuadExt.sign entry by entry.  contains, pair_degree, blocks and from_masks
-give what the int-row pair masks they replaced give, for every n to 70.
+and at most three automorphism searches, computing three K4 arrays and
+three common-neighbour arrays.  The numpy pair-degree multiset and
+is_regular verdict match a plain scan of the pair masks, across the 64-bit
+word boundaries, and the block count they imply matches the brute-force
+odd triples; the sign graph read off the numerator arrays matches
+QuadExt.sign entry by entry.  The pair degrees (graphs.pair_degrees) of
+the stored member and of the graph itself are the popcounts of the int-row
+pair masks for every n to 70, and count the brute-force odd triples.
 """
 
 from fractions import Fraction
@@ -27,7 +28,7 @@ import pytest
 from rank3etf import iso
 from rank3etf.families import build
 from rank3etf.frames import GramMatrix, descendant_gram, embedding_gram
-from rank3etf.graphs import Graph, k4_counts, pair_degrees, srg_params
+from rank3etf.graphs import Graph, common_neighbour_counts, k4_counts, pair_degrees, srg_params
 from rank3etf.iso import ISO_VERTEX_BOUND, find_isomorphism
 from rank3etf.matrices import ExactMatrix
 from rank3etf.qext import QuadExt
@@ -35,7 +36,6 @@ from rank3etf.tables import _k1_plus
 import rank3etf.twographs
 from rank3etf.twographs import (
     NotRegular,
-    TwoGraph,
     descendant_at,
     is_regular,
     sign_graph,
@@ -68,67 +68,62 @@ def _rand_graph(rng, n, p=0.5):
     return Graph(n, edges)
 
 
+def _odd_triples(g):
+    "reference: the vertex triples of g spanning an odd number of edges"
+    return {
+        t
+        for t in combinations(range(g.n), 3)
+        if sum(g.adj(a, b) for a, b in combinations(t, 2)) % 2
+    }
+
+
+def _triple_degrees(g):
+    "reference: the n x n count of odd triples through each pair, 0 on the diagonal"
+    s = [[0] * g.n for _ in range(g.n)]
+    for t in _odd_triples(g):
+        for i, j in combinations(t, 2):
+            s[i][j] += 1
+            s[j][i] += 1
+    return s
+
+
 def test_small_oracles():
-    # K3: the single triple is a block; P3 (one path): also a block (2 edges is even,
-    # so not a block; 1 or 3 edges is odd)
-    k3 = Graph(3, [(0, 1), (1, 2), (0, 2)])
-    assert list(two_graph_of(k3).blocks()) == [(0, 1, 2)]
-    p3 = Graph(3, [(0, 1), (1, 2)])
-    assert two_graph_of(p3).block_count() == 0
-    e1 = Graph(3, [(0, 1)])
-    assert list(two_graph_of(e1).blocks()) == [(0, 1, 2)]
-    empty = Graph(3, [])
-    assert two_graph_of(empty).block_count() == 0
+    # K3: the single triple is a block (3 edges, odd); P3, one path, is not
+    # (2 edges, even); one edge is a block again, and no edge is none
+    for edges, want in (([(0, 1), (1, 2), (0, 2)], {1: 3}), ([(0, 1), (1, 2)], {0: 3}),
+                        ([(0, 1)], {1: 3}), ([], {0: 3})):
+        g = Graph(3, edges)
+        assert two_graph_of(g).pair_degree_multiset() == want
+        assert pair_degrees(g.adjacency_bits()).tolist() == _triple_degrees(g)
 
 
 def test_contains_and_pair_degree():
-    t = two_graph_of(build("Paley", 9))
-    for i, j, k in t.blocks():
-        assert t.contains(i, j, k)
-        assert t.contains(j, i, k) and t.contains(k, j, i)
-    total = sum(t.pair_degree(i, j) for i in range(9) for j in range(i + 1, 9))
-    assert total == 3 * t.block_count()
+    g = build("Paley", 9)
+    t = two_graph_of(g)
+    s = pair_degrees(t.rep.adjacency_bits())
+    assert s.tolist() == _triple_degrees(g) == _triple_degrees(t.rep)
+    assert int(np.triu(s, 1).sum()) == 3 * len(_odd_triples(g))
     ms = t.pair_degree_multiset()
     assert sum(ms.values()) == 9 * 8 // 2
-
-
-def _row_from_masks_accepts(n, masks):
-    "reference: the int-row from_masks verdict, masks equal to those of G0"
-    edges = [(i, j) for i in range(1, n) for j in range(i + 1, n) if masks[0][i] >> j & 1]
-    rows = TwoGraph(Graph(n, edges)).rep.rows
-    return masks == [[_row_pair_mask(rows, i, j) for j in range(n)] for i in range(n)]
 
 
 def test_array_two_graph_matches_int_rows():
     rng = random.Random(2425)
     # every third n to 70, 63 among them, and the small n and the word edges 64, 65
     for n in sorted(set(range(0, 71, 3)) | {1, 2, 4, 5, 64, 65, 70}):
-        t = two_graph_of(_rand_graph(rng, n, rng.random()))
+        g = _rand_graph(rng, n, rng.random())
+        t = two_graph_of(g)
         rows = t.rep.rows
         masks = [[_row_pair_mask(rows, i, j) for j in range(n)] for i in range(n)]
-        assert [[t.pair_degree(i, j) for j in range(n)] for i in range(n)] == [
-            [m.bit_count() for m in row] for row in masks
-        ]
-        pairs = [(i, j) for i in range(n) for j in range(n)]
-        for i, j in pairs if n < 9 else rng.sample(pairs, 20):
-            assert [t.contains(i, j, k) for k in range(n)] == [
-                bool(masks[i][j] >> k & 1) for k in range(n)
-            ]
-        assert list(t.blocks()) == [
-            (i, j, k)
-            for i in range(n)
-            for j in range(i + 1, n)
-            for k in _bits(masks[i][j] >> (j + 1) << (j + 1))
-        ]
-        assert TwoGraph.from_masks(n, masks) == t
-        if n:
-            i, j = rng.randrange(n), rng.randrange(n)
-            masks[i][j] ^= 1 << rng.randrange(n + 1)
-            if _row_from_masks_accepts(n, masks):
-                assert TwoGraph.from_masks(n, masks) is not None
-            else:
-                with pytest.raises(ValueError, match="axiom"):
-                    TwoGraph.from_masks(n, masks)
+        want = [[m.bit_count() for m in row] for row in masks]
+        # the stored member and g itself give the same degrees
+        assert pair_degrees(t.rep.adjacency_bits()).tolist() == want
+        assert pair_degrees(g.adjacency_bits()).tolist() == want
+        if n < 9:  # the masks hold the odd triples through each pair
+            assert {
+                (i, j, k) for i in range(n) for j in range(i + 1, n)
+                for k in _bits(masks[i][j] >> (j + 1) << (j + 1))
+            } == _odd_triples(g)
 
 
 def test_switching_invariance():
@@ -144,15 +139,6 @@ def test_switching_invariance():
 def test_complement_changes_two_graph():
     g = build("Paley", 9)
     assert two_graph_of(g) != two_graph_of(g.complement())
-
-
-def _odd_triples(g):
-    "reference: the vertex triples of g spanning an odd number of edges"
-    return {
-        t
-        for t in combinations(range(g.n), 3)
-        if sum(g.adj(a, b) for a, b in combinations(t, 2)) % 2
-    }
 
 
 def test_equality_matches_odd_triples():
@@ -179,7 +165,6 @@ def test_equality_matches_odd_triples():
         ta, tb = two_graph_of(a), two_graph_of(b)
         want = _odd_triples(a) == _odd_triples(b)
         assert (ta == tb) == want, (a.rows, b.rows)
-        assert TwoGraph.from_masks(n, _masks(ta)) == ta
         verdicts[want] += 1
     assert min(verdicts.values()) > 400  # both verdicts well exercised
 
@@ -193,122 +178,6 @@ def test_descendant_is_isolate_and_delete():
             switched = g.switch(g.neighbors(x))
             assert switched.degree(x) == 0
             assert t.descendant_graph(x) == switched.delete_vertex(x)
-
-
-def _flip_triple(masks, i, j, k):
-    "toggle the block {i, j, k} in all six mask slots"
-    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-        masks[a][b] ^= 1 << c
-        masks[b][a] ^= 1 << c
-
-
-def _reference_is_two_graph(n, masks):
-    "brute force: the masks encode a set of triples with an even number in each 4-set"
-    if any(m >> n for row in masks for m in row):
-        return False  # a vertex out of range
-    triples = {
-        frozenset((i, j, z))
-        for i in range(n)
-        for j in range(n)
-        for z in range(n)
-        if (masks[i][j] >> z) & 1
-    }
-    if any(len(t) < 3 for t in triples):
-        return False  # a repeated vertex, or a diagonal mask
-    encoded = [[0] * n for _ in range(n)]
-    for t in triples:
-        for i, j in combinations(t, 2):
-            (z,) = t - {i, j}
-            encoded[i][j] |= 1 << z
-            encoded[j][i] |= 1 << z
-    if encoded != masks:
-        return False  # asymmetric or disagreeing tables
-    return all(
-        sum(frozenset(t) in triples for t in combinations(four, 3)) % 2 == 0
-        for four in combinations(range(n), 4)
-    )
-
-
-def _masks(t):
-    "the int-row pair masks of t: bit z of [i][j] iff {i, j, z} is a block"
-    rows = t.rep.rows
-    return [[_row_pair_mask(rows, i, j) for j in range(t.n)] for i in range(t.n)]
-
-
-def _random_masks(rng, n):
-    "a two-graph, a perturbed two-graph, an arbitrary triple system or bad masks"
-    kind = rng.randrange(4)
-    masks = _masks(two_graph_of(_rand_graph(rng, n)))
-    if kind == 1 and n >= 3:
-        for _ in range(rng.randint(1, 3)):
-            _flip_triple(masks, *rng.sample(range(n), 3))
-    elif kind == 2:
-        masks = [[0] * n for _ in range(n)]
-        for t in combinations(range(n), 3):
-            if rng.random() < 0.5:
-                _flip_triple(masks, *t)
-    elif kind == 3:
-        # one slot changed alone: asymmetric, a repeated vertex or a diagonal bit
-        i, j = rng.randrange(n), rng.randrange(n)
-        masks[i][j] ^= 1 << rng.randrange(n + 1)
-    return masks
-
-
-def test_exact_check_matches_brute_force():
-    rng = random.Random(4242)
-    verdicts = {True: 0, False: 0}
-    for _ in range(3000):
-        n = rng.randint(1, 7)
-        masks = _random_masks(rng, n)
-        want = _reference_is_two_graph(n, masks)
-        try:
-            TwoGraph.from_masks(n, masks)
-            got = True
-        except ValueError:
-            got = False
-        assert got == want, (n, masks)
-        verdicts[want] += 1
-    assert min(verdicts.values()) > 500  # both verdicts well exercised
-
-
-def test_corrupted_large_two_graph_rejected():
-    # 64 vertices: one flipped triple lies in only 61 of the 635,376 4-sets,
-    # so a check on a few thousand sampled 4-sets usually misses it
-    t = two_graph_of(build("VOplus", 3))
-    for triple in ((1, 2, 3), (0, 5, 40)):
-        masks = _masks(t)
-        _flip_triple(masks, *triple)
-        with pytest.raises(ValueError, match="two-graph"):
-            TwoGraph.from_masks(64, masks)
-
-
-def test_axiom_rejects_non_two_graph():
-    # blocks = {012}: the 4-set {0,1,2,3} then contains exactly one block
-    masks = [[0] * 4 for _ in range(4)]
-    masks[0][1] = masks[1][0] = 1 << 2
-    masks[0][2] = masks[2][0] = 1 << 1
-    masks[1][2] = masks[2][1] = 1 << 0
-    with pytest.raises(ValueError, match="axiom"):
-        TwoGraph.from_masks(4, masks)
-
-
-def test_from_masks_takes_rows_of_any_sequence():
-    # tuples of rows, or rows as tuples, give the same verdicts as lists
-    assert TwoGraph.from_masks(3, ((0, 0, 0),) * 3) == TwoGraph.from_masks(3, [[0] * 3] * 3)
-    t = two_graph_of(build("Paley", 13))
-    masks = _masks(t)
-    assert TwoGraph.from_masks(13, tuple(map(tuple, masks))) == t
-    assert TwoGraph.from_masks(13, [tuple(row) for row in masks]) == t
-    masks[1][2] ^= 1 << 5
-    with pytest.raises(ValueError, match="axiom"):
-        TwoGraph.from_masks(13, tuple(map(tuple, masks)))
-
-
-def test_consistency_rejects_bad_masks():
-    masks = [[0] * 3 for _ in range(3)]
-    masks[0][1] = 1 << 2  # but masks[1][0] stays 0: tables disagree
-    with pytest.raises(ValueError):
-        TwoGraph.from_masks(3, masks)
 
 
 def test_sign_graph_recovers_adjacency():
@@ -426,7 +295,8 @@ def test_pair_degree_multiset_matches_pair_scan():
         got = t.pair_degree_multiset()
         assert got == want, g.n
         assert all(type(x) is int for x in list(got) + list(got.values()))
-        assert t.block_count() == sum(d * c for d, c in want.items()) // 3
+        if g.n <= 65:  # each odd triple is counted at its three pairs
+            assert sum(d * c for d, c in want.items()) == 3 * len(_odd_triples(g))
         # graphs.pair_degrees reads the same degrees off g itself, a member of
         # the switching class other than the stored one with vertex 0 isolated
         assert pair_degrees(g.adjacency_bits()).tolist() == scan
@@ -503,8 +373,9 @@ def _recording_searches(monkeypatch, fail_automorphisms):
     "log each automorphism search of switching_equivalent as found or not"
     log = []
 
-    def search(g, h, bound=ISO_VERTEX_BOUND, fixed=(), k4=None):
-        perm = None if fixed and fail_automorphisms else find_isomorphism(g, h, bound, fixed, k4)
+    def search(g, h, bound=ISO_VERTEX_BOUND, fixed=(), k4=None, cn=None):
+        fail = fixed and fail_automorphisms
+        perm = None if fail else find_isomorphism(g, h, bound, fixed, k4, cn)
         if fixed:
             log.append(perm is not None)
         return perm
@@ -557,9 +428,9 @@ def test_paley_vs_peisert(monkeypatch):
     assert switching_equivalent(*_paley_peisert(81)) is None
     searches = []
 
-    def counting(g, h, bound=ISO_VERTEX_BOUND, fixed=(), k4=None):
+    def counting(g, h, bound=ISO_VERTEX_BOUND, fixed=(), k4=None, cn=None):
         searches.append((h.n, fixed))
-        return find_isomorphism(g, h, bound, fixed, k4)
+        return find_isomorphism(g, h, bound, fixed, k4, cn)
 
     monkeypatch.setattr(rank3etf.twographs, "find_isomorphism", counting)
     for q in (49, 121):
@@ -585,14 +456,38 @@ def test_refutation_shares_the_k4_array_of_g0(monkeypatch):
 
     handed = []  # whether each array handed to the filter key is the graph's own
 
-    def checked(g, e=None):
+    def checked(g, e=None, c=None):
         if e is not None:
             handed.append(np.array_equal(e, k4_counts(g.adjacency_bits())))
-        return iso.k4_pair_multiset(g, e)
+        return iso.k4_pair_multiset(g, e, c)
 
     monkeypatch.setattr(iso, "k4_counts", counted)
     monkeypatch.setattr(rank3etf.twographs, "k4_pair_multiset", checked)
     assert switching_equivalent(*_paley_peisert(49)) is None
+    assert len(arrays) == len(set(arrays)) == 3 and handed == [True]
+
+
+def test_refutation_shares_the_common_neighbour_array_of_g0(monkeypatch):
+    # the invariant check of the failed search at w = 0 computes the arrays
+    # of g0 and h_0, and the filter key reuses g0's; the K4 filter of w = 1
+    # computes h_1's: 3 calls on 3 distinct arrays, not 4
+    arrays = []
+
+    def counted(adj):
+        arrays.append(adj.tobytes())
+        return common_neighbour_counts(adj)
+
+    handed = []  # whether each array handed to the filter key is the graph's own
+
+    def checked(g, e=None, c=None):
+        if c is not None:
+            handed.append(np.array_equal(c, common_neighbour_counts(g.adjacency_bits())))
+        return iso.k4_pair_multiset(g, e, c)
+
+    g, h = _paley_peisert(49)  # built, and so certified, before the count starts
+    monkeypatch.setattr(iso, "common_neighbour_counts", counted)
+    monkeypatch.setattr(rank3etf.twographs, "k4_pair_multiset", checked)
+    assert switching_equivalent(g, h) is None
     assert len(arrays) == len(set(arrays)) == 3 and handed == [True]
 
 
