@@ -24,9 +24,8 @@ from .graphs import Graph, NotStronglyRegular, srg_params
 from .tables import (
     EXPERIMENT_IDS,
     CertificationFailure,
-    ReportRow,
-    embedding_row,
     generate_table,
+    graph_row,
     run_experiment,
 )
 
@@ -151,13 +150,9 @@ def cmd_verify_srg(args):
 
 
 def cmd_verify_etf(args):
-    if args.family and not args.input:
-        row = embedding_row(args.family, args.size, "experiment")
-    else:
-        g = _load_graph(args)
-        p, cert = srg_params(g), verify_etf(embedding_gram(g))
-        row = ReportRow(g.label or "input", None, *p.as_tuple(), cert.M, cert.N,
-                        cert.alpha_sq, cert.status, "experiment")
+    g = _load_graph(args)
+    name, size = (g.label or "input", None) if args.input else (args.family, args.size)
+    row = graph_row(g, name, size, "experiment")
     _emit(_render_rows([row], args.format), args.output)
     return 0 if row.status == "ETF" else 1
 

@@ -96,11 +96,12 @@ def _paley(q):
 
 
 def _peisert(q):
+    # x ~ y iff x - y = g^j with j = 0, 1 mod 4: the set is closed under negation,
+    # and so the graph undirected, iff -1 = g^((q-1)/2) has (q-1)/2 = 0 mod 4
+    if (q - 1) % 8:
+        raise ValueError("the Peisert connection set of GF(%d) is not symmetric" % q)
     f = field(q)
-    a = _cayley(f, f.powers()[np.arange(q - 1) % 4 < 2])  # g^j, j = 0, 1 mod 4
-    if not a[0, 1]:  # -1 = 0 - 1 = g^((q-1)/2) with (q-1)/2 = 0 mod 4
-        raise ValueError("-1 is outside the Peisert connection set of GF(%d)" % q)
-    return a
+    return _cayley(f, f.powers()[np.arange(q - 1) % 4 < 2])
 
 
 def _triangular(n):

@@ -20,6 +20,9 @@ vertex, or the first offending pair in row-major order.  A Graph is
 certified once: it keeps its SrgParams in a slot that every constructor and
 operation starts empty, so a later srg_params call returns them, and a
 failure is raised afresh; the array they certify cannot change under them.
+A Graph keeps the pair arrays the searches read in two more such slots,
+each filled on its first call, read-only, in the narrowest unsigned dtype:
+common_neighbours() and k4() (k4_counts).  srg_params keeps no array.
 
 From (v, k, lambda, mu) the non-principal eigenvalues are the roots
 r > s of xi^2 + (mu - lambda) xi + (mu - k) = 0, exact in Q(sqrt(disc))
@@ -102,10 +105,17 @@ def k4_counts(adj):
     return and_counts(t)
 
 
+def _kept(counts):
+    "a read-only copy of a non-negative array in the narrowest unsigned dtype that holds it"
+    out = counts.astype(np.min_scalar_type(int(counts.max(initial=0))))
+    out.flags.writeable = False
+    return out
+
+
 class Graph:
     "simple undirected graph on its read-only 0/1 uint8 adjacency array"
 
-    __slots__ = ("n", "_a", "label", "_params")
+    __slots__ = ("n", "_a", "label", "_params", "_cn", "_k4")
 
     def __init__(self, n, edges, label=""):
         a = np.zeros((n, n), dtype=np.uint8)
@@ -138,7 +148,7 @@ class Graph:
         self._a = a.astype(np.uint8)  # a copy, so no caller can change the graph
         self._a.flags.writeable = False
         self.label = label
-        self._params = None
+        self._params = self._cn = self._k4 = None
 
     @staticmethod
     def from_rows(rows, label=""):
@@ -201,6 +211,18 @@ class Graph:
     def adjacency_bits(self):
         "the read-only 0/1 adjacency matrix as a numpy uint8 array, not a copy"
         return self._a
+
+    def common_neighbours(self):
+        "C[i, j] = |N(i) & N(j)|, computed on the first call and kept"
+        if self._cn is None:  # only srg_params calls common_neighbour_counts
+            self._cn = _kept(and_counts(pack_words(self._a)))
+        return self._cn
+
+    def k4(self):
+        "E[i, j] = edges inside N(i) & N(j) (k4_counts), computed on the first call and kept"
+        if self._k4 is None:
+            self._k4 = _kept(k4_counts(self._a))
+        return self._k4
 
     def to_json(self):
         return json.dumps(

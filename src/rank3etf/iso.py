@@ -23,19 +23,19 @@ target, and recurses.  A discrete colouring proposes a bijection that is
 then checked on every vertex pair before being returned.
 
 Cheap invariants run first: order, degree multiset, and the multiset of
-(adjacency, common-neighbour count) over all vertex pairs, read off one
-numpy popcount matrix (graphs.common_neighbour_counts), which separates
+(adjacency, common-neighbour count) over all vertex pairs, read off each
+graph's kept popcount matrix (Graph.common_neighbours), which separates
 strongly regular graphs with different (lambda, mu) without any search.
 An automorphism search, h is g, skips them (they agree by construction),
-and its two sides share one adjacency array and one K4 array.
+and its two sides read one adjacency array and one K4 array.
 
 A finer invariant, k4_pair_multiset, adds to each pair key the number of
 edges inside the common neighbourhood N(i) & N(j): the K4 count of the
 Higman-Sims 4-vertex condition, which differs between SRGs with equal
-parameters such as Paley(49) and Peisert(49).  It is read off one exact
-integer array, graphs.k4_counts, and both multisets are one np.unique over
-one integer key per pair, the tuple in mixed radix (np.ravel_multi_index).
-Both counts take the 0/1 arrays, and graphs packs them into words.
+parameters such as Paley(49) and Peisert(49).  It is read off the graph's
+kept exact integer array (Graph.k4), and both multisets are one np.unique
+over one integer key per pair, the tuple in mixed radix
+(np.ravel_multi_index).  graphs computes both arrays and packs the words.
 
 The search applies the same count one vertex at a time.  The stored 0/1
 arrays (Graph.adjacency_bits) of the two graphs serve every refinement,
@@ -50,9 +50,9 @@ are shared and refinement only splits classes), so it maps each v to a
 vertex of the same colour, keeps adjacency to u, and carries N(u) & N(v)
 with its edges onto N(w) & N(perm[v]): the profiles agree.  A skipped branch
 could not have returned a bijection, and the first one found is the one the
-unpruned search finds.  The K4 arrays of g and h are computed at the first
-failed branch and shared by the rest of the search, so a search that
-succeeds on its first branch at every node never computes them.
+unpruned search finds.  A node reads the K4 arrays that g and h keep
+(Graph.k4) after its first failed branch, so a search that succeeds on its
+first branch at every node never computes them.
 
 find_isomorphism(g, h, fixed=((u, w), ...)) searches only for bijections
 with perm[u] == w for each pair.  Each pair gets its own fresh colour,
@@ -69,7 +69,6 @@ vertices of one orbit, so a pair of different colours needs no search.
 import numpy as np
 
 from .bounds import effective_bound
-from .graphs import common_neighbour_counts, k4_counts
 
 ISO_VERTEX_BOUND = 300
 
@@ -83,13 +82,9 @@ def _pair_multiset(adj, *counts):
     return dict(zip(zip(*(d.tolist() for d in np.unravel_index(vals, radix))), mult.tolist()))
 
 
-def k4_pair_multiset(g, e=None, c=None):
-    """multiset of (i ~ j, |N(i) & N(j)|, edges inside N(i) & N(j)) over pairs i < j;
-    e and c are k4_counts and common_neighbour_counts of g's array, computed
-    here unless the caller has them"""
-    adj = g.adjacency_bits()
-    c = common_neighbour_counts(adj) if c is None else c
-    return _pair_multiset(adj, c, k4_counts(adj) if e is None else e)
+def k4_pair_multiset(g):
+    "multiset of (i ~ j, |N(i) & N(j)|, edges inside N(i) & N(j)) over pairs i < j"
+    return _pair_multiset(g.adjacency_bits(), g.common_neighbours(), g.k4())
 
 
 def _refine(adj_g, adj_h, col_g, col_h):
@@ -120,12 +115,13 @@ def _refine(adj_g, adj_h, col_g, col_h):
 
 
 def _profile(adj, e, col, u):
-    "sorted (col[v], u ~ v, edges inside N(u) & N(v)) over all v, with e = k4_counts(adj)"
+    "sorted (col[v], u ~ v, edges inside N(u) & N(v)) over all v, with e the K4 array of adj"
     return sorted(zip(col, adj[u].tolist(), e[u].tolist()))
 
 
-def _search(adj_g, adj_h, col_g, col_h, k4):
-    "k4 is shared by the whole search: empty until a branch fails, then k4_counts of g and h"
+def _search(g, h, col_g, col_h):
+    "a bijection from g to h that respects the shared colour ids col_g, col_h, or None"
+    adj_g, adj_h = g.adjacency_bits(), h.adjacency_bits()
     refined = _refine(adj_g, adj_h, col_g, col_h)
     if refined is None:
         return None
@@ -141,22 +137,19 @@ def _search(adj_g, adj_h, col_g, col_h, k4):
         return perm if np.array_equal(adj_g, adj_h[np.ix_(perm, perm)]) else None
     _, c = min(split)
     u = col_g.index(c)
-    prof = None  # _profile(adj_g, k4[0], col_g, u), once a branch has failed
+    prof = e_h = None  # _profile(adj_g, g.k4(), col_g, u) and h.k4(), once a branch has failed
     for w in range(n):
         if col_h[w] != c:
             continue
-        if prof is not None and _profile(adj_h, k4[1], col_h, w) != prof:
+        if prof is not None and _profile(adj_h, e_h, col_h, w) != prof:
             continue
         # individualize u and w by one fresh colour: ids are < n after refinement
         cg, ch = col_g[:u] + [n] + col_g[u + 1 :], col_h[:w] + [n] + col_h[w + 1 :]
-        perm = _search(adj_g, adj_h, cg, ch, k4)
+        perm = _search(g, h, cg, ch)
         if perm is not None:
             return perm
         if prof is None:
-            if not k4:
-                e = k4_counts(adj_g)
-                k4 += e, (e if adj_h is adj_g else k4_counts(adj_h))
-            prof = _profile(adj_g, k4[0], col_g, u)
+            prof, e_h = _profile(adj_g, g.k4(), col_g, u), h.k4()
     return None
 
 
@@ -166,35 +159,31 @@ def refined_colours(g):
     return _refine(adj, adj, [0] * g.n, [0] * g.n)[0]
 
 
-def find_isomorphism(g, h, bound=ISO_VERTEX_BOUND, fixed=(), k4=None, cn=None):
+def find_isomorphism(g, h, fixed=()):
     """
     A vertex bijection perm with i ~ j iff perm[i] ~ perm[j] and perm[u] == w
-    for every pair (u, w) in fixed, or None.  Empty lists k4 and cn receive
-    k4_counts and common_neighbour_counts of g and of h if the search and the
-    invariant check computed them.
+    for every pair (u, w) in fixed, or None.
     """
     for vs, n in (([u for u, _ in fixed], g.n), ([w for _, w in fixed], h.n)):
         if len(set(vs)) != len(vs) or not all(0 <= v < n for v in vs):
             raise ValueError("fixed pairs need distinct vertices in range: %r" % (fixed,))
     if g.n != h.n:
         return None
-    if g.n > effective_bound(bound):
+    if g.n > effective_bound(ISO_VERTEX_BOUND):
         raise ValueError("graph too large for isomorphism search")
     adj_g, adj_h = g.adjacency_bits(), h.adjacency_bits()
     # an automorphism search (h is g) skips the invariants: they agree by construction
     if h is not g:
         if not np.array_equal(np.sort(adj_g.sum(axis=1)), np.sort(adj_h.sum(axis=1))):
             return None
-        cn_g, cn_h = common_neighbour_counts(adj_g), common_neighbour_counts(adj_h)
-        if cn is not None:
-            cn += cn_g, cn_h
+        cn_g, cn_h = g.common_neighbours(), h.common_neighbours()
         if _pair_multiset(adj_g, cn_g) != _pair_multiset(adj_h, cn_h):
             return None
     # each fixed pair gets its own fresh colour, shared by g and h
     col_g, col_h = [0] * g.n, [0] * h.n
     for c, (u, w) in enumerate(fixed, 1):
         col_g[u] = col_h[w] = c
-    perm = _search(adj_g, adj_h, col_g, col_h, [] if k4 is None else k4)
+    perm = _search(g, h, col_g, col_h)
     # a guard independent of the search, on the stored arrays: i ~ j iff perm[i] ~ perm[j]
     if perm is not None and (
         sorted(perm) != list(range(g.n))

@@ -35,16 +35,9 @@ import operator
 
 import numpy as np
 
-from .qext import QuadExt, _make
+from .qext import QuadExt, _join, _make
 
 _NP_BOUND = 2**62
-
-
-def _join(d1, d2):
-    "common radical of two operands, or raise"
-    if d1 and d2 and d1 != d2:
-        raise ValueError("incompatible radicals sqrt(%d) vs sqrt(%d)" % (d1, d2))
-    return d1 or d2
 
 
 def _same_shape(x, y):

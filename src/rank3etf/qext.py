@@ -50,6 +50,13 @@ _SCALAR_RE = re.compile(r"^%s(?:\+%s\*sqrt\((\d+)\))?$" % (_RAT, _RAT))
 _set = object.__setattr__
 
 
+def _join(d1, d2):
+    "the common radical of two operands, 0 for a rational one, or raise"
+    if d1 and d2 and d1 != d2:
+        raise ValueError("incompatible radicals sqrt(%d) vs sqrt(%d)" % (d1, d2))
+    return d1 or d2
+
+
 def _make(na, nb, den, D):
     """(na + nb*sqrt(D)) / den from ints with den != 0 and D an operand's
     radical (square-free, not 1); puts the value in lowest terms"""
@@ -107,19 +114,11 @@ class QuadExt:
             return _make(x.numerator, 0, x.denominator, 0)
         raise TypeError("cannot coerce %r to QuadExt" % (x,))
 
-    def _join(self, other):
-        "common D for an arithmetic op, or raise"
-        if self.D == other.D or not other.D:
-            return self.D
-        if not self.D:
-            return other.D
-        raise ValueError("incompatible radicals sqrt(%d) vs sqrt(%d)" % (self.D, other.D))
-
     # -- ring ops ----------------------------------------------------------
 
     def __add__(self, other):
         other = QuadExt.coerce(other)
-        D = self._join(other)
+        D = _join(self.D, other.D)
         d, e = self.den, other.den
         if d == e:
             return _make(self.na + other.na, self.nb + other.nb, d, D)
@@ -138,7 +137,7 @@ class QuadExt:
 
     def __mul__(self, other):
         other = QuadExt.coerce(other)
-        D = self._join(other)
+        D = _join(self.D, other.D)
         a, b, c, d = self.na, self.nb, other.na, other.nb
         return _make(a * c + b * d * D, a * d + b * c, self.den * other.den, D)
 

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 import time
 
+import numpy as np
+
 from .families import build
 from .frames import descendant_gram, embedding_gram, verify_etf
 from .graphs import Graph, NotStronglyRegular, SrgParams, spectrum, srg_params
@@ -110,15 +112,16 @@ def _sizes(menu_sizes, family, max_n, max_q):
     return [s for s in menu_sizes if s is None or cap is None or s <= cap]
 
 
+def graph_row(g, family, size, provenance):
+    "the row of g's spherical embedding, certified; NotStronglyRegular if g is not an SRG"
+    p, cert = srg_params(g), verify_etf(embedding_gram(g))
+    return ReportRow(family, size, *p.as_tuple(), cert.M, cert.N, cert.alpha_sq, cert.status,
+                     provenance)
+
+
 def embedding_row(family, size, provenance="table3"):
-    g = build(family, size)
-    p = srg_params(g)  # the parameters build has certified
-    cert = verify_etf(embedding_gram(g))
-    row = ReportRow(
-        family, size, p.v, p.k, p.lam, p.mu, cert.M, cert.N, cert.alpha_sq,
-        cert.status, provenance,
-    )
-    if provenance == "table3" and not cert.is_etf:
+    row = graph_row(build(family, size), family, size, provenance)  # build has certified it
+    if provenance == "table3" and row.status != "ETF":
         raise CertificationFailure(row, "embedding did not certify as ETF")
     return row
 
@@ -130,10 +133,8 @@ def descendant_row(family, size):
         raise CertificationFailure(None, "%s:%s has k != 2 mu" % (family, size))
     cert = verify_etf(descendant_gram(g))
     sp = spectrum(p)
-    row = ReportRow(
-        family, size, p.v, p.k, p.lam, p.mu, cert.M, cert.N, cert.alpha_sq,
-        cert.status, "table4",
-    )
+    row = ReportRow(family, size, *p.as_tuple(), cert.M, cert.N, cert.alpha_sq, cert.status,
+                    "table4")
     if not cert.is_etf:
         raise CertificationFailure(row, "descendant Gram did not certify as ETF")
     if (cert.M, cert.N) != (p.v + 1, sp.g + 1):
@@ -148,9 +149,7 @@ def param_only_row(name, quad):
     sp = spectrum(p)
     M, N = p.v + 1, sp.g + 1
     alpha_sq = Fraction(M - N, N * (M - 1))
-    return ReportRow(
-        name, None, p.v, p.k, p.lam, p.mu, M, N, alpha_sq, "parameter-only", "table4"
-    )
+    return ReportRow(name, None, *p.as_tuple(), M, N, alpha_sq, "parameter-only", "table4")
 
 
 def generate_table(which, max_n=None, max_q=None):
@@ -220,8 +219,8 @@ def _switch_decision(a, b):
 
 
 def _k1_plus(g):
-    edges = [(i + 1, j + 1) for i, j in g.edges()]
-    return Graph(g.n + 1, edges, "K1+" + g.label)
+    "g with an isolated vertex 0 added in front"
+    return Graph.from_adjacency(np.pad(g.adjacency_bits(), (1, 0)), "K1+" + g.label)
 
 
 ISO_CHECK_PAIRS = (

@@ -32,33 +32,34 @@ returned.  Mismatched pair-degree multisets decide NotEquivalent without
 any search (they also cover block counts, as the degrees sum to 3 blocks).
 
 Once the search at w = 0 has failed, the loop expects a refutation, and it
-skips two kinds of w.  First, every w whose descendant has a K4 pair
-multiset (iso.k4_pair_multiset) different from that of the descendant of G
-at 0, whose K4 and common-neighbour arrays the failed search hands back
-when it computed them.  The multiset is a graph isomorphism invariant, so
-a mismatch proves that descendant is not isomorphic.  Second, every w in the orbit of a
-refuted w under the automorphisms of H found so far.  An automorphism s of
-H maps the member of the switching class isolating x onto the one isolating
-s(x), so the descendants at x and s(x) are isomorphic: all of an orbit is
-refuted with one of its vertices.  To find the orbits, a w that has the
-same refined colour (iso.refined_colours) as a refuted r gets one search
-for an automorphism of H sending r to w (find_isomorphism with the fixed
-pair (r, w)), in place of building and filtering its descendant; if it
-succeeds, the cycles of the automorphism are merged into the orbits, kept
-as a union-find over the vertices of H.  A vertex is searched at most once
-this way, and the first failed automorphism search ends them for the call,
-so an H whose colour classes are coarser than its orbits (a rigid regular H,
-say) pays one failed search, not one per pair of vertices; the orbits
-already found still skip their vertices.  No skipped w could have given a witness, and the first
-w that does is reached and searched by the same call as without the skips,
-so the witness (w, bijection) is unchanged.  None of this runs before the
-search at w = 0 has failed, so a positive decision found there pays nothing
-for it.  The failed search at w = 0 is not exhaustive either:
-find_isomorphism prunes its branches by the K4 profile of one vertex, a row
-of the same count array (see the iso docstring).  For K1+Paley(q) vs
-K1+Peisert(q), w = 0 is the isolated vertex of K1+Peisert(q): its search
-refutes every branch after the first, the K4 multiset refutes w = 1, and a
-few automorphism searches put every other point into the orbit of 1.
+skips two kinds of w.  First, every w whose descendant has a K4 pair multiset
+(iso.k4_pair_multiset) different from that of the descendant of G at 0, read
+off the arrays it keeps from the failed search.  The multiset is a graph
+isomorphism invariant, so a mismatch proves that descendant is not
+isomorphic.  Second, every w in the orbit of a refuted w under the
+automorphisms of H found so far.  An automorphism s of H maps the member of
+the switching class isolating x onto the one isolating s(x), so the
+descendants at x and s(x) are isomorphic: all of an orbit is refuted with
+one of its vertices.  To find the orbits, a w that has the same refined
+colour (iso.refined_colours) as a refuted r gets one search for an
+automorphism of H sending r to w (find_isomorphism with the fixed pair
+(r, w)), in place of building and filtering its descendant, all reading the
+K4 array H keeps; if it succeeds, the cycles of the automorphism are merged
+into the orbits, kept as a union-find over the vertices of H.  A vertex is
+searched at most once this way, and the first failed automorphism search
+ends them for the call, so an H whose colour classes are coarser than its
+orbits (a rigid regular H, say) pays one failed search, not one per pair of
+vertices; the orbits already found still skip their vertices.  No skipped w
+could have given a witness, and the first w that does is reached and
+searched by the same call as without the skips, so the witness
+(w, bijection) is unchanged.  None of this runs before the search at w = 0
+has failed, so a positive decision found there pays nothing for it.  The
+failed search at w = 0 is not exhaustive either: find_isomorphism prunes its
+branches by the K4 profile of one vertex, a row of the same count array (see
+the iso docstring).  For K1+Paley(q) vs K1+Peisert(q), w = 0 is the isolated
+vertex of K1+Peisert(q): its search refutes every branch after the first,
+the K4 multiset refutes w = 1, and a few automorphism searches put every
+other point into the orbit of 1.
 """
 
 import numpy as np
@@ -144,7 +145,7 @@ def descendant_at(g, x):
     return out
 
 
-def switching_equivalent(g, h, bound=SWITCHING_VERTEX_BOUND):
+def switching_equivalent(g, h):
     """
     A witness (w, perm) mapping the descendant of g at 0 onto the descendant
     of h at w, or None; graphs are equivalent iff their two-graphs are
@@ -154,7 +155,7 @@ def switching_equivalent(g, h, bound=SWITCHING_VERTEX_BOUND):
     """
     if g.n != h.n:
         raise ValueError("vertex counts differ: %d vs %d" % (g.n, h.n))
-    cap = effective_bound(bound)
+    cap = effective_bound(SWITCHING_VERTEX_BOUND)
     if g.n > cap:
         raise ValueError("%d vertices exceeds the switching bound %d" % (g.n, cap))
     if g.n == 0:
@@ -190,12 +191,11 @@ def switching_equivalent(g, h, bound=SWITCHING_VERTEX_BOUND):
             orbits = False
         hw = th.descendant_graph(w)
         if key is None or k4_pair_multiset(hw) == key:
-            k4, cn = [], []  # k4_counts and common_neighbour_counts of g0 and hw, if computed
-            perm = find_isomorphism(g0, hw, k4=k4, cn=cn)
+            perm = find_isomorphism(g0, hw)
             if perm is not None:
                 return (w, perm)
         if key is None:
-            key = k4_pair_multiset(g0, k4[0] if k4 else None, cn[0] if cn else None)
+            key = k4_pair_multiset(g0)
             colours = refined_colours(h)
         reps.setdefault(colours[w], w)
         dead[root(w)] = True

@@ -5,7 +5,8 @@ pin the closed forms, the size validation, the combinatorial substrates
 and the vertex-count guard.  The rows of every menu graph match frozen
 digests, the Paley and Peisert builds match a pair rule read off the
 polynomial reference field of scalar_reference, and corrupted Golay blocks
-or GF(4) masks raise ValueError.
+or GF(4) masks raise ValueError, as does a Peisert connection set that is
+not closed under negation.
 """
 
 import hashlib
@@ -240,6 +241,16 @@ def test_paley_peisert_match_the_pair_rule():
                 conn.add(x)
             x = f.mul(x, f.g)
         assert build("Peisert", q).rows == _difference_graph_rows(f, conn), q
+
+
+def test_peisert_refuses_an_asymmetric_connection_set():
+    # the size check refuses q = 27, so call the builder directly: the set
+    # holds -1 = g^13 but not -g = g^14, so its difference graph is directed
+    with pytest.raises(ValueError, match=r"set of GF\(27\) is not symmetric"):
+        families._peisert(27)
+    for q in (9, 49, 81):
+        a = families._peisert(q)
+        assert np.array_equal(a, a.T), q
 
 
 def test_corrupted_golay_blocks_raise(monkeypatch):

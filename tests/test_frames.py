@@ -121,6 +121,7 @@ def test_certificate_checks_survive_optimize():
     # isomorphism witness check and the input guards must rest on explicit checks
     script = """
 import hashlib
+import os
 from fractions import Fraction
 from rank3etf.families import build
 from rank3etf.fields import Field, field
@@ -142,13 +143,23 @@ c = verify_etf(d)
 print(d.entries.D, c.status, c.M, c.N, c.alpha_sq)
 print(hashlib.sha256(repr(build("NOplusOdd_4", 2).rows).encode()).hexdigest())
 p9 = build("Paley", 9)
+
+
+def switch_over_bound():
+    os.environ["ETF_RANK3_MAX_VERTICES"] = "5"  # replaces the switching bound 140
+    try:
+        switching_equivalent(p9, p9)
+    finally:
+        del os.environ["ETF_RANK3_MAX_VERTICES"]
+
+
 for bad in (
     lambda: build("NOplusOdd_4", 0),
     lambda: field(12),
     lambda: Graph(3, [(1, 1)]),
     lambda: is_regular(two_graph_of(build("Paley", 13))),
     lambda: field(3**8),
-    lambda: switching_equivalent(p9, p9, bound=5),
+    switch_over_bound,
     lambda: GramMatrix(ExactMatrix.from_rows([[1, 2], [0, 1]])),
     lambda: GramMatrix(ExactMatrix.from_rows([[1, 0], [0, 2]])),
     lambda: SrgParams(10, 3, 9, 9),
@@ -168,6 +179,7 @@ for bad in (
     lambda: standard_space(2, 3, "plus"),
     lambda: QuadraticSpace(field(2), 2, "minus", {(0, 1): 1}),
     lambda: families._paley(7),
+    lambda: families._peisert(27),
 ):
     try:
         bad()
@@ -183,7 +195,7 @@ try:
 except ValueError:
     print("ValueError")
 # a bijection that is not an isomorphism: vertices 0 and 1 swapped
-iso._search = lambda *args: [1, 0] + list(range(2, len(args[0])))
+iso._search = lambda g, *args: [1, 0] + list(range(2, g.n))
 try:
     print(iso.find_isomorphism(p9, p9))
 except RuntimeError:
@@ -191,7 +203,7 @@ except RuntimeError:
 """
     paths = (str(Path(rank3etf.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH"))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    env.pop("ETF_RANK3_MAX_VERTICES", None)  # it would replace the bound=5 below
+    env.pop("ETF_RANK3_MAX_VERTICES", None)  # it would replace every default bound
     done = subprocess.run(
         [sys.executable, "-O", "-c", script],
         env=env,
@@ -207,7 +219,7 @@ except RuntimeError:
         "5 ETF 6 3 1/5",
         # frozen NOplusOdd_4 2 rows, as in test_families.ROW_DIGESTS
         "d9fe24fcf07582379b320c376925df4ae53dda9af51f7406a117b1e941f77b4f",
-    ] + ["ValueError"] * 19 + ["ZeroDivisionError"] + ["ValueError"] * 6 + ["RuntimeError"]
+    ] + ["ValueError"] * 19 + ["ZeroDivisionError"] + ["ValueError"] * 7 + ["RuntimeError"]
 
 
 def test_no_assert_statements_in_src():
@@ -236,6 +248,23 @@ def test_word_layout_is_written_only_in_graphs():
         or isinstance(node, ast.Attribute) and node.attr in banned
         or isinstance(node, ast.alias) and node.name in banned
         or isinstance(node, ast.Constant) and node.value in banned
+    ]
+    assert found == []
+
+
+def test_pair_arrays_are_computed_only_in_graphs():
+    # every other module asks a Graph for its kept arrays (common_neighbours,
+    # k4), so one module decides how and when they are computed
+    banned = {"common_neighbour_counts", "k4_counts"}
+    pkg = Path(rank3etf.__file__).resolve().parent
+    found = [
+        (path.name, node.lineno)
+        for path in sorted(pkg.glob("*.py"))
+        if path.name != "graphs.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and node.id in banned
+        or isinstance(node, ast.Attribute) and node.attr in banned
+        or isinstance(node, ast.alias) and node.name in banned
     ]
     assert found == []
 

@@ -11,7 +11,11 @@ pack_words lays the rows out bit for bit as 64-bit words, and and_counts
 matches a plain popcount, across the byte and word edges.  Every Graph
 operation gives what the int-row code it replaced gives, on random graphs
 across the word edges, and no write through adjacency_bits() or to the
-array a graph was built from reaches the graph or its kept SrgParams.
+array a graph was built from reaches the graph or its kept SrgParams.  The
+common-neighbour and K4 arrays a graph keeps are read-only and narrow, equal
+common_neighbour_counts and k4_counts on every table graph up to 300
+vertices and on random graphs, and start empty on every graph an operation
+returns.
 """
 
 import json
@@ -28,6 +32,7 @@ from rank3etf.graphs import (
     SrgParams,
     and_counts,
     common_neighbour_counts,
+    k4_counts,
     pack_rows,
     pack_words,
     spectrum,
@@ -224,6 +229,59 @@ def test_kept_srg_params_cannot_go_stale():
         srg_params(Graph.from_adjacency(a))
     for h in (g.complement(), g.switch([0]), g.delete_vertex(0), g.relabel(range(12, -1, -1))):
         assert not h.adjacency_bits().flags.writeable
+
+
+def _kept_array_corpus():
+    "every table graph up to 300 vertices, and seeded random graphs across the word edges"
+    for fam, sizes in list(TABLE3_MENU) + list(TABLE4_MENU):
+        for size in sizes:
+            g = build(fam, size)
+            if g.n <= 300:
+                yield g
+    rng = random.Random(3131)
+    for n in (0, 1, 2, 9, 63, 64, 65, 130):
+        yield _rand_graph(rng, n, rng.random())
+
+
+def test_kept_pair_arrays_match_the_module_functions():
+    for g in _kept_array_corpus():
+        cn, e = g.common_neighbours(), g.k4()
+        assert np.array_equal(cn, common_neighbour_counts(g.adjacency_bits())), g.label
+        assert np.array_equal(e, k4_counts(g.adjacency_bits())), g.label
+        # unsigned, and as narrow as the values allow
+        for arr in (cn, e):
+            assert arr.dtype == np.min_scalar_type(int(arr.max(initial=0))), g.label
+        # kept: the same read-only arrays on every later call
+        assert g.common_neighbours() is cn and g.k4() is e
+        for arr in (cn, e):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0:1, 0:1] += 1
+
+
+def test_graph_operations_keep_no_pair_arrays(monkeypatch, certifications):
+    # every Graph that an operation returns computes its own arrays on the
+    # first call, and neither array counts as a certification
+    computed = []
+
+    def counted(name, real):
+        return lambda *args: computed.append(name) or real(*args)
+
+    g = build("Paley", 13)
+    g.common_neighbours(), g.k4()
+    monkeypatch.setattr("rank3etf.graphs.and_counts", counted("popcounts", and_counts))
+    monkeypatch.setattr("rank3etf.graphs.k4_counts", counted("k4", k4_counts))
+    certifications.clear()
+    for h in (
+        g.complement(), g.switch([0, 5]), g.delete_vertex(3), g.relabel(range(12, -1, -1)),
+        Graph.from_rows(g.rows), Graph.from_adjacency(g.adjacency_bits()),
+    ):
+        computed.clear()
+        cn, e = h.common_neighbours(), h.k4()
+        assert computed == ["popcounts", "k4", "popcounts"]  # k4_counts runs and_counts too
+        assert h.common_neighbours() is cn and h.k4() is e and len(computed) == 3
+        assert np.array_equal(cn, common_neighbour_counts(h.adjacency_bits()))
+        assert np.array_equal(e, k4_counts(h.adjacency_bits()))
+    assert certifications == []
 
 
 def _words(masks, nbits):

@@ -29,7 +29,7 @@ from rank3etf import iso
 from rank3etf.families import build
 from rank3etf.frames import GramMatrix, descendant_gram, embedding_gram
 from rank3etf.graphs import Graph, common_neighbour_counts, k4_counts, pair_degrees, srg_params
-from rank3etf.iso import ISO_VERTEX_BOUND, find_isomorphism
+from rank3etf.iso import find_isomorphism
 from rank3etf.matrices import ExactMatrix
 from rank3etf.qext import QuadExt
 from rank3etf.tables import _k1_plus
@@ -373,9 +373,9 @@ def _recording_searches(monkeypatch, fail_automorphisms):
     "log each automorphism search of switching_equivalent as found or not"
     log = []
 
-    def search(g, h, bound=ISO_VERTEX_BOUND, fixed=(), k4=None, cn=None):
+    def search(g, h, fixed=()):
         fail = fixed and fail_automorphisms
-        perm = None if fail else find_isomorphism(g, h, bound, fixed, k4, cn)
+        perm = None if fail else find_isomorphism(g, h, fixed)
         if fixed:
             log.append(perm is not None)
         return perm
@@ -428,9 +428,9 @@ def test_paley_vs_peisert(monkeypatch):
     assert switching_equivalent(*_paley_peisert(81)) is None
     searches = []
 
-    def counting(g, h, bound=ISO_VERTEX_BOUND, fixed=(), k4=None, cn=None):
+    def counting(g, h, fixed=()):
         searches.append((h.n, fixed))
-        return find_isomorphism(g, h, bound, fixed, k4, cn)
+        return find_isomorphism(g, h, fixed)
 
     monkeypatch.setattr(rank3etf.twographs, "find_isomorphism", counting)
     for q in (49, 121):
@@ -445,50 +445,54 @@ def test_paley_vs_peisert(monkeypatch):
         assert all(n == q + 1 and r == 1 for n, ((r, w),) in auto)
 
 
+def _new_arrays_per_key(monkeypatch, arrays):
+    "the number of arrays each filter key call adds to arrays, in call order"
+    added = []
+
+    def checked(g):
+        before = len(arrays)
+        key = iso.k4_pair_multiset(g)
+        added.append(len(arrays) - before)
+        return key
+
+    monkeypatch.setattr(rank3etf.twographs, "k4_pair_multiset", checked)
+    return added
+
+
 def test_refutation_shares_the_k4_array_of_g0(monkeypatch):
-    # the failed search at w = 0 computes the K4 arrays of g0 and h_0, and the
-    # filter key reuses g0's: 3 arrays for K1+Paley(49) vs K1+Peisert(49), not 4
+    # the failed search at w = 0 computes the K4 arrays of g0 and h_0, the
+    # filter key reads the one g0 keeps, and the K4 filter of w = 1 computes
+    # h_1's: 3 arrays for K1+Paley(49) vs K1+Peisert(49), not 4
     arrays = []
 
     def counted(adj):
         arrays.append(adj.tobytes())
         return k4_counts(adj)
 
-    handed = []  # whether each array handed to the filter key is the graph's own
-
-    def checked(g, e=None, c=None):
-        if e is not None:
-            handed.append(np.array_equal(e, k4_counts(g.adjacency_bits())))
-        return iso.k4_pair_multiset(g, e, c)
-
-    monkeypatch.setattr(iso, "k4_counts", counted)
-    monkeypatch.setattr(rank3etf.twographs, "k4_pair_multiset", checked)
+    monkeypatch.setattr("rank3etf.graphs.k4_counts", counted)
+    added = _new_arrays_per_key(monkeypatch, arrays)
     assert switching_equivalent(*_paley_peisert(49)) is None
-    assert len(arrays) == len(set(arrays)) == 3 and handed == [True]
+    assert len(arrays) == len(set(arrays)) == 3 and added == [0, 1]
 
 
 def test_refutation_shares_the_common_neighbour_array_of_g0(monkeypatch):
     # the invariant check of the failed search at w = 0 computes the arrays
-    # of g0 and h_0, and the filter key reuses g0's; the K4 filter of w = 1
-    # computes h_1's: 3 calls on 3 distinct arrays, not 4
-    arrays = []
+    # of g0 and h_0, the filter key reads the one g0 keeps, and the K4 filter
+    # of w = 1 computes h_1's: 3 distinct arrays, not 4, each its graph's own
+    arrays, real = [], Graph.common_neighbours
 
-    def counted(adj):
-        arrays.append(adj.tobytes())
-        return common_neighbour_counts(adj)
-
-    handed = []  # whether each array handed to the filter key is the graph's own
-
-    def checked(g, e=None, c=None):
-        if c is not None:
-            handed.append(np.array_equal(c, common_neighbour_counts(g.adjacency_bits())))
-        return iso.k4_pair_multiset(g, e, c)
+    def kept(g):
+        c = real(g)
+        if not any(c is a for a in arrays):  # a graph computes its array once
+            arrays.append(c)
+            assert np.array_equal(c, common_neighbour_counts(g.adjacency_bits()))
+        return c
 
     g, h = _paley_peisert(49)  # built, and so certified, before the count starts
-    monkeypatch.setattr(iso, "common_neighbour_counts", counted)
-    monkeypatch.setattr(rank3etf.twographs, "k4_pair_multiset", checked)
+    monkeypatch.setattr(Graph, "common_neighbours", kept)
+    added = _new_arrays_per_key(monkeypatch, arrays)
     assert switching_equivalent(g, h) is None
-    assert len(arrays) == len(set(arrays)) == 3 and handed == [True]
+    assert len(arrays) == 3 and added == [0, 1]
 
 
 def test_paley_vs_peisert_121():
