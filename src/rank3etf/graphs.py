@@ -12,17 +12,14 @@ each access and Graph.from_rows unpacks them.  Every popcount
 operand is a 0/1 array packed by pack_words, the one place the word layout
 is written (bit j of a row at bit j % 64 of zero-padded little-endian uint64
 word j // 64), and and_counts(words) is the one popcount kernel.
-srg_params certifies A^2 = kI + lambda A + mu (J - I - A) on all pairs at
-once: it reads the degrees off the diagonal of one common_neighbour_counts
-array and compares every edge and non-edge count with the first of its
-class.  On failure it raises NotStronglyRegular with the first offending
-vertex, or the first offending pair in row-major order.  A Graph is
-certified once: it keeps its SrgParams in a slot that every constructor and
-operation starts empty, so a later srg_params call returns them, and a
-failure is raised afresh; the array they certify cannot change under them.
-A Graph keeps the pair arrays the searches read in two more such slots,
-each filled on its first call, read-only, in the narrowest unsigned dtype:
-common_neighbours() and k4() (k4_counts).  srg_params keeps no array.
+A Graph keeps, in slots that every constructor and operation starts empty,
+its SrgParams and two read-only pair arrays in the narrowest unsigned dtype
+(widen them before arithmetic), common_neighbours() and k4(), each computed
+on its first call.  srg_params certifies A^2 = kI + lambda A + mu (J - I - A)
+on all pairs at once: it reads the degrees off the diagonal of
+common_neighbours() and compares every edge and non-edge count with the
+first of its class; a failure, raised afresh on each call, names the first
+offending vertex, or the first offending pair in row-major order.
 
 From (v, k, lambda, mu) the non-principal eigenvalues are the roots
 r > s of xi^2 + (mu - lambda) xi + (mu - k) = 0, exact in Q(sqrt(disc))
@@ -85,7 +82,7 @@ def pair_degrees(adj):
     with 0/1 adjacency array adj, 0 on the diagonal: s = d_i + d_j - 2 |N(i) & N(j)|,
     and n - s where i ~ j (proof in the twographs docstring)"""
     n = len(adj)
-    c = and_counts(pack_words(adj))  # C[i, j] = |N(i) & N(j)|
+    c = common_neighbour_counts(adj)
     deg = c.diagonal()
     s = deg[:, None] + deg - 2 * c
     return np.where(adj, n - s, s)
@@ -213,13 +210,13 @@ class Graph:
         return self._a
 
     def common_neighbours(self):
-        "C[i, j] = |N(i) & N(j)|, computed on the first call and kept"
-        if self._cn is None:  # only srg_params calls common_neighbour_counts
-            self._cn = _kept(and_counts(pack_words(self._a)))
+        "C[i, j] = |N(i) & N(j)|, kept: read-only narrow unsigned, widen before arithmetic"
+        if self._cn is None:
+            self._cn = _kept(common_neighbour_counts(self._a))
         return self._cn
 
     def k4(self):
-        "E[i, j] = edges inside N(i) & N(j) (k4_counts), computed on the first call and kept"
+        "E[i, j] = edges in N(i) & N(j), kept: read-only narrow unsigned, widen before arithmetic"
         if self._k4 is None:
             self._k4 = _kept(k4_counts(self._a))
         return self._k4
@@ -292,19 +289,23 @@ class SrgParams:
 def srg_params(g):
     """certify strong regularity on all pairs; primitive SrgParams or
     NotStronglyRegular.  g keeps the SrgParams, so only its first call certifies."""
-    if g._params is not None:
-        return g._params
+    if g._params is None:
+        g._params = _certify(g)
+    return g._params
+
+
+def _certify(g):
+    "the primitive SrgParams of g, checked on every pair, or NotStronglyRegular"
     n = g.n
     if n < 4:
         raise NotStronglyRegular("too few vertices: %d" % n)
-    a = g.adjacency_bits()
-    c = common_neighbour_counts(a)  # the diagonal holds the degrees
+    c = g.common_neighbours()  # the diagonal holds the degrees
     deg = c.diagonal()
     k = int(deg[0])
     uneven = np.flatnonzero(deg != k)
     if len(uneven):
         raise NotStronglyRegular("degree differs at vertex %d" % uneven[0])
-    a = a.astype(bool)
+    a = g.adjacency_bits().astype(bool)
     edges, non_edges = np.triu(a, 1), np.triu(~a, 1)
     # lambda and mu are the counts on the first edge and the first non-edge; a
     # class with no pair reads 0 and is rejected below as complete or edgeless
@@ -322,8 +323,7 @@ def srg_params(g):
         raise NotStronglyRegular("disconnected graph")
     if mu == k:
         raise NotStronglyRegular("disconnected complement (complete multipartite)")
-    g._params = SrgParams(n, k, lam, mu)
-    return g._params
+    return SrgParams(n, k, lam, mu)
 
 
 @dataclass(frozen=True)

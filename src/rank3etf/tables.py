@@ -119,9 +119,9 @@ def graph_row(g, family, size, provenance):
                      provenance)
 
 
-def embedding_row(family, size, provenance="table3"):
-    row = graph_row(build(family, size), family, size, provenance)  # build has certified it
-    if provenance == "table3" and row.status != "ETF":
+def embedding_row(family, size):
+    row = graph_row(build(family, size), family, size, "table3")  # build has certified it
+    if row.status != "ETF":
         raise CertificationFailure(row, "embedding did not certify as ETF")
     return row
 

@@ -1,10 +1,11 @@
 """
 Shared fixtures.  `certifications` counts strong-regularity certifications:
-srg_params reads its pair counts through graphs.common_neighbour_counts once
-per certification, and nothing else in graphs calls it.  The fixture records
-the rows of each certified adjacency array as a tuple of integers.  The patch is made
-where graphs defines the helper, so a call through any module or the package
-namespace is counted, and a call that returns a graph's kept SrgParams is not.
+srg_params runs graphs._certify once per certification, on the graph's first
+call and again after each failure.  The fixture records the rows of each
+certified graph as a tuple of integers.  The patch is made where graphs
+defines the helper, so a certification through any module or the package
+namespace is counted, a call that returns a graph's kept SrgParams is not,
+and neither is a computation of the graph's kept pair arrays.
 """
 
 import pytest
@@ -16,11 +17,11 @@ from rank3etf import graphs
 def certifications(monkeypatch):
     "the list of row tuples certified so far; clear() it to count afresh"
     seen = []
-    real = graphs.common_neighbour_counts
+    real = graphs._certify
 
-    def counting(adj):
-        seen.append(tuple(graphs.pack_rows(adj)))
-        return real(adj)
+    def counting(g):
+        seen.append(g.rows)
+        return real(g)
 
-    monkeypatch.setattr(graphs, "common_neighbour_counts", counting)
+    monkeypatch.setattr(graphs, "_certify", counting)
     return seen

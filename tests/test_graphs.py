@@ -15,7 +15,7 @@ array a graph was built from reaches the graph or its kept SrgParams.  The
 common-neighbour and K4 arrays a graph keeps are read-only and narrow, equal
 common_neighbour_counts and k4_counts on every table graph up to 300
 vertices and on random graphs, and start empty on every graph an operation
-returns.
+returns; srg_params certifies on the kept common-neighbour array.
 """
 
 import json
@@ -510,6 +510,23 @@ def test_failed_certification_is_not_kept(certifications):
         with pytest.raises(NotStronglyRegular, match=r"varies on non-edges: pair \(0, 3\)"):
             srg_params(g)
     assert len(certifications) == 2
+
+
+def test_certification_reads_the_kept_common_neighbour_array(monkeypatch):
+    # srg_params certifies on common_neighbours(), so a certified graph that
+    # is later searched, or a failure raised again, computes no second array
+    popcounts = []
+    monkeypatch.setattr(
+        "rank3etf.graphs.and_counts", lambda w: popcounts.append(1) or and_counts(w)
+    )
+    g = build("Paley", 13)  # build certifies
+    cn = g.common_neighbours()
+    assert len(popcounts) == 1 and (cn.diagonal() == srg_params(g).k).all()
+    c6 = _cycle(6)
+    for _ in range(2):
+        with pytest.raises(NotStronglyRegular):
+            srg_params(c6)
+    assert len(popcounts) == 2 and c6.common_neighbours() is c6.common_neighbours()
 
 
 def test_srg_params_primitivity_guard():

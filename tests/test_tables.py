@@ -19,6 +19,7 @@ from rank3etf.tables import (
     descendant_row,
     embedding_row,
     generate_table,
+    graph_row,
     param_only_row,
     run_experiment,
 )
@@ -75,11 +76,12 @@ def test_embedding_rows():
 
 
 def test_embedding_row_failure_modes():
-    # Sp4(2) embeds at two angles: table3 provenance raises, experiment reports
+    # Sp4(2) embeds at two angles: a table3 row raises, and the row that
+    # verify-etf prints reports it
     with pytest.raises(CertificationFailure) as e:
         embedding_row("Sp2n_2", 2)
     assert e.value.row.status != "ETF"
-    row = embedding_row("Sp2n_2", 2, provenance="experiment")
+    row = graph_row(build("Sp2n_2", 2), "Sp2n_2", 2, "experiment")
     assert row.status.startswith("NotEquiangular")
     assert row.provenance == "experiment"
     assert row.alpha_sq is None
