@@ -5,11 +5,16 @@ parameters.
 FAMILIES is the one place a family is declared.  Its row holds check_size
 (raises ValueError on a size outside the family's range; None for a family
 that takes no size), table (the report table listing it, 0 for none),
-params (the closed-form SrgParams at size n) and build (the boolean
-adjacency array at size n, its diagonal ignored).  expected_params and
-build are lookups behind one size check; build clears the diagonal, hands
-the array to a Graph labelled "family:n" and certifies it against params.
-A mismatch with params raises, it is never a warning.
+params (the closed-form SrgParams at size n), build (the boolean
+adjacency array at size n, its diagonal ignored) and, on the rows whose
+size check or closed form is costly for a huge size, max_size (the largest
+size whose graph can have at most cap vertices, as a function of cap: cap
+itself where v = q, and one less than the bit length of cap on the q^n rows,
+where v >= 2^n).  expected_params and build are lookups behind one size
+check; build first refuses a size above max_size(build bound), then
+clears the diagonal, hands the array to a Graph labelled "family:n" and
+certifies it against params.  A mismatch with params raises, it is never a
+warning.
 
 Each builder is one whole-array rule over the enumeration order of its
 object, so builds are deterministic: the polar form B of a char-2
@@ -227,6 +232,14 @@ def _mins(lo):
     return check
 
 
+def _q_max_size(cap):
+    return cap  # v = q
+
+
+def _power_max_size(cap):
+    return cap.bit_length() - 1  # v >= 2^n > cap once n >= cap.bit_length()
+
+
 def _paley_params(q):
     return SrgParams(q, (q - 1) // 2, (q - 5) // 4, (q - 1) // 4)
 
@@ -234,6 +247,7 @@ def _paley_params(q):
 FAMILIES = {
     "NOplus2n_2": dict(
         check_size=_mins(3), table=3, build=lambda n: _polar_gf2(n, "plus", (1,), 0),
+        max_size=_power_max_size,
         params=lambda n: SrgParams(
             2 ** (n - 1) * (2**n - 1),
             2 ** (2 * n - 2) - 1,
@@ -243,6 +257,7 @@ FAMILIES = {
     ),
     "NOminus2n_2_comp": dict(
         check_size=_mins(2), table=3, build=lambda n: _polar_gf2(n, "minus", (1,), 1),
+        max_size=_power_max_size,
         params=lambda n: SrgParams(
             2 ** (n - 1) * (2**n + 1),
             2 ** (n - 1) * (2 ** (n - 1) + 1),
@@ -252,6 +267,7 @@ FAMILIES = {
     ),
     "NOplusOdd_4": dict(
         check_size=_mins(1), table=3, build=lambda n: _no_gf4(n, "plus", False),
+        max_size=_power_max_size,
         params=lambda n: SrgParams(
             4**n * (4**n + 1) // 2,
             (4 ** (n - 1) + 1) * (4**n - 1),
@@ -261,6 +277,7 @@ FAMILIES = {
     ),
     "NOminusOdd_4_comp": dict(
         check_size=_mins(2), table=3, build=lambda n: _no_gf4(n, "minus", True),
+        max_size=_power_max_size,
         params=lambda n: SrgParams(
             4**n * (4**n - 1) // 2,
             4 ** (n - 1) * (4**n + 1),
@@ -270,6 +287,7 @@ FAMILIES = {
     ),
     "VOplus": dict(
         check_size=_mins(2), table=3, build=lambda n: _vo(n, "plus", False),
+        max_size=_power_max_size,
         params=lambda n: SrgParams(
             4**n,
             (2 ** (n - 1) + 1) * (2**n - 1),
@@ -279,6 +297,7 @@ FAMILIES = {
     ),
     "VOminus_comp": dict(
         check_size=_mins(2), table=3, build=lambda n: _vo(n, "minus", True),
+        max_size=_power_max_size,
         params=lambda n: SrgParams(
             4**n,
             2 ** (n - 1) * (2**n + 1),
@@ -295,10 +314,12 @@ FAMILIES = {
         params=lambda n: SrgParams(176, 105, 68, 54),
     ),
     "Paley": dict(
-        check_size=_check_paley_size, table=4, build=_paley, params=_paley_params
+        check_size=_check_paley_size, table=4, build=_paley, params=_paley_params,
+        max_size=_q_max_size,
     ),
     "Peisert": dict(
-        check_size=_check_peisert_size, table=4, build=_peisert, params=_paley_params
+        check_size=_check_peisert_size, table=4, build=_peisert, params=_paley_params,
+        max_size=_q_max_size,
     ),
     "Triangular": dict(
         check_size=_mins(5), table=0, build=_triangular,
@@ -311,6 +332,7 @@ FAMILIES = {
     "Sp2n_2": dict(
         # the polar form of the hyperbolic quadric is the symplectic form
         check_size=_mins(2), table=4, build=lambda n: _polar_gf2(n, "plus", (0, 1), 0),
+        max_size=_power_max_size,
         params=lambda n: SrgParams(
             4**n - 1, 2 ** (2 * n - 1) - 2, 2 ** (2 * n - 2) - 3, 2 ** (2 * n - 2) - 1
         ),
@@ -319,6 +341,7 @@ FAMILIES = {
     # lambda = q^2 (q^(n-3) +- 1)(q^(n-2) -+ 1) / (q - 1) + q - 1
     "Oplus2n_2": dict(
         check_size=_mins(2), table=4, build=lambda n: _polar_gf2(n, "plus", (0,), 0),
+        max_size=_power_max_size,
         params=lambda n: SrgParams(
             2 ** (2 * n - 1) + 2 ** (n - 1) - 1,
             2 * (2 ** (n - 2) + 1) * (2 ** (n - 1) - 1),
@@ -328,6 +351,7 @@ FAMILIES = {
     ),
     "Ominus2n_2": dict(
         check_size=_mins(3), table=4, build=lambda n: _polar_gf2(n, "minus", (0,), 0),
+        max_size=_power_max_size,
         params=lambda n: SrgParams(
             (2 ** (n - 1) - 1) * (2**n + 1),
             2 * (2 ** (n - 2) - 1) * (2 ** (n - 1) + 1),
@@ -355,18 +379,16 @@ def expected_params(family, size=None):
     return row["params"](size)
 
 
-def _check_build_bound(v):
-    cap = effective_bound(BUILD_VERTEX_BOUND)
-    if v > cap:
-        raise ValueError("%d vertices exceeds the build bound %d" % (v, cap))
-
-
 def build(family, size=None):
     "build a family member and certify its parameters; mismatches raise"
-    if family in ("Paley", "Peisert") and size is not None:
-        _check_build_bound(size)  # v = q, bounded before the size check factors q
+    max_size = FAMILIES.get(family, {}).get("max_size")
+    cap = effective_bound(BUILD_VERTEX_BOUND)
+    if max_size is not None and size is not None and size > max_size(cap):
+        # before the size check factors q or a closed form evaluates 4**n
+        raise ValueError("%s %d has more than %d vertices, the build bound" % (family, size, cap))
     want = expected_params(family, size)
-    _check_build_bound(want.v)
+    if want.v > cap:
+        raise ValueError("%d vertices exceeds the build bound %d" % (want.v, cap))
     a = FAMILIES[family]["build"](size)
     np.fill_diagonal(a, False)
     g = Graph.from_adjacency(a, family if size is None else "%s:%d" % (family, size))

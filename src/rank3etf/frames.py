@@ -15,8 +15,13 @@ membership of the graph in a regular two-graph is v = 2(2k - lambda - mu).
 Equiangularity is one whole-array check.  On an equiangular Gram
 G = I + alpha S with alpha != 0, S the Seidel matrix of a graph, tightness
 is the regular two-graph identity: one array of pair degrees and a few
-scalars, with no M x M product.  Only the other Grams, and those failing
-the identity, have G^2 formed and compared.
+scalars, with no M x M product.  A Gram that is not equiangular but has
+two off-diagonal values a = G_01 and b is I + a A + b (J - I - A) for the
+graph A of its entries equal to a, and G^2 = lambda G is read off the
+degrees and common-neighbour counts of A in the same way (A must be
+regular, and each distinct pair (A_ij, C_ij) is checked once).  Only
+Grams with three or more values, the equiangular Grams with alpha = 0,
+and the Grams failing their identity have G^2 formed and compared.
 
 The Naimark complement (M/(M-N)) (I - (N/M) G) swaps N for M - N and is an
 involution.  For graphs with k = 2 mu, bordering the switched adjacency
@@ -33,7 +38,7 @@ import json
 
 import numpy as np
 
-from .graphs import pair_degrees, spectrum, srg_params
+from .graphs import Graph, pair_degrees, spectrum, srg_params
 from .matrices import ExactMatrix, _lincomb, mat_mul, mat_rank
 from .qext import QuadExt, _make, sqrt_int
 from .quadspaces import polar_values, standard_space
@@ -124,14 +129,37 @@ def verify_etf(gm):
     alpha S_ij != 0, G^2 = lambda G iff 2 + alpha (M - 2 - 2 a_ij) = lambda
     for every i != j: iff a_ij is one constant a (the two-graph is regular)
     and 2 + alpha (M - 2 - 2a) = 1 + alpha^2 (M - 1) (Seidel, "A survey of
-    two-graphs", 1976).  When this identity fails, and on every other Gram,
-    the product G^2 is formed and compared as above, so the NotTight
-    witness and the rank come from the matrices themselves.
+    two-graphs", 1976).
+
+    On a Gram that is not equiangular with two off-diagonal values, a = G_01
+    and b, G = I + a A + b Abar: A is the graph of the entries equal to a,
+    with degrees d, and Abar = J - I - A.  A^2 = C + diag(d), where C_ij is
+    the number of common neighbours of i != j and C_ii = 0.  (Abar^2)_ij
+    counts the z != i, j outside N(i) u N(j); that union has d_i + d_j - C_ij
+    elements, i and j among them iff A_ij = 1, so
+    (Abar^2)_ij = M - 2 - d_i - d_j + C_ij + 2 A_ij, and
+    (Abar^2)_ii = M - 1 - d_i.  (A Abar)_ij counts the neighbours z != j of i
+    that miss j, d_i - C_ij - A_ij, so (A Abar + Abar A)_ij =
+    d_i + d_j - 2 C_ij - 2 A_ij, and its diagonal is 0.  So, with t = G_ij,
+    G^2 = I + 2 a A + 2 b Abar + a^2 A^2 + b^2 Abar^2 + ab (A Abar + Abar A)
+    has (G^2)_ii = 1 + a^2 d_i + b^2 (M - 1 - d_i) and
+    (G^2)_ij = 2t + a^2 C_ij + b^2 (M - 2 - d_i - d_j + C_ij + 2 A_ij)
+    + ab (d_i + d_j - 2 A_ij - 2 C_ij).  As b != +-a, a^2 != b^2, so the
+    diagonal is constant iff A is regular, of degree k = d_0; then
+    d_i + d_j = 2k and (G^2)_ij is a function of the key (A_ij, C_ij).  So
+    G^2 = lambda G, lambda = (G^2)_00, is checked exactly once per distinct
+    key, and N is M / lambda as above; the NotEquiangular witness needs no
+    product.
+
+    When an identity fails, on a Gram with three or more values and on an
+    equiangular Gram with alpha = 0, the product G^2 is formed and compared
+    as above, so the NotTight witness and the rank come from the matrices
+    themselves.
     """
     m = gm.entries
     M = gm.M
     bad = ()
-    lam = None  # set once the two-graph identity has proved G^2 = lam G
+    lam = None  # set once an identity has proved G^2 = lam G
     if M > 1:
         a, b = m.A[0, 1], m.B[0, 1]
         pos, neg = m.A == a, m.A == -a
@@ -141,7 +169,9 @@ def verify_etf(gm):
         np.fill_diagonal(neg, False)  # the diagonal 1 is -G_01 when G_01 = -1: no edge
         bad = np.argwhere(np.triu(~(pos | neg), 1))
         alpha = m[0, 1]
-        if not len(bad) and alpha:
+        if len(bad):
+            lam = _two_valued_lambda(m, pos, tuple(bad[0].tolist()))
+        elif alpha:
             lam = _two_graph_lambda(neg, alpha)
     tight = lam is not None
     if not tight:
@@ -187,6 +217,31 @@ def _two_graph_lambda(neg, alpha):
     if (d == a).all() and 2 + alpha * (M - 2 - 2 * a) == lam:
         return lam
     return None
+
+
+def _two_valued_lambda(m, on, ij):
+    """lambda with G^2 = lambda G for G = I + a A + b (J - I - A), A = on off the
+    diagonal and b = G_ij != +-a; None if G has a third value or the identity fails"""
+    M = m.rows
+    eye = np.eye(M, dtype=bool)
+    on = on & ~eye  # the diagonal 1 is G_01 when G_01 = 1: no loop
+    if not (on | eye | (m.A == m.A[ij]) & (m.B == m.B[ij])).all():
+        return None
+    c = Graph.from_adjacency(on).common_neighbours().astype(np.int64)
+    k = int(c[0, 0])
+    if (c.diagonal() != k).any():  # (G^2)_ii varies with d_i, as a^2 != b^2
+        return None
+    a, b = m[0, 1], m[ij]
+    aa, bb, ab = a.sq(), b.sq(), a * b
+    lam = 1 + aa * k + bb * (M - 1 - k)
+    t = (b, a)
+    # each distinct (A_ij, C_ij) over the pairs i != j once, as A_ij (M - 1) + C_ij
+    keys = np.flatnonzero(np.bincount((on * (M - 1) + c)[~eye]))
+    for e, cij in (divmod(x, M - 1) for x in keys.tolist()):
+        sq = t[e] * 2 + aa * cij + bb * (M - 2 - 2 * k + cij + 2 * e) + ab * 2 * (k - e - cij)
+        if sq != lam * t[e]:
+            return None
+    return lam
 
 
 def naimark(gm, cert=None):

@@ -101,6 +101,31 @@ def test_field_sizes_meet_the_build_bound_before_factoring(capsys, monkeypatch):
         assert rc == 2 and out == "" and "build bound" in err, fam
 
 
+def test_power_sizes_meet_the_build_bound_before_a_closed_form(capsys, monkeypatch):
+    # 4**n at n = 10^20 cannot be held in memory, and every q^n row has
+    # v >= 2^n, so its size is bounded before any closed form is evaluated
+    def no_closed_form(family, size=None):
+        raise RuntimeError("closed form of %s evaluated at %d" % (family, size))
+
+    monkeypatch.setattr(families, "expected_params", no_closed_form)
+    power_rows = ("NOplus2n_2", "NOminus2n_2_comp", "NOplusOdd_4", "NOminusOdd_4_comp", "VOplus",
+                  "VOminus_comp", "Sp2n_2", "Oplus2n_2", "Ominus2n_2")
+    for bound, sizes in ((None, ("10", "99999999999999999999")), ("100000", ("17",))):
+        if bound is None:
+            monkeypatch.delenv("ETF_RANK3_MAX_VERTICES", raising=False)
+        else:
+            monkeypatch.setenv("ETF_RANK3_MAX_VERTICES", bound)
+        for fam in power_rows:
+            commands = ["build", "verify-srg", "verify-etf", "export-gram"]
+            if fam.startswith("VO"):
+                commands.append("export-vectors")
+            for cmd in commands:
+                for size in sizes:
+                    rc, out, err = run(capsys, cmd, fam, size)
+                    assert rc == 2 and out == "" and err.startswith("error: "), (cmd, fam, size)
+                    assert "build bound" in err, (cmd, fam, size)
+
+
 def test_verify_srg_rejects(capsys, tmp_path):
     path = tmp_path / "path.json"
     path.write_text(Graph(4, [(0, 1), (1, 2), (2, 3)], "P4").to_json())

@@ -58,7 +58,8 @@ def test_registry_covers_all_families():
     # needs_size is derived from check_size, which is None for sizeless rows
     for row in family_info():
         spec = FAMILIES[row["family"]]
-        assert set(spec) == {"check_size", "table", "params", "build"}
+        # max_size only on the rows whose size build bounds before the closed form
+        assert set(spec) - {"max_size"} == {"check_size", "table", "params", "build"}
         assert row["needs_size"] == (spec["check_size"] is not None)
     assert [r["family"] for r in family_info() if not r["needs_size"]] == [
         "G2_2_comp", "M22_comp",
@@ -104,6 +105,21 @@ def test_closed_forms_satisfy_the_parameter_identity():
             expected_params(fam, n)
             accepted += 1
         assert accepted >= 3, fam
+
+
+def test_max_size_refuses_only_graphs_over_the_bound():
+    # build refuses a size above max_size(cap) before its closed form is
+    # evaluated, so every such size the row accepts must have v > cap
+    for fam, row in FAMILIES.items():
+        if "max_size" not in row:
+            continue
+        for cap in (1, 9, 10, 63, 64, 1000, 4096):
+            for n in range(row["max_size"](cap) + 1, 130):
+                try:
+                    row["check_size"](n)
+                except ValueError:
+                    continue
+                assert expected_params(fam, n).v > cap, (fam, cap, n)
 
 
 def test_build_labels():

@@ -4,8 +4,9 @@ G^2 = (v/g) G), exact equiangularity and tightness verdicts with witnesses,
 Welch equality on every ETF, Naimark complements, bordered descendant Grams,
 and explicit character frames matching their Grams entrywise.  verify_etf
 gives the certificates of the Hadamard-square certifier it replaced, and
-decides every ETF of the table menus by the regular two-graph identity,
-with no matrix product.
+decides every ETF of the table menus by the regular two-graph identity, and
+every tight two-valued rejection by the arrays of its pattern graph, with
+no matrix product.
 """
 
 import ast
@@ -517,6 +518,14 @@ def _table_grams(max_points=176):
             yield descendant_gram(build(fam, size))
 
 
+def _complement_grams(max_points=176):
+    "the embedding Grams of the complements of the table graphs up to max_points points"
+    for fam, sizes in TABLE3_MENU + TABLE4_MENU:
+        for size in sizes:
+            if families.expected_params(fam, size).v <= max_points:
+                yield embedding_gram(build(fam, size).complement())
+
+
 def _random_gram(rng, M, values):
     "unit diagonal, off-diagonal entries drawn from values"
     rows = [[QuadExt(1)] * M for _ in range(M)]
@@ -536,6 +545,17 @@ def _random_grams(rng):
                 f = QuadExt(Fraction(rng.randint(-3, 3), den), 0, D)
                 # +-e alone is equiangular; adding f is usually not
                 yield _random_gram(rng, M, (e, -e) if rng.random() < 0.5 else (e, -e, f))
+
+
+def _two_valued_grams(rng):
+    "two off-diagonal values on random patterns, which are almost never strongly regular"
+    for D in (0, 5):
+        for den in (1, 3, 2**64 + 3):
+            for _ in range(20):
+                a = QuadExt(Fraction(rng.randint(-3, 3), den),
+                            Fraction(rng.randint(-2, 2), den) if D else 0, D)
+                b = QuadExt(Fraction(rng.randint(-3, 3), den), 0, D)
+                yield _random_gram(rng, rng.randint(3, 10), (a, b))
 
 
 def _signed_relabel(rng, gm):
@@ -566,8 +586,15 @@ def _constant_gram(M, value):
 
 def _tightness_branch(gm, status):
     "which case of verify_etf's tightness check gm falls in, read off the reference verdict"
-    if status == "NotEquiangular" or status is None:
+    if status is None:
         return status
+    if status == "NotEquiangular":
+        m = gm.entries
+        off = ~np.eye(gm.M, dtype=bool)
+        if len(set(zip(m.A[off].tolist(), m.B[off].tolist()))) > 2:
+            return "three or more values"
+        sq = mat_mul(m, m)
+        return "two values, identity " + ("holds" if sq == m.scale(sq[0, 0]) else "fails")
     if gm.M < 2:
         return "M < 2"
     if not gm[0, 1]:
@@ -585,8 +612,13 @@ def test_verify_etf_matches_reference(monkeypatch):
     for gm in _table_grams():
         corpus += [gm, naimark(gm)]
     corpus += [_signed_relabel(rng, gm) for gm in corpus if gm.M <= 40]
-    corpus += [embedding_gram(build("Paley", q)) for q in (61, 73, 89)]
+    # every Paley and Peisert q up to 89: two angles, so NotEquiangular
+    corpus += [embedding_gram(build("Paley", q))
+               for q in (5, 9, 13, 17, 25, 29, 37, 41, 49, 53, 61, 73, 81, 89)]
+    corpus += [embedding_gram(build("Peisert", q)) for q in (9, 49, 81)]
+    corpus += list(_complement_grams())
     corpus += list(_random_grams(rng))
+    corpus += list(_two_valued_grams(rng))
     huge = Fraction(1, 2**64 + 3)  # den > 2^62 stores the Gram as Python ints
     corpus += [
         _constant_gram(4, Fraction(1, 3)),  # constant pair degree 0, identity fails
@@ -597,6 +629,14 @@ def test_verify_etf_matches_reference(monkeypatch):
         _constant_gram(2, -1),  # M = 2
         _constant_gram(2, Fraction(1, 2)),
         _constant_gram(3, QuadExt(0, Fraction(1, 3), 5)),
+        # J on each of two blocks of 3: tight on the imprimitive pattern 2 K3, N = 2
+        GramMatrix(ExactMatrix.from_rows(
+            [[int(i // 3 == j // 3) for j in range(6)] for i in range(6)])),
+        # I + C6 / 2: a regular pattern whose common-neighbour counts vary
+        GramMatrix(ExactMatrix.from_rows([[1 if i == j else Fraction(int((i - j) % 6 in (1, 5)), 2)
+                                           for j in range(6)] for i in range(6)])),
+        GramMatrix(ExactMatrix.from_rows([  # three values
+            [1, Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 2), 1, 0], [Fraction(1, 3), 0, 1]])),
         descendant_gram(build("Paley", 5)),  # a (6, 3) ETF over Q(sqrt 5)
         naimark(descendant_gram(build("Paley", 5))),
     ]
@@ -610,9 +650,10 @@ def test_verify_etf_matches_reference(monkeypatch):
         want, status = _certify_outcome(_reference_verify_etf, gm)
         assert got == want
         branch = _tightness_branch(gm, status)
-        # the two-graph identity decides exactly the ETFs it covers; every
-        # other Gram is decided by the product G^2, as before
-        assert bool(products) == (branch != "identity holds")
+        # an identity decides exactly the Grams that satisfy it: the two-graph
+        # identity the ETFs it covers, the two-valued one the tight
+        # non-equiangular Grams; every other Gram forms the product G^2
+        assert bool(products) == (branch not in ("identity holds", "two values, identity holds"))
         seen.add((status, branch, gm.entries.D, gm.entries.A.dtype == object))
     # every verdict over Q and over Q(sqrt 5), and both rejections on Python ints
     for status in ("ETF", "NotEquiangular", "NotTight"):
@@ -628,6 +669,14 @@ def test_verify_etf_matches_reference(monkeypatch):
     for branch in branches[2:]:
         assert any(key[1] == branch and key[2] == 5 for key in seen), branch
     for branch in ("pair degrees vary", "identity fails"):
+        assert any(key[1] == branch and key[3] for key in seen), branch
+    # every case of a Gram that is not equiangular, over Q and Q(sqrt 5), and
+    # on Python ints where the identity can fail
+    values = ("three or more values", "two values, identity holds", "two values, identity fails")
+    for branch in values:
+        for D in (0, 5):
+            assert any(key[1] == branch and key[2] == D for key in seen), (branch, D)
+    for branch in (values[0], values[2]):
         assert any(key[1] == branch and key[3] for key in seen), branch
     assert any(b == "alpha = 0" and s == "ETF" for s, b, _, _ in seen)
 
@@ -658,13 +707,14 @@ def test_etf_certificate_forms_no_matrix(monkeypatch):
         cert, shapes, calls = _matrix_work(monkeypatch, gm)
         assert cert.is_etf and gm.entries.D == D
         assert (shapes, calls) == ([], [])
-    # the rejections still build G^2 and lambda G
+    # a tight two-valued rejection is decided by the pattern graph's arrays
+    cert, shapes, calls = _matrix_work(monkeypatch, embedding_gram(build("Sp2n_2", 2)))
+    assert cert.status == "NotEquiangular" and cert.N == 5
+    assert (shapes, calls) == ([], [])  # tight: N is the trace
+    # a Gram failing its identity still builds G^2 and lambda G
     cert, shapes, calls = _matrix_work(monkeypatch, _constant_gram(4, Fraction(1, 3)))
     assert cert.status == "NotTight"
     assert shapes[:2] == [(4, 4)] * 2 and calls == ["mat_mul", "mat_rank"]
-    cert, shapes, calls = _matrix_work(monkeypatch, embedding_gram(build("Sp2n_2", 2)))
-    assert cert.status == "NotEquiangular"
-    assert (shapes, calls) == ([(15, 15)] * 2, ["mat_mul"])  # tight: N is the trace
 
 
 def test_menu_etfs_form_no_product(monkeypatch):
