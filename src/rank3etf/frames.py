@@ -21,7 +21,9 @@ graph A of its entries equal to a, and G^2 = lambda G is read off the
 degrees and common-neighbour counts of A in the same way (A must be
 regular, and each distinct pair (A_ij, C_ij) is checked once).  Only
 Grams with three or more values, the equiangular Grams with alpha = 0,
-and the Grams failing their identity have G^2 formed and compared.
+and the equiangular Grams failing their identity have G^2 formed and
+compared; a two-valued Gram failing its identity takes its rank by
+elimination alone.
 
 The Naimark complement (M/(M-N)) (I - (N/M) G) swaps N for M - N and is an
 involution.  For graphs with k = 2 mu, bordering the switched adjacency
@@ -151,7 +153,10 @@ def verify_etf(gm):
     key, and N is M / lambda as above; the NotEquiangular witness needs no
     product.
 
-    When an identity fails, on a Gram with three or more values and on an
+    When the two-valued identity fails, it has proved that no c gives
+    G^2 = c G, and the NotEquiangular certificate needs no NotTight witness:
+    N is the rank, by elimination, with no product.  When the two-graph
+    identity fails, on a Gram with three or more values and on an
     equiangular Gram with alpha = 0, the product G^2 is formed and compared
     as above, so the NotTight witness and the rank come from the matrices
     themselves.
@@ -160,6 +165,7 @@ def verify_etf(gm):
     M = gm.M
     bad = ()
     lam = None  # set once an identity has proved G^2 = lam G
+    two_valued = False  # not equiangular, with two values: its identity decides G^2 = c G
     if M > 1:
         a, b = m.A[0, 1], m.B[0, 1]
         pos, neg = m.A == a, m.A == -a
@@ -170,11 +176,14 @@ def verify_etf(gm):
         bad = np.argwhere(np.triu(~(pos | neg), 1))
         alpha = m[0, 1]
         if len(bad):
-            lam = _two_valued_lambda(m, pos, tuple(bad[0].tolist()))
+            ij = tuple(bad[0].tolist())
+            two_valued = (pos | np.eye(M, dtype=bool) | (m.A == m.A[ij]) & (m.B == m.B[ij])).all()
+            if two_valued:
+                lam = _two_valued_lambda(m, pos, ij)
         elif alpha:
             lam = _two_graph_lambda(neg, alpha)
     tight = lam is not None
-    if not tight:
+    if not tight and not two_valued:
         sq = mat_mul(m, m)
         lam = sq[0, 0] if M else QuadExt(0)
         tight = bool(lam) and sq == m.scale(lam)
@@ -221,12 +230,11 @@ def _two_graph_lambda(neg, alpha):
 
 def _two_valued_lambda(m, on, ij):
     """lambda with G^2 = lambda G for G = I + a A + b (J - I - A), A = on off the
-    diagonal and b = G_ij != +-a; None if G has a third value or the identity fails"""
+    diagonal and b = G_ij != +-a; None if the identity fails, and then no c
+    gives G^2 = c G"""
     M = m.rows
     eye = np.eye(M, dtype=bool)
     on = on & ~eye  # the diagonal 1 is G_01 when G_01 = 1: no loop
-    if not (on | eye | (m.A == m.A[ij]) & (m.B == m.B[ij])).all():
-        return None
     c = Graph.from_adjacency(on).common_neighbours().astype(np.int64)
     k = int(c[0, 0])
     if (c.diagonal() != k).any():  # (G^2)_ii varies with d_i, as a^2 != b^2

@@ -6,15 +6,47 @@ signature is its current colour plus its neighbour count into every colour
 class, and new ids are handed out by sorted signature, so mismatched
 histograms abort a branch immediately.  A round is one exact integer numpy
 pass over the 0/1 adjacency arrays of both graphs: one np.add.reduceat
-over the columns sorted by colour gives every vertex's count into every
-class, and one np.unique over the signatures gives the new ids.  Each
-signature is a row of big-endian uint32 values (colour, then the counts in
-ascending colour order), all of one length, viewed as one void key.  Void
-keys compare bytewise, and a big-endian unsigned value puts its most
-significant byte first, so the bytewise order of two keys is the order of
-their first differing value: the lexicographic order of the (colour,
-counts) tuples.  The ids are those of sorting the tuples, and equal
-signature multisets in g and h mean equal id histograms.
+over the columns of the counted classes, sorted by colour, gives every
+vertex's count into each of them, and one np.unique over the signatures
+gives the new ids.  Each signature is a row of big-endian uint32 values
+(colour, then the counts in ascending colour order), all of one length,
+viewed as one void key.  Void keys compare bytewise, and a big-endian
+unsigned value puts its most significant byte first, so the bytewise
+order of two keys is the order of their first differing value: the
+lexicographic order of the (colour, counts) tuples.  The ids are those of
+sorting the tuples, and equal signature multisets in g and h mean equal id
+histograms.
+
+A round counts only into the classes that split in the round before it.
+Call a count column constant when it is a function of the leading colour,
+the same function in g and h.  Dropping a constant column keeps the order
+and the equalities of the signatures: two signatures of different colours
+are ordered by the colour, and two of one colour agree on that column, so
+their first difference lies in a kept column.  So the ids are those of
+the full signatures.  The first round of a root call counts into every
+class.  After a round, a new colour fixes the whole signature of the
+round, so the count into every class of the round's input is constant in
+the new colours.  A new class that did not split is such an input class,
+and so is constant.  By induction the count into any class that did not
+split in the last round is constant: it was counted in an earlier round,
+or was constant already, and a function of the old colour is a function
+of the new one, which refines it.  The colour histograms of g and h are
+compared once, before the first round; after it, the check on the new ids
+covers them, as the colour leads each signature.
+
+A search node starts from its parent's jointly stable colouring, in which
+every count into every class is constant, with u in g and w in h moved
+from their class c to one fresh colour n: the pivot (u, w).  Its first
+round reads only the pivot's column (its row: A is symmetric).  With
+a = A[v, u] (A[v, w] in h), the count of v into a class d != c is
+unchanged, so constant; into c - {u} it is the old count into c minus a,
+and into {u} it is a.  So two vertices of one colour differ only in a;
+the earlier columns are constant and c comes before n, so a = 1 gives the
+smaller count into c - {u} and sorts first.  The new ids are the dense
+ranks of 2 col + 1 - a, one np.bincount and one np.cumsum with no
+signature array.  A new colour fixes (col, a), and so the count into every
+input class, and the later rounds count only into the classes that split,
+as above.
 
 Strongly regular graphs are regular in every 1-dimensional sense, so
 refinement alone never splits them; the search individualizes a vertex of
@@ -87,31 +119,52 @@ def k4_pair_multiset(g):
     return _pair_multiset(g.adjacency_bits(), g.common_neighbours(), g.k4())
 
 
-def _refine(adj_g, adj_h, col_g, col_h):
-    "shared-id colour refinement; None on a colour or signature histogram mismatch"
+def _refine(adj_g, adj_h, col_g, col_h, pivot=None):
+    """
+    shared-id colour refinement; None on a colour or signature histogram mismatch.
+    With pivot=(u, w), col_g and col_h must be a jointly stable colouring
+    with u and w, of one colour, moved to one colour above all the others.
+    """
     n = len(col_g)
     if n == 0:
         return [], []
     col = np.array(col_g + col_h, dtype=np.int64)
-    while True:
-        hist = np.bincount(col[:n])
-        starts = (np.cumsum(hist) - hist)[hist > 0]  # each class's first column by colour
-        k = len(starts)
-        keys = np.empty((2 * n, k + 1), dtype=">u4")
-        keys[:, 0] = col
-        for adj, half in ((adj_g, slice(0, n)), (adj_h, slice(n, 2 * n))):
-            by_colour = adj[:, np.argsort(col[half])]
-            keys[half, 1:] = np.add.reduceat(by_colour, starts, axis=1, dtype=np.uint32)
-        sig = keys.view(np.dtype((np.void, 4 * (k + 1)))).ravel()
-        uniq, new = np.unique(sig, return_inverse=True)
-        # the colour leads each signature, so this also rejects unequal histograms
-        if not np.array_equal(
-            np.bincount(new[:n], minlength=len(uniq)), np.bincount(new[n:], minlength=len(uniq))
-        ):
+    sizes = np.bincount(col[:n])
+    if pivot is None:
+        if not np.array_equal(sizes, np.bincount(col[n:], minlength=len(sizes))):
             return None
-        if len(uniq) == k:
+        counted = np.flatnonzero(sizes)  # the first round counts into every class
+    while True:
+        if pivot is None:
+            # counts into the counted classes, columns sorted by colour
+            keys = np.empty((2 * n, len(counted) + 1), dtype=">u4")
+            keys[:, 0] = col
+            is_counted = np.zeros(len(sizes), dtype=bool)
+            is_counted[counted] = True
+            starts = np.cumsum(sizes[counted]) - sizes[counted]
+            for adj, half in ((adj_g, slice(0, n)), (adj_h, slice(n, 2 * n))):
+                sel = np.flatnonzero(is_counted[col[half]])
+                order = sel[np.argsort(col[half][sel])]
+                keys[half, 1:] = np.add.reduceat(adj[:, order], starts, axis=1, dtype=np.uint32)
+            sig = keys.view(np.dtype((np.void, 4 * (len(counted) + 1)))).ravel()
+            new = np.unique(sig, return_inverse=True)[1]
+        else:
+            u, w = pivot
+            pivot = None
+            # vertices adjacent to the pivot come first in their class
+            key = 2 * col + 1 - np.concatenate((adj_g[u], adj_h[w]))
+            present = np.bincount(key) > 0
+            new = (np.cumsum(present) - 1)[key]
+        hist = np.bincount(new[:n])
+        # the colour leads each signature, so this also rejects unequal histograms
+        if not np.array_equal(hist, np.bincount(new[n:], minlength=len(hist))):
+            return None
+        if len(hist) == np.count_nonzero(sizes):
             return new[:n].tolist(), new[n:].tolist()
-        col = new
+        parent = np.empty(len(hist), dtype=np.int64)
+        parent[new[:n]] = col[:n]
+        counted = np.flatnonzero(hist < sizes[parent])  # the classes that split
+        col, sizes = new, hist
 
 
 def _profile(adj, e, col, u):
@@ -119,10 +172,11 @@ def _profile(adj, e, col, u):
     return sorted(zip(col, adj[u].tolist(), e[u].tolist()))
 
 
-def _search(g, h, col_g, col_h):
-    "a bijection from g to h that respects the shared colour ids col_g, col_h, or None"
+def _search(g, h, col_g, col_h, pivot=None):
+    """a bijection from g to h that respects the shared colour ids col_g, col_h, or None;
+    pivot is the pair the parent node individualized, None at the root"""
     adj_g, adj_h = g.adjacency_bits(), h.adjacency_bits()
-    refined = _refine(adj_g, adj_h, col_g, col_h)
+    refined = _refine(adj_g, adj_h, col_g, col_h, pivot)
     if refined is None:
         return None
     col_g, col_h = refined
@@ -145,7 +199,7 @@ def _search(g, h, col_g, col_h):
             continue
         # individualize u and w by one fresh colour: ids are < n after refinement
         cg, ch = col_g[:u] + [n] + col_g[u + 1 :], col_h[:w] + [n] + col_h[w + 1 :]
-        perm = _search(g, h, cg, ch)
+        perm = _search(g, h, cg, ch, (u, w))
         if perm is not None:
             return perm
         if prof is None:

@@ -650,10 +650,11 @@ def test_verify_etf_matches_reference(monkeypatch):
         want, status = _certify_outcome(_reference_verify_etf, gm)
         assert got == want
         branch = _tightness_branch(gm, status)
-        # an identity decides exactly the Grams that satisfy it: the two-graph
-        # identity the ETFs it covers, the two-valued one the tight
-        # non-equiangular Grams; every other Gram forms the product G^2
-        assert bool(products) == (branch not in ("identity holds", "two values, identity holds"))
+        # the two-graph identity decides the ETFs it covers, and the
+        # two-valued one every two-valued Gram that is not equiangular, tight
+        # or not; every other Gram forms the product G^2
+        assert bool(products) == (branch not in ("identity holds", "two values, identity holds",
+                                                 "two values, identity fails"))
         seen.add((status, branch, gm.entries.D, gm.entries.A.dtype == object))
     # every verdict over Q and over Q(sqrt 5), and both rejections on Python ints
     for status in ("ETF", "NotEquiangular", "NotTight"):

@@ -9,7 +9,11 @@ reference copy of the unpruned search, on pairs where the pruning fires.
 The numpy refinement and pair-count multiset match pure-Python reference
 copies (one popcount per vertex and class, one per pair) on relabeled SRGs,
 random graphs, non-equitable colourings, mismatched histograms and sizes
-across the 64-bit word boundaries; the unpruned reference search refines
+across the 64-bit word boundaries.  The pivot round, a refinement from a
+stable colouring with one pair individualized, matches the reference too, on
+relabeled copies with the pair in one orbit and in two, Paley(49) against
+Peisert(49), T(8) against the Chang graphs and random regular graphs, walking
+down while the result is stable; the unpruned reference search refines
 with the reference copy and checks its leaf pair by pair, so it shares no
 code with the numpy path.  The K4 count array matches a per-pair count, and
 the search's K4 profile a per-common-neighbour popcount, on random graphs
@@ -316,6 +320,63 @@ def test_refine_matches_reference():
             split += len(set(got[0])) > len(set(col_g))
         results[want is not None] += 1
     assert results[True] >= 60 and results[False] >= 60 and split >= 20, (results, split)
+
+
+def _pivot_pairs(rng):
+    "(g, h, perm or None) pairs for the pivot round; perm relabels g into h"
+    out = []
+    for g in (build("Paley", 13), build("Triangular", 6), _k1_plus(build("Paley", 9)),
+              build("M22_comp", None), Graph(5, []), Graph(4, list(combinations(range(4), 2)))):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        out.append((g, g.relabel(perm), perm))
+    out.append((build("Paley", 49), build("Peisert", 49), None))
+    chang = _triangular_and_chang()
+    out += [(chang[0], c, None) for c in chang[1:]]
+    for n, k in ((10, 3), (12, 4), (16, 3), (20, 5), (70, 3)):
+        g = _random_regular(rng, n, k)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        out += [(g, g.relabel(perm), perm), (g, _random_regular(rng, n, k), None)]
+    return out
+
+
+def test_pivot_round_matches_reference():
+    # individualize one pair (u, w) of a stable colouring, as a search node
+    # does, and refine from the pivot; walk down while the result is stable
+    rng = random.Random(3535)
+    outcomes = {"none": 0, "discrete": 0, "no split": 0, "split": 0}
+    orbits = {True: 0, False: 0}  # by whether w is the image of u under the relabeling
+    for g, h, perm in _pivot_pairs(rng):
+        n = g.n
+        adj_g, adj_h = g.adjacency_bits(), h.adjacency_bits()
+        for _ in range(4):
+            stable = _reference_refine(g.rows, h.rows, [0] * n, [0] * n)
+            images = perm is not None  # every pair so far is (v, perm[v])
+            while stable is not None and len(set(stable[0])) < n:
+                col_g, col_h = stable
+                c = rng.choice([c for c in set(col_g) if col_g.count(c) > 1])
+                u = rng.choice([v for v in range(n) if col_g[v] == c])
+                if images and rng.random() < 0.6:
+                    w = perm[u]
+                else:
+                    w = rng.choice([v for v in range(n) if col_h[v] == c])
+                    images = images and w == perm[u]
+                orbits[images] += perm is not None
+                cg, ch = col_g[:u] + [n] + col_g[u + 1:], col_h[:w] + [n] + col_h[w + 1:]
+                want = _reference_refine(g.rows, h.rows, cg, ch)
+                got = iso._refine(adj_g, adj_h, cg, ch, pivot=(u, w))
+                assert got == want, (g.label, h.label, u, w)
+                if got is None:
+                    outcomes["none"] += 1
+                elif len(set(got[0])) == n:
+                    outcomes["discrete"] += 1
+                elif len(set(got[0])) == len(set(cg)):
+                    outcomes["no split"] += 1
+                else:
+                    outcomes["split"] += 1
+                stable = got
+    assert min(outcomes.values()) >= 10 and min(orbits.values()) >= 10, (outcomes, orbits)
 
 
 def _verify(rows_g, rows_h, perm):

@@ -2,17 +2,21 @@
 Report rows and tables: certified (M, N, M-N, alpha^2) values frozen from
 independent eigenvalue computations, the k = 2 mu gate on descendant rows,
 parameter-only rows at spectrum level, the shared-(M, {N, M-N}) grouping,
-byte-identical reruns, experiment payload structure, and one strong-regularity
-certification per built row.
+byte-identical reruns, experiment payload structure, frozen digests of every
+experiment's decisions and witnesses, and one strong-regularity certification
+per built row.
 """
 
 from fractions import Fraction
+import hashlib
+import json
 
 import pytest
 
 from rank3etf import graphs
 from rank3etf.families import build
 from rank3etf.tables import (
+    EXPERIMENT_IDS,
     PARAM_ONLY_ROWS,
     CertificationFailure,
     ReportRow,
@@ -237,3 +241,27 @@ def test_experiment_descendant_vs_O():
     assert check["decision"] in ("isomorphic", "not_isomorphic")
     with pytest.raises(ValueError):
         run_experiment("nonsense")
+
+
+# SHA-256 of each experiment's JSON (sorted keys, wall_time dropped): the
+# decisions and witnesses, frozen so that a change to the search that moves
+# a witness or a colour id shows
+EXPERIMENT_DIGESTS = {
+    ("iso_checks", None): "e296665b2df4b4d3c717fdbb96e39cd55b8b05ac71b29428ca740b07425aefe4",
+    ("descendant_vs_O", None): "559f20b6bf73f519b30a9328a6ddadf01cb1bba6713b49785c36c4b654bc8db6",
+    ("switch_NO4_vs_NOminus", None):
+        "92cafde89b01f3c79f8e5edad370171a9e8a87f63087e7a4428db80443a8a4a2",
+    ("switch_paley_peisert", None):
+        "36535c2f6e57c4cbcb40ff16fc2f0ecfe094cd7a8111b47623b0bfbfd60c570f",
+    ("switch_paley_peisert", 49):
+        "eeb53547fa2f4f27071452b98e171c10e6097484a84c4a110d8711682b880357",
+}
+
+
+def test_experiment_outputs_are_frozen():
+    assert {exp for exp, size in EXPERIMENT_DIGESTS if size is None} == set(EXPERIMENT_IDS)
+    for (exp, size), want in EXPERIMENT_DIGESTS.items():
+        out = run_experiment(exp, size)
+        del out["wall_time"]
+        got = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+        assert got == want, (exp, size)
